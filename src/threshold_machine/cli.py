@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     TooFewExceedancesError,
 )
+from .exceedance import nearest_rank
 from .generators import GeneratorSpec, generate
 from .mc_oracle import empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, run_dtm
@@ -260,8 +261,7 @@ def _app_scan(spec_dict: dict, outdir: Path, args) -> dict:
     mc_maxima.sort()
     mc = {}
     for alpha in alphas:
-        k = max(1, min(int(np.ceil((1 - alpha) * mc_reps)), mc_reps))
-        mc[str(alpha)] = mc_maxima[k - 1]
+        mc[str(alpha)] = mc_maxima[nearest_rank(1 - alpha, mc_reps) - 1]
     return {"dtm_thresholds": thresholds, "mc_thresholds": mc,
             "n_subgraphs": n_subgraphs, "mc_reps": mc_reps}
 

@@ -49,9 +49,15 @@ class TooFewExceedancesError(DtmError):
 
 
 class DegenerateHeightsError(DtmError):
-    """All exceedance heights are equal; moment initialization is undefined."""
+    """All exceedance heights are equal; the tail fit is undefined."""
 
     code = "degenerate-heights"
+
+
+class InvalidThetaError(DtmError):
+    """Extremal index outside (0, 1], or no inter-exceedance gap to score it on."""
+
+    code = "invalid-theta"
 
 
 class NoClustersError(DtmError):

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import InvalidQuantileError, TooFewExceedancesError
 from .resample import as_series
 
-__all__ = ["ExceedanceSet", "GapSet", "quantile_cutoff", "extract", "gaps"]
+__all__ = ["ExceedanceSet", "GapSet", "nearest_rank", "quantile_cutoff", "extract", "gaps"]
 
 # Fitters refuse below this many exceedances; below WARN_EXCEEDANCES they warn.
 MIN_EXCEEDANCES = 10
@@ -47,21 +47,29 @@ class GapSet:
         return len(self.gaps) + 1
 
 
+def nearest_rank(q: float, n: int) -> int:
+    """1-based rank of the nearest-rank q-quantile of n values: ceil(q*n),
+    clipped to [1, n].
+
+    A tiny snap window absorbs floating-point noise in q*n (e.g. 0.95 * 100
+    evaluating just above 95).
+    """
+    qn = q * n
+    nearest = round(qn)
+    k = nearest if abs(qn - nearest) < 1e-9 * max(1.0, qn) and nearest >= 1 else math.ceil(qn)
+    return min(max(k, 1), n)
+
+
 def quantile_cutoff(values, q: float) -> float:
-    """Nearest-rank empirical quantile: the ceil(q*n)-th smallest value.
+    """Nearest-rank empirical quantile: the :func:`nearest_rank`-th smallest value.
 
     The cutoff is always an observed value, so the exceedance count is
-    deterministic.  A tiny snap window absorbs floating-point noise in q*n
-    (e.g. 0.95 * 100 evaluating just above 95).
+    deterministic.
     """
     arr = as_series(values)
     if not (0.0 < q < 1.0) or not np.isfinite(q):
         raise InvalidQuantileError(f"quantile must lie in (0, 1), got {q}")
-    qn = q * arr.size
-    nearest = round(qn)
-    k = nearest if abs(qn - nearest) < 1e-9 * max(1.0, qn) and nearest >= 1 else math.ceil(qn)
-    k = min(max(k, 1), arr.size)
-    return float(np.sort(arr)[k - 1])
+    return float(np.sort(arr)[nearest_rank(q, arr.size) - 1])
 
 
 def extract(values, u: float) -> ExceedanceSet:

@@ -31,14 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DtmError, FitWarning, NoClustersError
+from .errors import FitWarning, InvalidThetaError, NoClustersError
 from .exceedance import GapSet
 
 __all__ = ["ThetaEstimate", "theta_log_likelihood", "theta_closed_form"]
-
-
-class InvalidThetaError(DtmError):
-    code = "invalid-theta"
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,20 @@ only on the heights and the cutoff,
 
 with the Gumbel limit substituted when ``|xi|`` is below the branch tolerance.
 
-The optimizer is a derivative-free simplex descent (Nelder-Mead) over
-``(mu, log sigma, xi)``.  Fitting happens in a standardized frame (heights
-centered and scaled by the moment initializer), which makes the optimizer
-trajectory invariant under affine transformations of the data, so fitted
-parameters are affine-equivariant to floating-point precision.
+The fit is exact.  With ``sigma_u = sigma + xi*(u - mu)`` the NLL splits into
+a Poisson count term, minimized at ``C(u) = n_u``, and the generalized Pareto
+NLL of the excesses ``y = h - u`` (Coles 2001, ch. 7).  At fixed
+``theta = xi / sigma_u`` the Pareto part is minimized by
+``xi = k = mean(log1p(theta*y))`` (Grimshaw 1993), leaving the 1-D profile
+``n_u * [log(k / theta) + 1 + k]``.  A free shape is fitted on a fixed grid of
+``t = theta * max(y)`` restricted to ``k > -1`` (below ``xi = -1`` the
+likelihood is unbounded), then polished by a bounded scalar search between the
+best point's grid neighbours.  A fixed shape ``xi != 0`` is a bounded search
+over ``log sigma_u``; ``xi = 0`` is the closed form ``sigma_u = mean(y)``.
+Then ``sigma = sigma_u * n_u**xi`` and ``mu = u + (sigma - sigma_u)/xi``.
+
+Both searches run on ``y / max(y)``, so the fit is affine-equivariant up to
+the search tolerance.
 """
 
 from __future__ import annotations
@@ -23,44 +32,41 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateHeightsError, FitWarning, SmallSampleWarning, TooFewExceedancesError
+from .errors import (DegenerateHeightsError, InvalidConfigError, SmallSampleWarning,
+                     TooFewExceedancesError)
 from .evt_core import XI_GUMBEL_TOL, GevParams
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, ExceedanceSet
 
-__all__ = ["FitOptions", "FitDiagnostics", "neg_log_likelihood", "mom_init", "fit"]
+__all__ = ["FitOptions", "FitDiagnostics", "neg_log_likelihood", "fit"]
 
-EULER_GAMMA = 0.57721566490153286
-
-# Simplex vertices around the standardized init (mu', log sigma', xi) = 0.
-_INIT_STEPS = np.array([
-    [0.0, 0.0, 0.0],
-    [0.5, 0.0, 0.0],
-    [0.0, 0.5, 0.0],
-    [0.0, 0.0, 0.1],
-])
+# Profile grid in log1p(t): steps of 1/4 up to t = 8.1e3, through t = 0, then
+# unit steps up to t = 1e13, where shapes xi >> 1 put their optimum (t ~ n_u**xi).
+_LOG1P_T_GRID = np.concatenate([np.arange(-48, 37) / 4.0, np.arange(10.0, 31.0)])
+_XATOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs of the simplex fit; defaults match the module contract.
+    """Options of the tail fit.
 
     ``fix_xi`` pins the shape parameter and fits only location and scale:
     the standard restriction for series whose exceedances cannot identify
-    curvature (bounded kernel statistics, lattice-valued data).
+    curvature (bounded kernel statistics, lattice-valued data).  A pinned
+    shape must exceed -1, where the likelihood has an interior maximum.
     """
 
     min_exceedances: int = MIN_EXCEEDANCES
-    fatol: float = 1e-9
-    xatol: float = 1e-6
-    max_iter: int = 2000
-    restart: bool = True
     fix_xi: float | None = None
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """``iterations`` counts likelihood evaluations: one per scalar-search step,
+    plus one for the grid pass of a free shape (none for the closed form).
+    ``init`` is the closed-form Gumbel fit."""
+
     neg_log_lik: float
     iterations: int
     converged: bool
@@ -97,103 +103,92 @@ def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
     return _nll_heights(params.mu, params.sigma, params.xi, exc.heights, exc.cutoff)
 
 
-def mom_init(exc: ExceedanceSet) -> GevParams:
-    """Gumbel method-of-moments start: avoids the discontinuity at xi = 0.
+def _profile(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pareto profile NLL per exceedance at each ``t = theta * max(y)``, with
+    the shape ``k`` and the scale ``sigma_u / max(y)``; ``w = y / max(y)``.
+    The NLL is +inf where ``k <= -1``."""
+    k = np.log1p(np.multiply.outer(t, w)).mean(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(t == 0, w.mean(), k / t)
+    return np.where(k > -1, np.log(scale) + 1 + k, np.inf), k, scale
 
-    sigma0 = sqrt(6) * stdev / pi,  mu0 = mean - gamma * sigma0,  xi0 = 0.
+
+def _free_shape(w: np.ndarray) -> tuple[float, float, int, bool]:
+    """(sigma_u / max(y), xi, evaluations, converged) with a free shape."""
+    grid = _profile(np.expm1(_LOG1P_T_GRID), w)[0]
+    i = int(np.argmin(grid))
+    # a neighbour with k <= -1 puts +inf in the bracket; the search then bisects
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(
+            lambda v: float(_profile(math.expm1(v), w)[0]), method="bounded",
+            bounds=(_LOG1P_T_GRID[max(i - 1, 0)], _LOG1P_T_GRID[min(i + 1, grid.size - 1)]),
+            options={"xatol": _XATOL})
+    v = res.x if res.fun < grid[i] else _LOG1P_T_GRID[i]
+    _, k, scale = _profile(math.expm1(v), w)
+    return float(scale), float(k), 1 + res.nfev, bool(res.success)
+
+
+def _fixed_shape(w: np.ndarray, xi: float) -> tuple[float, float, int, bool]:
+    """(sigma_u / max(y), xi, evaluations, converged) with the shape pinned at xi.
+
+    The Pareto NLL is unimodal in ``log sigma_u``, and its minimum lies in
+    [min(w), mean(w)] for xi > 0 and in [max(mean(w), -xi), 1] for xi < 0.
     """
-    if exc.n_u < 2:
-        raise TooFewExceedancesError("moment initialization needs at least 2 exceedances")
-    sd = float(np.std(exc.heights, ddof=1))
-    if sd == 0.0:
-        raise DegenerateHeightsError("all exceedance heights are equal")
-    sigma0 = math.sqrt(6.0) * sd / math.pi
-    mu0 = float(np.mean(exc.heights)) - EULER_GAMMA * sigma0
-    return GevParams(mu=mu0, sigma=sigma0, xi=0.0)
+    if xi <= -1:
+        raise InvalidConfigError(f"a fixed shape must exceed -1, got {xi}")
+    lo, hi = (w.min(), w.mean()) if xi > 0 else (max(w.mean(), -xi), 1.0)
+
+    def nll(r: float) -> float:
+        a = xi * math.exp(-r) * w
+        if a.min() <= -1:
+            return math.inf
+        return r + (1 + 1 / xi) * float(np.mean(np.log1p(a)))
+
+    res = minimize_scalar(nll, bounds=(math.log(lo), math.log(hi)), method="bounded",
+                          options={"xatol": _XATOL})
+    return math.exp(res.x), xi, res.nfev, bool(res.success)
 
 
-def _minimize_from(x0: np.ndarray, heights: np.ndarray, u: float, opts: FitOptions):
-    if opts.fix_xi is None:
-        def objective(v):
-            return _nll_heights(v[0], math.exp(v[1]), v[2], heights, u)
-        steps = _INIT_STEPS
-    else:
-        def objective(v):
-            return _nll_heights(v[0], math.exp(v[1]), opts.fix_xi, heights, u)
-        x0 = x0[:2]
-        steps = _INIT_STEPS[:3, :2]
-
-    return minimize(
-        objective,
-        x0=x0,
-        method="Nelder-Mead",
-        options={
-            "fatol": opts.fatol,
-            "xatol": opts.xatol,
-            "maxiter": opts.max_iter,
-            "initial_simplex": x0 + steps,
-        },
-    )
+def _gev(sigma_u: float, xi: float, u: float, n_u: int) -> GevParams:
+    """GEV parameters with Pareto scale ``sigma_u`` above u and ``C(u) = n_u``."""
+    log_n = math.log(n_u)
+    growth = log_n if xi == 0 else math.expm1(xi * log_n) / xi
+    return GevParams(mu=u + sigma_u * growth, sigma=sigma_u * math.exp(xi * log_n), xi=xi)
 
 
 def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, FitDiagnostics]:
     """Maximum likelihood fit of (mu, sigma, xi) from exceedance heights.
 
-    Starts at the moment initializer and descends in the standardized frame.
-    If the first descent does not converge, one restart runs from a perturbed
-    start (sigma scaled by 1.1, xi shifted by 0.1) and the lower of the two
-    minima wins.  The returned NLL never exceeds the NLL at initialization.
+    The fit with a free shape includes the Gumbel point ``t = 0`` it reports
+    as ``init``, so the returned NLL never exceeds the NLL at ``init``.
     """
     opts = opts or FitOptions()
-    if exc.n_u < opts.min_exceedances:
+    n_u = exc.n_u
+    if n_u < opts.min_exceedances:
         raise TooFewExceedancesError(
-            f"fit needs at least {opts.min_exceedances} exceedances, got {exc.n_u}"
+            f"fit needs at least {opts.min_exceedances} exceedances, got {n_u}"
         )
-    if exc.n_u < WARN_EXCEEDANCES:
-        warnings.warn(
-            f"only {exc.n_u} exceedances; tail estimates may be unstable",
-            SmallSampleWarning,
-            stacklevel=2,
-        )
+    if n_u < WARN_EXCEEDANCES:
+        warnings.warn(f"only {n_u} exceedances; tail estimates may be unstable",
+                      SmallSampleWarning, stacklevel=2)
+    y = exc.heights - exc.cutoff
+    y_max = float(y.max())
+    if y_max == float(y.min()):
+        raise DegenerateHeightsError("all exceedance heights are equal")
+    w = y / y_max
 
-    init = mom_init(exc)
-    # standardized frame: center = mu0, scale = sigma0, so the start is (0,0,0)
-    center, scale = init.mu, init.sigma
-    h = (exc.heights - center) / scale
-    u = (exc.cutoff - center) / scale
-
-    res = _minimize_from(np.zeros(3), h, u, opts)
-    best = res
-    if not res.success and opts.restart:
-        restart_x0 = np.array([0.0, math.log(1.1), 0.1])
-        res2 = _minimize_from(restart_x0, h, u, opts)
-        if res2.fun < best.fun:
-            best = res2
-
-    xi_init = opts.fix_xi if opts.fix_xi is not None else 0.0
-    nll_init = _nll_heights(0.0, 1.0, xi_init, h, u)
-    if best.fun <= nll_init:
-        mu_s, log_sigma_s = best.x[0], best.x[1]
-        xi_hat = best.x[2] if opts.fix_xi is None else opts.fix_xi
-        nll_std = float(best.fun)
-    else:
-        mu_s, log_sigma_s, xi_hat = 0.0, 0.0, xi_init
-        nll_std = nll_init
-
-    params = GevParams(
-        mu=center + scale * mu_s,
-        sigma=scale * math.exp(log_sigma_s),
-        xi=float(xi_hat),
-    )
-    converged = bool(best.success)
-    if not converged:
-        warnings.warn("simplex descent hit the iteration limit", FitWarning, stacklevel=2)
-    # NLL in data units: standardization shifts it by n_u * log(scale)
+    u = exc.cutoff
+    init = _gev(float(np.mean(y)), 0.0, u, n_u)
+    params, evaluations, converged = init, 0, True
+    if opts.fix_xi != 0:
+        search = _free_shape(w) if opts.fix_xi is None else _fixed_shape(w, opts.fix_xi)
+        scale, xi, evaluations, converged = search
+        params = _gev(y_max * scale, xi, u, n_u)
     diag = FitDiagnostics(
-        neg_log_lik=nll_std + exc.n_u * math.log(scale),
-        iterations=int(best.nit),
+        neg_log_lik=_nll_heights(params.mu, params.sigma, params.xi, exc.heights, u),
+        iterations=evaluations,
         converged=converged,
         init=init,
-        n_u_used=exc.n_u,
+        n_u_used=n_u,
     )
     return params, diag

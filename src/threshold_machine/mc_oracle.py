@@ -7,13 +7,13 @@ the expensive reference that the one-sample pipeline is meant to replace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidQuantileError, InvalidSpecError
 from .evt_core import TailModel, model_max_cdf
+from .exceedance import nearest_rank
 from .generators import GeneratorSpec, generate
 
 __all__ = ["EmpiricalMaxDist", "empirical_max_cdf", "mc_threshold", "sup_norm_gap"]
@@ -52,11 +52,7 @@ def mc_threshold(dist: EmpiricalMaxDist, alpha: float) -> float:
     """Nearest-rank (1 - alpha) quantile of the simulated maxima."""
     if not (0.0 < alpha < 1.0):
         raise InvalidQuantileError(f"alpha must lie in (0, 1), got {alpha}")
-    q = (1.0 - alpha) * dist.L
-    nearest = round(q)
-    k = nearest if abs(q - nearest) < 1e-9 * max(1.0, q) and nearest >= 1 else math.ceil(q)
-    k = min(max(k, 1), dist.L)
-    return float(dist.maxima[k - 1])
+    return float(dist.maxima[nearest_rank(1.0 - alpha, dist.L) - 1])
 
 
 def sup_norm_gap(dist: EmpiricalMaxDist, model: TailModel) -> float:

@@ -118,7 +118,7 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     if not all(d.converged for d in diags):
         warn_codes.append("non-convergence")
         diag = replace(diag, converged=False)
-    if diag.n_u_used < WARN_EXCEEDANCES:
+    if min(d.n_u_used for d in diags) < WARN_EXCEEDANCES:
         warn_codes.append("few-exceedances")
 
     exc = extract(s, u)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from threshold_machine import GeneratorSpec, generate
+from threshold_machine import GeneratorSpec, generate, make_rng
+from threshold_machine import cli
 from threshold_machine.cli import main
 
 
@@ -136,6 +137,23 @@ class TestAppCommand:
         summary = json.loads((outdir / "summary.json").read_text())
         assert set(summary["dtm_thresholds"]) == {"0.1", "0.05"}
         assert (outdir / "scan_series.csv").exists()
+
+    def test_scan_mc_threshold_nearest_rank(self, tmp_path, monkeypatch):
+        # distinct maxima 799 + seed/1e5 per replicate, so each rank has its own value
+        monkeypatch.setattr(cli, "scan_series", lambda spec, n: (
+            make_rng(spec.seed).permutation(n) + spec.seed / 1e5))
+        spec = {"N": 40, "p0": 0.1, "p1": 0.1, "k": 6, "n_subgraphs": 800,
+                "mc_reps": 100, "alphas": [0.41]}
+        spec_path = tmp_path / "scan.json"
+        spec_path.write_text(json.dumps(spec))
+        outdir = tmp_path / "scanrun"
+        code = main(["app", "scan", "--spec", str(spec_path),
+                     "--outdir", str(outdir), "--seed", "6"])
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        maxima = sorted(799 + (6 + 20_000 + j) / 1e5 for j in range(100))
+        # (1 - 0.41) * 100 evaluates just above 59; the nearest rank is 59
+        assert summary["mc_thresholds"]["0.41"] == maxima[58]
 
     def test_changepoint_artifacts(self, tmp_path):
         spec = {"block_size": 8, "n_nodes": 20, "p_pre": 0.3, "p_post": 0.6,

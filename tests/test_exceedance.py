@@ -10,6 +10,21 @@ from threshold_machine import (
     gaps,
     quantile_cutoff,
 )
+from threshold_machine.exceedance import nearest_rank
+
+
+class TestNearestRank:
+    def test_snaps_rounding_noise(self):
+        # (1 - 0.41) * 100 evaluates to 59.00000000000001
+        assert (1 - 0.41) * 100 > 59
+        assert nearest_rank(1 - 0.41, 100) == 59
+
+    def test_ceil_between_ranks(self):
+        assert nearest_rank(0.951, 100) == 96
+
+    def test_clipped_to_valid_ranks(self):
+        assert nearest_rank(1e-6, 10) == 1
+        assert nearest_rank(1 - 1e-12, 10) == 10
 
 
 class TestQuantileCutoff:

@@ -52,6 +52,13 @@ class TestThetaLogLikelihood:
             theta_log_likelihood(theta, gapset([2, 3], rate=0.1))
 
 
+    def test_error_exported_from_package(self):
+        import threshold_machine
+
+        assert threshold_machine.InvalidThetaError is InvalidThetaError
+        assert issubclass(InvalidThetaError, threshold_machine.DtmError)
+
+
 class TestThetaClosedForm:
     def test_independent_like_spacing(self):
         # all gaps > 1 and light total hazard: maximizer at the boundary 1

@@ -1,25 +1,28 @@
-"""Tests for the marked Poisson likelihood and the simplex fit."""
+"""Tests for the marked Poisson likelihood and the exact profile-likelihood fit."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from threshold_machine import (
     DegenerateHeightsError,
     ExceedanceSet,
     FitOptions,
+    GeneratorSpec,
     GevParams,
+    InvalidConfigError,
     SmallSampleWarning,
     TooFewExceedancesError,
     extract,
     fit,
-    mom_init,
+    generate,
     neg_log_likelihood,
     quantile_cutoff,
+    tail_fn,
 )
-from threshold_machine.gev_fit import EULER_GAMMA
 from threshold_machine.resample import make_rng
 
 
@@ -32,6 +35,16 @@ def exc_set(heights, u, n=None):
         heights=heights,
         source_len=n,
     )
+
+
+# the marginal families of acceptance criterion 5, first trial
+CRITERION5_FAMILIES = {
+    "beta25": GeneratorSpec.beta(2, 5, 10_000, 1),
+    "chi2": GeneratorSpec.chi_square(1, 10_000, 1),
+    "t4": GeneratorSpec.student_t(4, 10_000, 1),
+    "ar1_m0": GeneratorSpec.gaussian_ar1(0, 10_000, 1),
+    "ar1_m50": GeneratorSpec.gaussian_ar1(50, 10_000, 1),
+}
 
 
 def gumbel_sample(mu, sigma, n, seed):
@@ -65,27 +78,6 @@ class TestNegLogLikelihood:
         b = ExceedanceSet(1.0, np.array([10, 55, 90]), np.array(heights), 100)
         p = GevParams(2.0, 1.0, 0.1)
         assert neg_log_likelihood(p, a) == neg_log_likelihood(p, b)
-
-
-class TestMomInit:
-    def test_formula_inversion(self):
-        # two points with sample stdev pi/sqrt(6): sigma0 = 1, mu0 = 10 - gamma
-        half = math.pi / math.sqrt(6) / math.sqrt(2)  # ddof=1 stdev of {10-h, 10+h} is h*sqrt(2)
-        h = np.array([10 - half, 10 + half])
-        init = mom_init(exc_set(h, u=5.0))
-        assert init.sigma == pytest.approx(1.0, rel=1e-12)
-        assert init.mu == pytest.approx(10 - EULER_GAMMA, rel=1e-12)
-        assert init.xi == 0.0
-
-    def test_degenerate_heights(self):
-        with pytest.raises(DegenerateHeightsError):
-            mom_init(exc_set([4.0, 4.0, 4.0], u=1.0))
-
-    def test_recovers_gumbel_parameters(self):
-        h = gumbel_sample(3.0, 2.0, 500, seed=21)
-        init = mom_init(exc_set(h, u=float(h.min()) - 1))
-        assert init.mu == pytest.approx(3.0, abs=0.3)
-        assert init.sigma == pytest.approx(2.0, abs=0.3)
 
 
 class TestFit:
@@ -124,25 +116,25 @@ class TestFit:
         s = make_rng(35).chisquare(1, size=10_000)
         u = quantile_cutoff(s, 0.95)
         e = extract(s, u)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params, diag = fit(e)
-        assert diag.converged
-        steps = (1e-5 * max(abs(params.mu), 1.0), 1e-5 * params.sigma, 1e-6)
-        grads = []
-        for i, h in enumerate(steps):
-            delta = np.zeros(3)
-            delta[i] = h
-            hi = GevParams(params.mu + delta[0], params.sigma + delta[1], params.xi + delta[2])
-            lo = GevParams(params.mu - delta[0], params.sigma - delta[1], params.xi - delta[2])
-            grads.append((neg_log_likelihood(hi, e) - neg_log_likelihood(lo, e)) / (2 * h))
-        # scale gradients by the parameter magnitudes and the sample size
-        scaled = np.array([
-            grads[0] * max(abs(params.mu), 1.0),
-            grads[1] * params.sigma,
-            grads[2],
-        ]) / diag.n_u_used
-        assert np.linalg.norm(scaled) <= 1e-3
+        for fix_xi in (None, 0.2, -0.2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                params, diag = fit(e, FitOptions(fix_xi=fix_xi))
+            assert diag.converged
+            # a pinned shape leaves only the (mu, sigma) gradient
+            n_free = 3 if fix_xi is None else 2
+            steps = (1e-5 * max(abs(params.mu), 1.0), 1e-5 * params.sigma, 1e-6)[:n_free]
+            grads = []
+            for i, h in enumerate(steps):
+                delta = np.zeros(3)
+                delta[i] = h
+                hi = GevParams(params.mu + delta[0], params.sigma + delta[1], params.xi + delta[2])
+                lo = GevParams(params.mu - delta[0], params.sigma - delta[1], params.xi - delta[2])
+                grads.append((neg_log_likelihood(hi, e) - neg_log_likelihood(lo, e)) / (2 * h))
+            # scale gradients by the parameter magnitudes and the sample size
+            magnitudes = np.array([max(abs(params.mu), 1.0), params.sigma, 1.0])[:n_free]
+            scaled = np.array(grads) * magnitudes / diag.n_u_used
+            assert np.linalg.norm(scaled) <= 1e-3, fix_xi
 
     def test_affine_equivariance(self):
         s = make_rng(36).chisquare(1, size=5_000)
@@ -173,3 +165,41 @@ class TestFit:
         h = gumbel_sample(0, 1, 15, seed=38)
         with pytest.warns(SmallSampleWarning):
             fit(exc_set(h, u=float(h.min()) - 0.5))
+
+    def test_degenerate_heights(self):
+        with pytest.raises(DegenerateHeightsError):
+            fit(exc_set([4.0] * 40, u=1.0))
+
+    def test_shape_pinned_at_or_below_minus_one(self):
+        s = make_rng(39).chisquare(1, size=5_000)
+        with pytest.raises(InvalidConfigError):
+            fit(extract(s, quantile_cutoff(s, 0.95)), FitOptions(fix_xi=-1.0))
+
+    def test_gumbel_closed_form(self):
+        s = make_rng(40).chisquare(1, size=5_000)
+        e = extract(s, quantile_cutoff(s, 0.95))
+        params, diag = fit(e, FitOptions(fix_xi=0.0))
+        sigma = float(np.mean(e.heights - e.cutoff))
+        assert params.sigma == pytest.approx(sigma, rel=1e-12)
+        assert params.mu == pytest.approx(e.cutoff + sigma * math.log(e.n_u), rel=1e-12)
+        assert params == diag.init
+
+    def test_expected_count_at_cutoff(self):
+        # the Poisson factor of the likelihood is maximized at C(u) = n_u
+        s = make_rng(41).standard_t(4, size=10_000)
+        e = extract(s, quantile_cutoff(s, 0.95))
+        params, _ = fit(e)
+        assert tail_fn(params, e.cutoff) == pytest.approx(e.n_u, rel=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(CRITERION5_FAMILIES))
+    def test_simplex_polish_finds_nothing_lower(self, family):
+        s = generate(CRITERION5_FAMILIES[family])
+        e = extract(s, quantile_cutoff(s, 0.95))
+        params, diag = fit(e)
+
+        def nll(v):
+            return neg_log_likelihood(GevParams(v[0], math.exp(v[1]), v[2]), e)
+
+        res = minimize(nll, [params.mu, math.log(params.sigma), params.xi], method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+        assert res.fun >= diag.neg_log_lik - 1e-8 * e.n_u

@@ -72,6 +72,10 @@ class TestMcThreshold:
         dist = dist_from(np.arange(1, 101, dtype=float))
         assert mc_threshold(dist, 0.05) == 95.0
 
+    def test_rounding_noise_in_rank(self):
+        dist = dist_from(np.arange(1, 101, dtype=float))
+        assert mc_threshold(dist, 0.41) == 59.0
+
     def test_extreme_rank_is_max(self):
         dist = dist_from(np.arange(1, 101, dtype=float))
         assert mc_threshold(dist, 0.009) == 100.0

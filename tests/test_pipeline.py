@@ -16,6 +16,7 @@ from threshold_machine import (
     model_max_cdf,
     run_dtm,
 )
+from threshold_machine.exceedance import WARN_EXCEEDANCES
 
 
 def chi2_series(n=5000, seed=0):
@@ -81,6 +82,13 @@ class TestRunDtm:
         # alpha = 0.01 needs n of order 1e4 by the heuristic bound
         rep = run_dtm(chi2_series(n=2000, seed=13), DtmConfig(alpha=0.01, seed=13))
         assert "small-sample" in rep.warnings
+
+    def test_few_exceedances_in_any_replicate(self):
+        # replicate 0 has 37 exceedances, replicate 4 only 25
+        s = chi2_series(n=700, seed=5)
+        rep = run_dtm(s, DtmConfig(alpha=0.05, seed=3, bootstrap_reps=5))
+        assert rep.gev_diag.n_u_used >= WARN_EXCEEDANCES
+        assert "few-exceedances" in rep.warnings
 
     def test_fixed_shape_passthrough(self):
         rep = run_dtm(chi2_series(seed=14), DtmConfig(alpha=0.05, seed=14, fix_xi=0.0))
