@@ -101,12 +101,34 @@ def scan_series(spec: ErGraphSpec, n_subgraphs: int, planted: bool = False) -> n
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_kernel(A: np.ndarray, B: np.ndarray, bandwidth: float) -> np.ndarray:
-    aa = np.einsum("ij,ij->i", A, A)
-    bb = np.einsum("ij,ij->i", B, B)
-    sq = aa[:, None] + bb[None, :] - 2.0 * (A @ B.T)
-    np.maximum(sq, 0.0, out=sq)
+def _sq_dists(aa, bb, ab) -> np.ndarray:
+    """|a - b|^2 = |a|^2 + |b|^2 - 2 a.b from squared norms and inner
+    products, clipped at 0 against cancellation."""
+    return np.maximum(aa + bb - 2.0 * ab, 0.0)
+
+
+def _pairwise_sq_dists(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms of the rows of Z and their pairwise squared distances."""
+    zz = np.einsum("ij,ij->i", Z, Z)
+    return zz, _sq_dists(zz[:, None], zz, Z @ Z.T)
+
+
+def _gaussian(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * bandwidth * bandwidth))
+
+
+def _block_mmd(K: np.ndarray, order: np.ndarray) -> float:
+    """Unbiased block MMD^2 from the kernel matrix K of the stacked [X; Y].
+
+    X and Y are the first and last B = len(order) rows; X row order[i] is
+    paired with Y row i.
+    """
+    B = order.size
+    kxx, kyy, kxy = K[:B, :B], K[B:, B:], K[:B, B:]
+    sxx = kxx.sum() - np.trace(kxx)
+    syy = kyy.sum() - np.trace(kyy)
+    sxy = kxy.sum() - kxy[order, np.arange(B)].sum()
+    return float((sxx + syy - 2.0 * sxy) / (B * (B - 1)))
 
 
 def _as_block(X) -> np.ndarray:
@@ -136,13 +158,8 @@ def mmd_stat(X, Y, bandwidth: float) -> float:
     B = Xb.shape[0]
     if B < 2:
         raise SizeMismatchError(f"blocks must hold at least 2 vectors, got {B}")
-    kxx = _gaussian_kernel(Xb, Xb, bandwidth)
-    kyy = _gaussian_kernel(Yb, Yb, bandwidth)
-    kxy = _gaussian_kernel(Xb, Yb, bandwidth)
-    sxx = kxx.sum() - np.trace(kxx)
-    syy = kyy.sum() - np.trace(kyy)
-    sxy = kxy.sum() - np.trace(kxy)
-    return float((sxx + syy - 2.0 * sxy) / (B * (B - 1)))
+    _, sq = _pairwise_sq_dists(np.vstack([Xb, Yb]))
+    return _block_mmd(_gaussian(sq, bandwidth), np.arange(B))
 
 
 @dataclass(frozen=True)
@@ -202,13 +219,8 @@ def _snapshot(spec: MmdStreamSpec, t: int) -> np.ndarray:
 
 
 def _median_heuristic(ref: np.ndarray) -> float:
-    diff_sq = (
-        np.einsum("ij,ij->i", ref, ref)[:, None]
-        + np.einsum("ij,ij->i", ref, ref)[None, :]
-        - 2.0 * (ref @ ref.T)
-    )
-    iu = np.triu_indices(ref.shape[0], k=1)
-    return float(np.sqrt(np.median(diff_sq[iu])))
+    _, sq = _pairwise_sq_dists(ref)
+    return float(np.sqrt(np.median(sq[np.triu_indices(ref.shape[0], k=1)])))
 
 
 def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
@@ -234,42 +246,21 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
     if not (bandwidth > 0) or not math.isfinite(bandwidth):
         raise InvalidBandwidthError("median-heuristic bandwidth degenerated to zero")
 
-    kyy = _gaussian_kernel(ref, ref, bandwidth)
-    syy = kyy.sum() - np.trace(kyy)
-
-    # ring buffers over the sliding window: slot(t) = t % B
-    window = np.empty_like(ref)
-    kxx = np.empty((B, B))
-    kxy = np.empty((B, B))  # kxy[slot, j] = k(x_slot, y_j)
-    for t in range(B + 1, 2 * B + 1):
-        slot = t % B
-        snap = _snapshot(spec, t)
-        window[slot] = snap
-    kxx[:] = _gaussian_kernel(window, window, bandwidth)
-    kxy[:] = _gaussian_kernel(window, ref, bandwidth)
-
-    denom = B * (B - 1)
+    # Z = [window; ref] with the window a ring buffer, slot(t) = t % B; at
+    # t = B the window is the reference block itself
+    Z = np.concatenate([np.roll(ref, 1, axis=0), ref])
+    sqn, sq = _pairwise_sq_dists(Z)
+    K = _gaussian(sq, bandwidth)
     stream = np.empty(n_stream)
-
-    def statistic(t: int) -> float:
-        # chronological rank i (0-based) of the window pairs with ref row i
-        slots = (np.arange(t - B + 1, t + 1)) % B
-        sxx = kxx.sum() - np.trace(kxx)
-        paired = kxy[slots, np.arange(B)].sum()
-        sxy = kxy.sum() - paired
-        return (sxx + syy - 2.0 * sxy) / denom
-
-    stream[0] = statistic(stream_start)
-    for t in range(stream_start + 1, spec.horizon + 1):
+    for t in range(B + 1, spec.horizon + 1):
         slot = t % B
         snap = _snapshot(spec, t)
-        window[slot] = snap
-        krow = _gaussian_kernel(snap[None, :], window, bandwidth)[0]
-        kxx[slot, :] = krow
-        kxx[:, slot] = krow
-        kxx[slot, slot] = 1.0
-        kxy[slot, :] = _gaussian_kernel(snap[None, :], ref, bandwidth)[0]
-        stream[t - stream_start] = statistic(t)
+        Z[slot] = snap
+        sqn[slot] = snap @ snap
+        K[slot, :] = K[:, slot] = _gaussian(_sq_dists(sqn[slot], sqn, Z @ snap), bandwidth)
+        if t >= stream_start:
+            # chronological rank i (0-based) of the window pairs with ref row i
+            stream[t - stream_start] = _block_mmd(K, np.arange(t - B + 1, t + 1) % B)
 
     train = stream[: spec.train_len]
     alpha = arl_to_alpha(spec.train_len, arl)

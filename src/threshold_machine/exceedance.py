@@ -69,7 +69,8 @@ def quantile_cutoff(values, q: float) -> float:
     arr = as_series(values)
     if not (0.0 < q < 1.0) or not np.isfinite(q):
         raise InvalidQuantileError(f"quantile must lie in (0, 1), got {q}")
-    return float(np.sort(arr)[nearest_rank(q, arr.size) - 1])
+    k = nearest_rank(q, arr.size)
+    return float(np.partition(arr, k - 1)[k - 1])
 
 
 def extract(values, u: float) -> ExceedanceSet:

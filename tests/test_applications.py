@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from threshold_machine import (
     BanditSpec,
@@ -82,6 +83,14 @@ class TestMmdStat:
         bw = _median_heuristic(Y)
         assert abs(mmd_stat(X, Y, bw)) <= 0.1
 
+    def test_median_heuristic_matches_pdist(self):
+        spec = MmdStreamSpec(seed=4)
+        snapshots = np.stack([_snapshot(spec, t) for t in range(1, spec.block_size + 1)])
+        real = np.random.default_rng(9).normal(size=(30, 7))
+        for block in (snapshots, real):
+            expected = math.sqrt(np.median(pdist(block, "sqeuclidean")))
+            assert _median_heuristic(block) == pytest.approx(expected, rel=1e-12)
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             mmd_stat(np.zeros((3, 2)), np.zeros((4, 2)), 1.0)
@@ -111,16 +120,21 @@ class TestChangePointRun:
         y = -math.log1p(-alpha) / res.report.model.theta
         assert res.threshold == invert_tail(res.report.model.params, y)
 
-    def test_stream_matches_direct_mmd(self):
-        # ring-buffer bookkeeping must reproduce the blockwise statistic
-        spec = small_stream_spec(horizon=300, train_len=260)
+    @pytest.mark.parametrize("geometry, times", [
+        (dict(horizon=300), (16, 19, 100, 300)),
+        (dict(block_size=50, n_nodes=100, horizon=400), (100, 103, 250, 400)),
+    ], ids=["8x190", "50x4950"])
+    def test_stream_matches_direct_mmd(self, geometry, times):
+        # ring-buffer bookkeeping must reproduce the blockwise statistic, also
+        # at the default geometry of 50 snapshots of 4950 edges
+        spec = small_stream_spec(train_len=260, **geometry)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = change_point_run(spec, arl=500.0)
         B = spec.block_size
         ref = np.stack([_snapshot(spec, t) for t in range(1, B + 1)])
         bw = _median_heuristic(ref)
-        for t in (2 * B, 2 * B + 3, 100, 300):
+        for t in times:
             X = np.stack([_snapshot(spec, s) for s in range(t - B + 1, t + 1)])
             direct = mmd_stat(X, ref, bw)
             assert res.stream[t - res.stream_start] == pytest.approx(direct, abs=1e-12)

@@ -31,6 +31,11 @@ class TestQuantileCutoff:
     def test_nearest_rank_on_integers(self):
         s = np.arange(1, 101, dtype=float)
         assert quantile_cutoff(s, 0.95) == 95.0
+        # tied values: ranks 91-100 all hold 9, rank 90 holds 8
+        tied = np.random.default_rng(3).permutation(np.repeat(np.arange(10.0), 10))
+        for q, expected in ((0.95, 9.0), (0.9, 8.0), (0.91, 9.0), (0.05, 0.0)):
+            assert quantile_cutoff(tied, q) == expected
+            assert quantile_cutoff(tied, q) == np.sort(tied)[nearest_rank(q, tied.size) - 1]
 
     def test_constant_series(self):
         assert quantile_cutoff([5.0, 5.0, 5.0], 0.5) == 5.0
