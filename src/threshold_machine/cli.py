@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
     TooFewExceedancesError,
 )
-from .exceedance import nearest_rank
+from .exceedance import MIN_EXCEEDANCES, nearest_rank
 from .generators import GeneratorSpec, generate
 from .mc_oracle import empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, run_dtm
@@ -232,14 +232,14 @@ def _cmd_app(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runner = {"scan": _app_scan, "changepoint": _app_changepoint, "bandit": _app_bandit}[args.harness]
-    summary = runner(spec_dict, outdir, args)
+    summary = runner(spec_dict, outdir)
     summary["manifest"] = _manifest(f"app:{args.harness}", spec_dict, args.seed)
     _emit(summary, str(outdir / "summary.json"))
     print(f"wrote {outdir}/summary.json")
     return EXIT_OK
 
 
-def _app_scan(spec_dict: dict, outdir: Path, args) -> dict:
+def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     alphas = spec_dict.pop("alphas", [0.1, 0.05, 0.03, 0.01])
     n_subgraphs = spec_dict.pop("n_subgraphs", 5000)
     mc_reps = spec_dict.pop("mc_reps", 100)
@@ -266,7 +266,7 @@ def _app_scan(spec_dict: dict, outdir: Path, args) -> dict:
             "n_subgraphs": n_subgraphs, "mc_reps": mc_reps}
 
 
-def _app_changepoint(spec_dict: dict, outdir: Path, args) -> dict:
+def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
     arl = spec_dict.pop("arl", 5000.0)
     spec = MmdStreamSpec(**spec_dict)
     result = change_point_run(spec, arl)
@@ -284,7 +284,7 @@ def _app_changepoint(spec_dict: dict, outdir: Path, args) -> dict:
     }
 
 
-def _app_bandit(spec_dict: dict, outdir: Path, args) -> dict:
+def _app_bandit(spec_dict: dict, outdir: Path) -> dict:
     total_pulls = spec_dict.pop("total_pulls", 1200)
     spec_dict["tail_exponents"] = tuple(spec_dict["tail_exponents"])
     spec = BanditSpec(**spec_dict)
@@ -319,17 +319,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_alpha=True):
-        if with_alpha:
-            p.add_argument("--alpha", type=float, required=True, help="tail probability level")
+    def common(p, pipeline=True):
+        p.add_argument("--seed", type=int, default=None, help="PRNG seed")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if not pipeline:  # the harnesses take their settings from the spec
+            return
+        p.add_argument("--alpha", type=float, required=True, help="tail probability level")
         p.add_argument("--quantile", type=float, default=None,
                        help="cutoff quantile in (0,1), default 0.95")
         p.add_argument("--cutoff", type=float, default=None,
                        help="explicit cutoff value (overrides --quantile)")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed")
         p.add_argument("--bootstrap-reps", type=int, default=1, dest="bootstrap_reps")
-        p.add_argument("--min-exceedances", type=int, default=10, dest="min_exceedances")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--min-exceedances", type=int, default=MIN_EXCEEDANCES,
+                       dest="min_exceedances")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     t = sub.add_parser("threshold", help="threshold for a series read from CSV")
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("harness", choices=["scan", "changepoint", "bandit"])
     a.add_argument("--spec", required=True, help="harness spec JSON (inline or file path)")
     a.add_argument("--outdir", required=True, help="directory for run artifacts")
-    common(a, with_alpha=False)
+    common(a, pipeline=False)
     return parser
 
 

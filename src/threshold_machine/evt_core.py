@@ -2,9 +2,12 @@
 
 The family is parameterized by location ``mu``, scale ``sigma`` and shape
 ``xi``.  ``xi > 0`` gives the Frechet (heavy) tail, ``xi < 0`` the Weibull
-(bounded) tail and ``xi = 0`` the Gumbel limit.  Shapes with ``|xi|`` below
-:data:`XI_GUMBEL_TOL` are evaluated on the Gumbel branch to avoid catastrophic
-cancellation near zero.
+(bounded) tail and ``xi = 0`` the Gumbel limit.  With ``z = (x - mu)/sigma``
+the tail function is ``C(x) = -log G(x) = (1 + xi*z)**(-1/xi)``, so
+``log C(x)`` is minus the inverse of the Box-Cox map ``expm1(xi*v)/xi`` at
+``z``.  This module alone decides the Gumbel limit: both maps are the
+identity for shapes with ``|xi|`` below :data:`XI_GUMBEL_TOL`, which avoids
+catastrophic cancellation near zero.
 
 All functions are pure and accept scalars or arrays in ``x``.
 """
@@ -47,7 +50,7 @@ class GevParams:
 
     @property
     def is_gumbel(self) -> bool:
-        return abs(self.xi) < XI_GUMBEL_TOL
+        return _is_gumbel(self.xi)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,26 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _is_gumbel(xi: float) -> bool:
+    return abs(xi) < XI_GUMBEL_TOL
+
+
+def _box_cox(xi: float, v):
+    """``expm1(xi*v) / xi``; ``v`` itself on the Gumbel branch."""
+    return v if _is_gumbel(xi) else np.expm1(xi * v) / xi
+
+
+def _log_tail(params: GevParams, x):
+    """``log C(x) = -log1p(xi*z) / xi`` with ``z = (x - mu)/sigma``, minus the
+    inverse of :func:`_box_cox` at ``z``; ``-z`` on the Gumbel branch and nan
+    outside the support ``1 + xi*z > 0``."""
+    z = (np.asarray(x, dtype=float) - params.mu) / params.sigma
+    if params.is_gumbel:
+        return -z
+    b = params.xi * z
+    return -np.log1p(np.where(b > -1, b, np.nan)) / params.xi
+
+
 def gev_cdf(params: GevParams, x):
     """CDF G(x) of the extreme value family.
 
@@ -83,16 +106,8 @@ def gev_cdf(params: GevParams, x):
     endpoint (xi > 0) and 1 above the upper endpoint (xi < 0).
     """
     arr, scalar = _as_array(x)
-    z = (arr - params.mu) / params.sigma
-    if params.is_gumbel:
-        out = np.exp(-np.exp(-z))
-    else:
-        bracket = 1.0 + params.xi * z
-        out = np.empty_like(z)
-        inside = bracket > 0
-        # log-space evaluation of bracket**(-1/xi) keeps accuracy near the edge
-        out[inside] = np.exp(-np.exp(-np.log(bracket[inside]) / params.xi))
-        out[~inside] = 0.0 if params.xi > 0 else 1.0
+    log_c = _log_tail(params, arr)
+    out = np.where(np.isnan(log_c), float(params.xi < 0), np.exp(-np.exp(log_c)))
     return float(out) if scalar else out
 
 
@@ -103,16 +118,12 @@ def tail_fn(params: GevParams, x):
     likelihoods built on top of it are undefined there.
     """
     arr, scalar = _as_array(x)
-    z = (arr - params.mu) / params.sigma
-    if params.is_gumbel:
-        out = np.exp(-z)
-    else:
-        bracket = 1.0 + params.xi * z
-        if np.any(bracket <= 0):
-            raise OutOfSupportError(
-                f"x outside support of {params}: 1 + xi*(x-mu)/sigma must be > 0"
-            )
-        out = np.exp(-np.log(bracket) / params.xi)
+    log_c = _log_tail(params, arr)
+    if np.any(np.isnan(log_c)):
+        raise OutOfSupportError(
+            f"x outside support of {params}: 1 + xi*(x-mu)/sigma must be > 0"
+        )
+    out = np.exp(log_c)
     return float(out) if scalar else out
 
 
@@ -125,10 +136,7 @@ def invert_tail(params: GevParams, y):
     arr, scalar = _as_array(y)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
         raise InvalidTargetError(f"inversion target must be positive and finite, got {y}")
-    if params.is_gumbel:
-        out = params.mu - params.sigma * np.log(arr)
-    else:
-        out = params.mu + params.sigma / params.xi * (arr ** (-params.xi) - 1.0)
+    out = params.mu + params.sigma * _box_cox(params.xi, -np.log(arr))
     return float(out) if scalar else out
 
 

@@ -26,12 +26,11 @@ non-positive at 1.)
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitWarning, InvalidThetaError, NoClustersError
+from .errors import InvalidThetaError, NoClustersError
 from .exceedance import GapSet
 
 __all__ = ["ThetaEstimate", "theta_log_likelihood", "theta_closed_form"]
@@ -85,12 +84,6 @@ def theta_closed_form(g: GapSet) -> ThetaEstimate:
             "every inter-exceedance gap equals 1; extremal index degenerates at 0"
         )
     b = 2 * n_c
-    if c <= 0:
-        # unreachable when n_c >= 1 (some gap exceeds 1, so sum(T-1) > 0 and
-        # rate > 0); kept as a defensive report
-        warnings.warn("degenerate denominator in extremal index estimate", FitWarning,
-                      stacklevel=2)
-        return ThetaEstimate(theta=1.0, n_u=n_u, n_c=n_c, clamped=True)
     s = a + b + c
     raw = 2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c))
     clamped = not (0.0 < raw <= 1.0)

@@ -5,23 +5,24 @@ The likelihood is that of a marked Poisson process over normalized time
 information once the cutoff is fixed, so the negative log likelihood depends
 only on the heights and the cutoff,
 
-    NLL = C(u) + sum_k [ log sigma + (1/xi + 1) * log(1 + xi*(h_k - mu)/sigma) ]
+    NLL = C(u) + n_u * log sigma - (1 + xi) * sum_k log C(h_k)
 
-with the Gumbel limit substituted when ``|xi|`` is below the branch tolerance.
+with ``log C`` from :mod:`evt_core`, which also decides the Gumbel limit.
 
 The fit is exact.  With ``sigma_u = sigma + xi*(u - mu)`` the NLL splits into
 a Poisson count term, minimized at ``C(u) = n_u``, and the generalized Pareto
-NLL of the excesses ``y = h - u`` (Coles 2001, ch. 7).  At fixed
-``theta = xi / sigma_u`` the Pareto part is minimized by
-``xi = k = mean(log1p(theta*y))`` (Grimshaw 1993), leaving the 1-D profile
-``n_u * [log(k / theta) + 1 + k]``.  A free shape is fitted on a fixed grid of
-``t = theta * max(y)`` restricted to ``k > -1`` (below ``xi = -1`` the
-likelihood is unbounded), then polished by a bounded scalar search between the
-best point's grid neighbours.  A fixed shape ``xi != 0`` is a bounded search
-over ``log sigma_u``; ``xi = 0`` is the closed form ``sigma_u = mean(y)``.
-Then ``sigma = sigma_u * n_u**xi`` and ``mu = u + (sigma - sigma_u)/xi``.
+NLL of the excesses ``y = h - u`` (Coles 2001, ch. 7).  In terms of
+``t = xi * max(y) / sigma_u`` and ``k = mean(log1p(t * y / max(y)))`` the
+Pareto NLL per exceedance is ``log(sigma_u / max(y)) + k + k/xi`` plus
+``log max(y)``.  A free shape is profiled out at ``xi = k`` (Grimshaw 1993),
+restricted to ``k > -1`` (below ``xi = -1`` the likelihood is unbounded); a
+pinned shape keeps its ``xi``, with ``sigma_u = xi * max(y) / t``.  Either way
+one search minimizes the profile over ``t``: a fixed grid in ``log1p(t)``,
+then a bounded scalar search between the best point's grid neighbours.  A
+pinned Gumbel shape is the closed form ``sigma_u = mean(y)``.  Then
+``sigma = sigma_u * n_u**xi`` and ``mu = u + sigma_u * (n_u**xi - 1)/xi``.
 
-Both searches run on ``y / max(y)``, so the fit is affine-equivariant up to
+The search runs on ``y / max(y)``, so the fit is affine-equivariant up to
 the search tolerance.
 """
 
@@ -36,7 +37,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (DegenerateHeightsError, InvalidConfigError, SmallSampleWarning,
                      TooFewExceedancesError)
-from .evt_core import XI_GUMBEL_TOL, GevParams
+from .evt_core import GevParams, _box_cox, _is_gumbel, _log_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, ExceedanceSet
 
 __all__ = ["FitOptions", "FitDiagnostics", "neg_log_likelihood", "fit"]
@@ -63,8 +64,9 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """``iterations`` counts likelihood evaluations: one per scalar-search step,
-    plus one for the grid pass of a free shape (none for the closed form).
+    """``iterations`` counts likelihood evaluations: one for the grid pass plus
+    one per scalar-search step.  A pinned shape runs the same search as a free
+    one, so its count includes the grid pass too; the closed form counts none.
     ``init`` is the closed-form Gumbel fit."""
 
     neg_log_lik: float
@@ -72,24 +74,6 @@ class FitDiagnostics:
     converged: bool
     init: GevParams
     n_u_used: int
-
-
-def _nll_heights(mu: float, sigma: float, xi: float, heights: np.ndarray, u: float) -> float:
-    """NLL evaluated on raw (mu, sigma, xi); +inf outside the support."""
-    if sigma <= 0 or not np.isfinite(sigma):
-        return math.inf
-    if abs(xi) < XI_GUMBEL_TOL:
-        zu = (u - mu) / sigma
-        # exp(-zu) can overflow for absurd mu; treat as infeasible
-        if -zu > 700:
-            return math.inf
-        return math.exp(-zu) + heights.size * math.log(sigma) + float(np.sum((heights - mu) / sigma))
-    bu = 1.0 + xi * (u - mu) / sigma
-    bh = 1.0 + xi * (heights - mu) / sigma
-    if bu <= 0 or np.any(bh <= 0):
-        return math.inf
-    cu = math.exp(-math.log(bu) / xi)
-    return cu + heights.size * math.log(sigma) + (1.0 / xi + 1.0) * float(np.sum(np.log(bh)))
 
 
 def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
@@ -100,60 +84,47 @@ def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
     """
     if exc.n_u < 1:
         raise TooFewExceedancesError("likelihood needs at least one exceedance")
-    return _nll_heights(params.mu, params.sigma, params.xi, exc.heights, exc.cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nll = (np.exp(_log_tail(params, exc.cutoff)) + exc.n_u * math.log(params.sigma)
+               - (1 + params.xi) * np.sum(_log_tail(params, exc.heights)))
+    return float(nll) if np.isfinite(nll) else math.inf
 
 
-def _profile(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profile(t, w: np.ndarray, shape: float | None):
     """Pareto profile NLL per exceedance at each ``t = theta * max(y)``, with
-    the shape ``k`` and the scale ``sigma_u / max(y)``; ``w = y / max(y)``.
-    The NLL is +inf where ``k <= -1``."""
+    the shape and the scale ``sigma_u / max(y)``; ``w = y / max(y)``.  A free
+    shape is ``k`` and needs ``k > -1``; a pinned one needs ``scale > 0``.  The
+    NLL is +inf where these fail."""
     k = np.log1p(np.multiply.outer(t, w)).mean(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(t == 0, w.mean(), k / t)
-    return np.where(k > -1, np.log(scale) + 1 + k, np.inf), k, scale
+        if shape is None:
+            scale = np.where(t == 0, w.mean(), k / t)
+            return np.where(k > -1, np.log(scale) + 1 + k, np.inf), k, scale
+        scale = np.divide(shape, t)
+        return np.where(scale > 0, np.log(scale) + k + k / shape, np.inf), shape, scale
 
 
-def _free_shape(w: np.ndarray) -> tuple[float, float, int, bool]:
-    """(sigma_u / max(y), xi, evaluations, converged) with a free shape."""
-    grid = _profile(np.expm1(_LOG1P_T_GRID), w)[0]
+def _search(w: np.ndarray, shape: float | None) -> tuple[float, float, float, int, bool]:
+    """(profile NLL, xi, sigma_u / max(y), evaluations, converged) for a free
+    shape (``None``) or one pinned at ``shape``."""
+    grid = _profile(np.expm1(_LOG1P_T_GRID), w, shape)[0]
     i = int(np.argmin(grid))
-    # a neighbour with k <= -1 puts +inf in the bracket; the search then bisects
+    # an infeasible neighbour puts +inf in the bracket; the search then bisects
     with np.errstate(invalid="ignore"):
         res = minimize_scalar(
-            lambda v: float(_profile(math.expm1(v), w)[0]), method="bounded",
+            lambda v: float(_profile(math.expm1(v), w, shape)[0]), method="bounded",
             bounds=(_LOG1P_T_GRID[max(i - 1, 0)], _LOG1P_T_GRID[min(i + 1, grid.size - 1)]),
             options={"xatol": _XATOL})
     v = res.x if res.fun < grid[i] else _LOG1P_T_GRID[i]
-    _, k, scale = _profile(math.expm1(v), w)
-    return float(scale), float(k), 1 + res.nfev, bool(res.success)
-
-
-def _fixed_shape(w: np.ndarray, xi: float) -> tuple[float, float, int, bool]:
-    """(sigma_u / max(y), xi, evaluations, converged) with the shape pinned at xi.
-
-    The Pareto NLL is unimodal in ``log sigma_u``, and its minimum lies in
-    [min(w), mean(w)] for xi > 0 and in [max(mean(w), -xi), 1] for xi < 0.
-    """
-    if xi <= -1:
-        raise InvalidConfigError(f"a fixed shape must exceed -1, got {xi}")
-    lo, hi = (w.min(), w.mean()) if xi > 0 else (max(w.mean(), -xi), 1.0)
-
-    def nll(r: float) -> float:
-        a = xi * math.exp(-r) * w
-        if a.min() <= -1:
-            return math.inf
-        return r + (1 + 1 / xi) * float(np.mean(np.log1p(a)))
-
-    res = minimize_scalar(nll, bounds=(math.log(lo), math.log(hi)), method="bounded",
-                          options={"xatol": _XATOL})
-    return math.exp(res.x), xi, res.nfev, bool(res.success)
+    profile, xi, scale = _profile(math.expm1(v), w, shape)
+    return float(profile), float(xi), float(scale), 1 + res.nfev, bool(res.success)
 
 
 def _gev(sigma_u: float, xi: float, u: float, n_u: int) -> GevParams:
     """GEV parameters with Pareto scale ``sigma_u`` above u and ``C(u) = n_u``."""
     log_n = math.log(n_u)
-    growth = log_n if xi == 0 else math.expm1(xi * log_n) / xi
-    return GevParams(mu=u + sigma_u * growth, sigma=sigma_u * math.exp(xi * log_n), xi=xi)
+    return GevParams(mu=u + sigma_u * float(_box_cox(xi, log_n)),
+                     sigma=sigma_u * math.exp(xi * log_n), xi=xi)
 
 
 def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, FitDiagnostics]:
@@ -176,16 +147,21 @@ def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, 
     if y_max == float(y.min()):
         raise DegenerateHeightsError("all exceedance heights are equal")
     w = y / y_max
+    shape = opts.fix_xi
+    if shape is not None and shape <= -1:
+        raise InvalidConfigError(f"a fixed shape must exceed -1, got {shape}")
 
     u = exc.cutoff
-    init = _gev(float(np.mean(y)), 0.0, u, n_u)
-    params, evaluations, converged = init, 0, True
-    if opts.fix_xi != 0:
-        search = _free_shape(w) if opts.fix_xi is None else _fixed_shape(w, opts.fix_xi)
-        scale, xi, evaluations, converged = search
+    y_mean = float(np.mean(y))
+    init = _gev(y_mean, 0.0, u, n_u)
+    if shape is not None and _is_gumbel(shape):
+        params, evaluations, converged = init, 0, True
+        profile = math.log(y_mean / y_max) + 1
+    else:
+        profile, xi, scale, evaluations, converged = _search(w, shape)
         params = _gev(y_max * scale, xi, u, n_u)
     diag = FitDiagnostics(
-        neg_log_lik=_nll_heights(params.mu, params.sigma, params.xi, exc.heights, u),
+        neg_log_lik=n_u * (1 - math.log(n_u) + math.log(y_max) + profile),
         iterations=evaluations,
         converged=converged,
         init=init,

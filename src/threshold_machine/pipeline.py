@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, TooFewExceedancesError
 from .evt_core import GevParams, TailModel, invert_tail
-from .exceedance import WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
+from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
 from .gev_fit import FitDiagnostics, FitOptions, fit
 from .resample import as_series, bootstrap
@@ -47,7 +47,7 @@ class DtmConfig:
     cutoff: float | None = None
     seed: int = 0
     bootstrap_reps: int = 1
-    min_exceedances: int = 10
+    min_exceedances: int = MIN_EXCEEDANCES
     fix_xi: float | None = None
 
     def __post_init__(self):
@@ -99,6 +99,15 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     if n < _sample_size_bound(cfg.alpha):
         warn_codes.append("small-sample")
 
+    # checked before the replicates, so that too few exceedances name the
+    # original series; extract draws no random numbers
+    exc = extract(s, u)
+    if exc.n_u < cfg.min_exceedances:
+        raise TooFewExceedancesError(
+            f"original series has {exc.n_u} exceedances above u={u}, "
+            f"need {cfg.min_exceedances}"
+        )
+
     opts = FitOptions(min_exceedances=cfg.min_exceedances, fix_xi=cfg.fix_xi)
     fits: list[GevParams] = []
     diags: list[FitDiagnostics] = []
@@ -121,12 +130,6 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     if min(d.n_u_used for d in diags) < WARN_EXCEEDANCES:
         warn_codes.append("few-exceedances")
 
-    exc = extract(s, u)
-    if exc.n_u < cfg.min_exceedances:
-        raise TooFewExceedancesError(
-            f"original series has {exc.n_u} exceedances above u={u}, "
-            f"need {cfg.min_exceedances}"
-        )
     theta_est = theta_closed_form(gaps(exc))
     if theta_est.clamped:
         warn_codes.append("theta-clamped")

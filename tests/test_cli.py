@@ -125,6 +125,14 @@ class TestAppCommand:
                      "--outdir", str(tmp_path / "x"), "--seed", "5"])
         assert code == 2
 
+    def test_pipeline_flags_rejected(self, tmp_path):
+        # the harnesses read their settings from the spec, not from pipeline flags
+        spec = json.dumps({"tail_exponents": [3.5, 4.0], "total_pulls": 650})
+        with pytest.raises(SystemExit) as exc:
+            main(["app", "bandit", "--spec", spec, "--outdir", str(tmp_path / "x"),
+                  "--seed", "5", "--bootstrap-reps", "5"])
+        assert exc.value.code == 2
+
     def test_scan_artifacts(self, tmp_path):
         spec = {"N": 40, "p0": 0.1, "p1": 0.1, "k": 6, "n_subgraphs": 800,
                 "mc_reps": 10, "alphas": [0.1, 0.05]}

@@ -47,6 +47,13 @@ CRITERION5_FAMILIES = {
 }
 
 
+# each family with a free shape (id: the family), then with the shape pinned
+POLISH_CASES = [pytest.param(f, None, id=f) for f in sorted(CRITERION5_FAMILIES)] + [
+    pytest.param(f, xi, id=f"{f}-xi={xi:g}")
+    for xi in (-0.9, -0.2, 1e-6, 0.2, 1.5) for f in sorted(CRITERION5_FAMILIES)
+]
+
+
 def gumbel_sample(mu, sigma, n, seed):
     u = make_rng(seed).random(n)
     return mu - sigma * np.log(-np.log(u))
@@ -183,6 +190,9 @@ class TestFit:
         assert params.sigma == pytest.approx(sigma, rel=1e-12)
         assert params.mu == pytest.approx(e.cutoff + sigma * math.log(e.n_u), rel=1e-12)
         assert params == diag.init
+        # shapes on the Gumbel branch take the same closed form
+        for tiny in (1e-9, -1e-9):
+            assert fit(e, FitOptions(fix_xi=tiny)) == (params, diag)
 
     def test_expected_count_at_cutoff(self):
         # the Poisson factor of the likelihood is maximized at C(u) = n_u
@@ -191,15 +201,19 @@ class TestFit:
         params, _ = fit(e)
         assert tail_fn(params, e.cutoff) == pytest.approx(e.n_u, rel=1e-9)
 
-    @pytest.mark.parametrize("family", sorted(CRITERION5_FAMILIES))
-    def test_simplex_polish_finds_nothing_lower(self, family):
+    @pytest.mark.parametrize("family, fix_xi", POLISH_CASES)
+    def test_simplex_polish_finds_nothing_lower(self, family, fix_xi):
         s = generate(CRITERION5_FAMILIES[family])
         e = extract(s, quantile_cutoff(s, 0.95))
-        params, diag = fit(e)
+        params, diag = fit(e, FitOptions(fix_xi=fix_xi))
+        # the reported NLL is read off the profile, not evaluated
+        assert diag.neg_log_lik == pytest.approx(neg_log_likelihood(params, e), rel=1e-12)
 
         def nll(v):
-            return neg_log_likelihood(GevParams(v[0], math.exp(v[1]), v[2]), e)
+            xi = v[2] if fix_xi is None else fix_xi
+            return neg_log_likelihood(GevParams(v[0], math.exp(v[1]), xi), e)
 
-        res = minimize(nll, [params.mu, math.log(params.sigma), params.xi], method="Nelder-Mead",
+        start = [params.mu, math.log(params.sigma)] + ([params.xi] if fix_xi is None else [])
+        res = minimize(nll, start, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
         assert res.fun >= diag.neg_log_lik - 1e-8 * e.n_u

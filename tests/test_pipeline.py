@@ -75,8 +75,16 @@ class TestRunDtm:
         assert run_dtm(s, cfg).threshold == run_dtm(s, cfg).threshold
 
     def test_too_few_exceedances_raises(self):
-        with pytest.raises(TooFewExceedancesError):
-            run_dtm(chi2_series(n=50, seed=12), DtmConfig(alpha=0.05))
+        normals = generate(GeneratorSpec.gaussian_ar1(0, 2000, 12))
+        cases = [
+            (chi2_series(n=50, seed=12), DtmConfig(alpha=0.05)),
+            # 5 values above the cutoff; the original series is checked first
+            (normals, DtmConfig(alpha=0.05, cutoff=float(np.sort(normals)[-6]),
+                                bootstrap_reps=3)),
+        ]
+        for series, cfg in cases:
+            with pytest.raises(TooFewExceedancesError, match="original series"):
+                run_dtm(series, cfg)
 
     def test_small_sample_warning_code(self):
         # alpha = 0.01 needs n of order 1e4 by the heuristic bound
