@@ -44,14 +44,14 @@ from .gev_fit import FitDiagnostics, FitOptions, fit, neg_log_likelihood
 from .generators import GeneratorSpec, generate
 from .mc_oracle import EmpiricalMaxDist, empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, arl_to_alpha, confidence_bounds, run_dtm
-from .resample import as_series, bootstrap, make_rng
+from .resample import as_series, bootstrap, bootstrap_draw, make_rng
 
 __all__ = [
     "__version__",
     # evt_core
     "GevParams", "TailModel", "gev_cdf", "tail_fn", "invert_tail", "model_max_cdf",
     # resample
-    "as_series", "bootstrap", "make_rng",
+    "as_series", "bootstrap", "bootstrap_draw", "make_rng",
     # exceedance
     "ExceedanceSet", "GapSet", "quantile_cutoff", "extract", "gaps",
     # gev_fit

@@ -17,6 +17,7 @@ variable.  All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -41,6 +42,7 @@ from .applications import (
 from .errors import (
     DegenerateHeightsError,
     DtmError,
+    InvalidSpecError,
     NoClustersError,
     ParseError,
     TooFewExceedancesError,
@@ -239,12 +241,22 @@ def _cmd_app(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _spec_errors(harness: str):
+    """A missing, unknown or mistyped key of a harness spec is an input error."""
+    try:
+        yield
+    except (KeyError, TypeError) as e:
+        raise InvalidSpecError(f"malformed {harness} spec: {e!r}") from e
+
+
 def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     alphas = spec_dict.pop("alphas", [0.1, 0.05, 0.03, 0.01])
     n_subgraphs = spec_dict.pop("n_subgraphs", 5000)
     mc_reps = spec_dict.pop("mc_reps", 100)
     quantile = spec_dict.pop("cutoff_quantile", 0.95)
-    spec = ErGraphSpec(**spec_dict)
+    with _spec_errors("scan"):
+        spec = ErGraphSpec(**spec_dict)
     series = scan_series(spec, n_subgraphs)
     _write_csv(outdir / "scan_series.csv", ["index", "statistic"],
                enumerate(series, start=1))
@@ -268,7 +280,8 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
 
 def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
     arl = spec_dict.pop("arl", 5000.0)
-    spec = MmdStreamSpec(**spec_dict)
+    with _spec_errors("changepoint"):
+        spec = MmdStreamSpec(**spec_dict)
     result = change_point_run(spec, arl)
     times = range(result.stream_start, result.stream_start + len(result.stream))
     _write_csv(outdir / "changepoint_stream.csv", ["time", "statistic", "threshold"],
@@ -286,8 +299,9 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
 
 def _app_bandit(spec_dict: dict, outdir: Path) -> dict:
     total_pulls = spec_dict.pop("total_pulls", 1200)
-    spec_dict["tail_exponents"] = tuple(spec_dict["tail_exponents"])
-    spec = BanditSpec(**spec_dict)
+    with _spec_errors("bandit"):
+        spec_dict["tail_exponents"] = tuple(spec_dict["tail_exponents"])
+        spec = BanditSpec(**spec_dict)
     result = bandit_run(spec, total_pulls)
     rows = []
     for rnd, (arm, bounds) in enumerate(zip(result.pulls, result.bounds_history)):

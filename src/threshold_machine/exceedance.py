@@ -73,20 +73,26 @@ def quantile_cutoff(values, q: float) -> float:
     return float(np.partition(arr, k - 1)[k - 1])
 
 
-def extract(values, u: float) -> ExceedanceSet:
+def extract(values, u: float, draw=None) -> ExceedanceSet:
     """All (index, value) pairs with value strictly above u, in index order.
 
-    The result may be empty; downstream fitters are the ones that reject
-    too-small sets.
+    With ``draw``, a one-dimensional integer index array such as
+    :func:`~threshold_machine.resample.bootstrap_draw`, this is the
+    exceedance set of ``values[draw]``, built without that array: the mask of
+    ``values`` is gathered through ``draw`` and heights are gathered only at
+    the hits.  The result may be empty; downstream fitters are the ones that
+    reject too-small sets.
     """
     arr = as_series(values)
     mask = arr > u
-    idx = np.flatnonzero(mask) + 1  # 1-based
+    if draw is not None:
+        mask = np.take(mask, draw)  # the mask of values[draw]; take outpaces mask[draw]
+    pos = np.flatnonzero(mask)
     return ExceedanceSet(
         cutoff=float(u),
-        indices=idx.astype(np.int64),
-        heights=arr[mask].copy(),
-        source_len=arr.size,
+        indices=(pos + 1).astype(np.int64),  # 1-based
+        heights=arr[pos] if draw is None else arr[draw[pos]],
+        source_len=mask.size,
     )
 
 

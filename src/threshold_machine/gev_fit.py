@@ -107,15 +107,18 @@ def _profile(t, w: np.ndarray, shape: float | None):
 def _search(w: np.ndarray, shape: float | None) -> tuple[float, float, float, int, bool]:
     """(profile NLL, xi, sigma_u / max(y), evaluations, converged) for a free
     shape (``None``) or one pinned at ``shape``."""
-    grid = _profile(np.expm1(_LOG1P_T_GRID), w, shape)[0]
+    # a pinned shape is feasible only where t has its sign; keeping t = 0
+    # keeps every bracket that of the full grid
+    v_grid = _LOG1P_T_GRID if shape is None else _LOG1P_T_GRID[_LOG1P_T_GRID * shape >= 0]
+    grid = _profile(np.expm1(v_grid), w, shape)[0]
     i = int(np.argmin(grid))
     # an infeasible neighbour puts +inf in the bracket; the search then bisects
     with np.errstate(invalid="ignore"):
         res = minimize_scalar(
             lambda v: float(_profile(math.expm1(v), w, shape)[0]), method="bounded",
-            bounds=(_LOG1P_T_GRID[max(i - 1, 0)], _LOG1P_T_GRID[min(i + 1, grid.size - 1)]),
+            bounds=(v_grid[max(i - 1, 0)], v_grid[min(i + 1, grid.size - 1)]),
             options={"xatol": _XATOL})
-    v = res.x if res.fun < grid[i] else _LOG1P_T_GRID[i]
+    v = res.x if res.fun < grid[i] else v_grid[i]
     profile, xi, scale = _profile(math.expm1(v), w, shape)
     return float(profile), float(xi), float(scale), 1 + res.nfev, bool(res.success)
 

@@ -1,14 +1,18 @@
 """The three-stage threshold pipeline.
 
-Given a stationary series and a level alpha, the pipeline (i) bootstraps the
-series to break local dependence, (ii) fits the tail parameters on the
-bootstrap exceedances above a single cutoff u, (iii) estimates the extremal
-index from the original series' inter-exceedance times above the same u, and
-returns the threshold
+Given a stationary series and a level alpha, the pipeline (i) resamples the
+series in bootstrap replicates, (ii) fits the tail parameters on each
+replicate's exceedances above a single cutoff u and averages them, (iii)
+estimates the extremal index from the original series' inter-exceedance times
+above the same u, and returns the threshold
 
     x = C^-1( -log(1 - alpha) / theta )
 
 so that the fitted max distribution satisfies G(x)^theta = 1 - alpha.
+
+Only a replicate's exceedance heights reach the fit, so a replicate is its
+index draw, and its exceedances are gathered through the draw from the
+original series without copying it.
 
 Also provides the ARL <-> alpha mapping used by sequential detection and
 upper/lower confidence bounds for the maximum of a sequence.
@@ -22,12 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfigError, TooFewExceedancesError
+from .errors import InvalidConfigError, SmallSampleWarning, TooFewExceedancesError
 from .evt_core import GevParams, TailModel, invert_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
 from .gev_fit import FitDiagnostics, FitOptions, fit
-from .resample import as_series, bootstrap
+from .resample import as_series, bootstrap_draw
 
 __all__ = ["DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidence_bounds"]
 
@@ -111,11 +115,11 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     opts = FitOptions(min_exceedances=cfg.min_exceedances, fix_xi=cfg.fix_xi)
     fits: list[GevParams] = []
     diags: list[FitDiagnostics] = []
+    # the report carries small samples as few-exceedances; other warnings pass
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", SmallSampleWarning)
         for r in range(cfg.bootstrap_reps):
-            star = bootstrap(s, cfg.seed + r)
-            params_r, diag_r = fit(extract(star, u), opts)
+            params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), opts)
             fits.append(params_r)
             diags.append(diag_r)
     params = GevParams(

@@ -1,9 +1,14 @@
-"""Series validation, the package PRNG, and bootstrap resampling.
+"""Series validation, the package PRNG, and the bootstrap index draw.
 
 Every stochastic component in the package draws from numpy's PCG64 bit
 generator seeded explicitly, so any (input, seed) pair reproduces bit-for-bit
 across runs and platforms.  Derived streams (bootstrap replicates, oracle
 replicates, harness arms) offset the base seed by a documented integer.
+
+A bootstrap replicate is defined by its index draw alone
+(:func:`bootstrap_draw`): :func:`bootstrap` gathers the series through it,
+and :func:`exceedance.extract` gathers only the exceedances through it, so
+the pipeline never copies the path.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidSeriesError
 
-__all__ = ["as_series", "make_rng", "bootstrap"]
+__all__ = ["as_series", "make_rng", "bootstrap_draw", "bootstrap"]
 
 
 def as_series(values) -> np.ndarray:
@@ -35,14 +40,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def bootstrap_draw(n: int, seed: int) -> np.ndarray:
+    """The n indices, each in [0, n), that bootstrap replicate ``seed`` of an
+    n-long series draws with replacement."""
+    return make_rng(seed).integers(0, n, size=n)
+
+
 def bootstrap(values, seed: int) -> np.ndarray:
-    """Sample-with-replacement copy of the series, same length.
+    """Sample-with-replacement copy of the series, same length:
+    ``values[bootstrap_draw(n, seed)]``.
 
     Indices are drawn rather than values, so affine transformations of the
     input commute with resampling under a fixed seed.  Every output element
     equals some input element bitwise.
     """
     arr = as_series(values)
-    rng = make_rng(seed)
-    idx = rng.integers(0, arr.size, size=arr.size)
-    return arr[idx]
+    return arr[bootstrap_draw(arr.size, seed)]

@@ -125,6 +125,23 @@ class TestAppCommand:
                      "--outdir", str(tmp_path / "x"), "--seed", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("harness, spec", [
+        ("bandit", {}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "no_such_key": 1}),
+        ("scan", {}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "no_such_key": 1}),
+        ("changepoint", {"no_such_key": 1}),
+    ], ids=["bandit-missing", "bandit-unknown", "scan-missing", "scan-unknown",
+            "changepoint-unknown"])
+    def test_malformed_spec_is_input_error(self, harness, spec, tmp_path):
+        out = tmp_path / "error.json"
+        code = main(["app", harness, "--spec", json.dumps(spec), "--outdir",
+                     str(tmp_path / "x"), "--seed", "5", "--out", str(out)])
+        assert code == 2
+        error = json.loads(out.read_text())["error"]
+        assert error["code"] == "invalid-spec"
+        assert error["message"].startswith(f"malformed {harness} spec")
+
     def test_pipeline_flags_rejected(self, tmp_path):
         # the harnesses read their settings from the spec, not from pipeline flags
         spec = json.dumps({"tail_exponents": [3.5, 4.0], "total_pulls": 650})

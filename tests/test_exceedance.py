@@ -6,6 +6,8 @@ import pytest
 from threshold_machine import (
     InvalidQuantileError,
     TooFewExceedancesError,
+    bootstrap,
+    bootstrap_draw,
     extract,
     gaps,
     quantile_cutoff,
@@ -86,6 +88,43 @@ class TestExtract:
             for q in (0.9, 0.95, 0.99):
                 u = quantile_cutoff(s, q)
                 assert extract(s, u).n_u == n - int(np.ceil(q * n))
+
+
+class TestExtractThroughDraw:
+    """``extract(s, u, draw)`` is the exceedance set of the resampled path."""
+
+    @staticmethod
+    def assert_same_set(got, want):
+        assert got.cutoff == want.cutoff
+        assert got.source_len == want.source_len
+        assert got.indices.dtype == want.indices.dtype == np.int64
+        assert np.array_equal(got.indices, want.indices)
+        assert got.heights.dtype == want.heights.dtype
+        assert got.heights.tobytes() == want.heights.tobytes()  # bitwise, same order
+
+    def test_real_valued_path(self):
+        s = np.random.default_rng(12).standard_t(4, size=5_000)
+        u = quantile_cutoff(s, 0.95)
+        for seed in (0, 1, 2):
+            got = extract(s, u, bootstrap_draw(s.size, seed))
+            assert got.n_u > 0
+            self.assert_same_set(got, extract(bootstrap(s, seed), u))
+
+    def test_lattice_path_with_ties_at_cutoff(self):
+        s = np.random.default_rng(13).integers(0, 6, size=2_000).astype(float)
+        u = quantile_cutoff(s, 0.7)
+        assert np.sum(s == u) > 100  # many ties at u, all excluded
+        for seed in (3, 4):
+            got = extract(s, u, bootstrap_draw(s.size, seed))
+            assert got.n_u > 0 and np.all(got.heights > u)
+            self.assert_same_set(got, extract(bootstrap(s, seed), u))
+
+    def test_draw_without_exceedances(self):
+        s = np.arange(10.0)
+        draw = bootstrap_draw(s.size, 0)  # never draws index 9, the one value above 8
+        got = extract(s, 8.0, draw)
+        assert got.n_u == 0
+        self.assert_same_set(got, extract(bootstrap(s, 0), 8.0))
 
 
 class TestGaps:

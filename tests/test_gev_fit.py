@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from threshold_machine import (
     DegenerateHeightsError,
@@ -23,6 +23,7 @@ from threshold_machine import (
     quantile_cutoff,
     tail_fn,
 )
+from threshold_machine import gev_fit
 from threshold_machine.resample import make_rng
 
 
@@ -52,6 +53,21 @@ POLISH_CASES = [pytest.param(f, None, id=f) for f in sorted(CRITERION5_FAMILIES)
     pytest.param(f, xi, id=f"{f}-xi={xi:g}")
     for xi in (-0.9, -0.2, 1e-6, 0.2, 1.5) for f in sorted(CRITERION5_FAMILIES)
 ]
+
+
+def full_grid_search(w, shape):
+    """``gev_fit._search`` over the whole grid, infeasible points included."""
+    v_grid = gev_fit._LOG1P_T_GRID
+    grid = gev_fit._profile(np.expm1(v_grid), w, shape)[0]
+    i = int(np.argmin(grid))
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(
+            lambda v: float(gev_fit._profile(math.expm1(v), w, shape)[0]), method="bounded",
+            bounds=(v_grid[max(i - 1, 0)], v_grid[min(i + 1, grid.size - 1)]),
+            options={"xatol": gev_fit._XATOL})
+    v = res.x if res.fun < grid[i] else v_grid[i]
+    profile, xi, scale = gev_fit._profile(math.expm1(v), w, shape)
+    return float(profile), float(xi), float(scale), 1 + res.nfev, bool(res.success)
 
 
 def gumbel_sample(mu, sigma, n, seed):
@@ -200,6 +216,17 @@ class TestFit:
         e = extract(s, quantile_cutoff(s, 0.95))
         params, _ = fit(e)
         assert tail_fn(params, e.cutoff) == pytest.approx(e.n_u, rel=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(CRITERION5_FAMILIES))
+    def test_pinned_search_matches_full_grid(self, family):
+        # a pinned shape searches only the grid points of its sign, plus t = 0
+        for seed in (1, 2, 3, 4):
+            s = generate(CRITERION5_FAMILIES[family].with_seed(seed))
+            e = extract(s, quantile_cutoff(s, 0.95))
+            y = e.heights - e.cutoff
+            w = y / y.max()
+            for xi in (-0.9, -0.5, -0.2, -1e-6, 1e-6, 0.2, 0.5, 1.5):
+                assert gev_fit._search(w, xi) == full_grid_search(w, xi), (seed, xi)
 
     @pytest.mark.parametrize("family, fix_xi", POLISH_CASES)
     def test_simplex_polish_finds_nothing_lower(self, family, fix_xi):

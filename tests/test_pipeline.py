@@ -8,14 +8,21 @@ import pytest
 from threshold_machine import (
     DtmConfig,
     GeneratorSpec,
+    GevParams,
     InvalidConfigError,
+    SmallSampleWarning,
     TooFewExceedancesError,
     arl_to_alpha,
+    bootstrap,
     confidence_bounds,
+    extract,
+    fit,
     generate,
     model_max_cdf,
+    quantile_cutoff,
     run_dtm,
 )
+from threshold_machine import pipeline
 from threshold_machine.exceedance import WARN_EXCEEDANCES
 
 
@@ -68,6 +75,31 @@ class TestRunDtm:
         r5 = run_dtm(s, DtmConfig(alpha=0.05, seed=9, bootstrap_reps=5))
         assert r1.model.params != r5.model.params
         assert model_max_cdf(r5.model, r5.threshold) == pytest.approx(0.95, abs=1e-6)
+
+    def test_replicates_are_bootstrap_fits(self):
+        # each replicate fits the exceedances of bootstrap(s, seed + r)
+        s = chi2_series(seed=15)
+        u = quantile_cutoff(s, 0.95)
+        fits = [fit(extract(bootstrap(s, 16 + r), u))[0] for r in range(3)]
+        want = GevParams(mu=float(np.mean([p.mu for p in fits])),
+                         sigma=float(np.mean([p.sigma for p in fits])),
+                         xi=float(np.mean([p.xi for p in fits])))
+        rep = run_dtm(s, DtmConfig(alpha=0.05, seed=16, bootstrap_reps=3))
+        assert rep.model.params == want  # bit-identical
+
+    def test_replicate_warnings_reach_the_caller(self, monkeypatch):
+        # small samples are reported as few-exceedances; other warnings pass
+        def warning_fit(exc, opts=None):
+            warnings.warn("replicate small", SmallSampleWarning)
+            warnings.warn("replicate other", UserWarning)
+            return fit(exc, opts)
+
+        monkeypatch.setattr(pipeline, "fit", warning_fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_dtm(chi2_series(seed=17), DtmConfig(alpha=0.05, seed=17, bootstrap_reps=2))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "replicate other")] * 2
 
     def test_deterministic_given_seed(self):
         s = chi2_series(seed=10)

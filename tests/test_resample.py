@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from threshold_machine import InvalidSeriesError, as_series, bootstrap, make_rng
+from threshold_machine import InvalidSeriesError, as_series, bootstrap, bootstrap_draw, make_rng
 
 
 class TestAsSeries:
@@ -63,6 +63,16 @@ class TestBootstrap:
         f_orig = np.searchsorted(s, grid, side="right") / n
         f_boot = np.searchsorted(out, grid, side="right") / n
         assert np.max(np.abs(f_boot - f_orig)) <= eps
+
+    def test_draw_is_pinned(self):
+        # the replicate stream, and with it every bootstrap-averaged fit, is
+        # this draw; a refactor or a numpy upgrade that changes it fails here
+        assert bootstrap_draw(10, 0).tolist() == [8, 6, 5, 2, 3, 0, 0, 0, 1, 8]
+        assert bootstrap_draw(10, 12345).tolist() == [6, 2, 7, 3, 2, 7, 6, 6, 9, 3]
+
+    def test_bootstrap_gathers_the_draw(self):
+        s = np.random.default_rng(7).normal(size=300)
+        assert bootstrap(s, seed=8).tobytes() == s[bootstrap_draw(s.size, 8)].tobytes()
 
     def test_pcg64_is_the_generator(self):
         # the documented PRNG contract: Generator over PCG64
