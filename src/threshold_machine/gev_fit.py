@@ -18,9 +18,12 @@ Pareto NLL per exceedance is ``log(sigma_u / max(y)) + k + k/xi`` plus
 restricted to ``k > -1`` (below ``xi = -1`` the likelihood is unbounded); a
 pinned shape keeps its ``xi``, with ``sigma_u = xi * max(y) / t``.  Either way
 one search minimizes the profile over ``t``: a fixed grid in ``log1p(t)``,
-then a bounded scalar search between the best point's grid neighbours.  A
-pinned Gumbel shape is the closed form ``sigma_u = mean(y)``.  Then
-``sigma = sigma_u * n_u**xi`` and ``mu = u + sigma_u * (n_u**xi - 1)/xi``.
+then a safeguarded Newton polish on the profile's analytic score between the
+best point's grid neighbours.  A free shape that ends on the ``k > -1``
+boundary pins the fitted upper endpoint near the largest exceedance and
+raises a :class:`FitWarning`.  A pinned Gumbel shape is the closed form
+``sigma_u = mean(y)``.  Then ``sigma = sigma_u * n_u**xi`` and
+``mu = u + sigma_u * (n_u**xi - 1)/xi``.
 
 The search runs on ``y / max(y)``, so the fit is affine-equivariant up to
 the search tolerance.
@@ -33,10 +36,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import (DegenerateHeightsError, InvalidConfigError, SmallSampleWarning,
-                     TooFewExceedancesError)
+from .errors import (DegenerateHeightsError, FitWarning, InvalidConfigError,
+                     SmallSampleWarning, TooFewExceedancesError)
 from .evt_core import GevParams, _box_cox, _is_gumbel, _log_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, ExceedanceSet
 
@@ -45,7 +47,12 @@ __all__ = ["FitOptions", "FitDiagnostics", "neg_log_likelihood", "fit"]
 # Profile grid in log1p(t): steps of 1/4 up to t = 8.1e3, through t = 0, then
 # unit steps up to t = 1e13, where shapes xi >> 1 put their optimum (t ~ n_u**xi).
 _LOG1P_T_GRID = np.concatenate([np.arange(-48, 37) / 4.0, np.arange(10.0, 31.0)])
-_XATOL = 1e-10
+# The Newton polish stops at a step this short in log1p(t), or after this
+# many evaluations.
+_V_TOL = 1e-12
+_MAX_EVALUATIONS = 100
+# A free shape this close to -1 sits on the boundary of k > -1.
+_BOUNDARY_XI = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,9 @@ class FitOptions:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """``iterations`` counts likelihood evaluations: one for the grid pass plus
-    one per scalar-search step.  A pinned shape runs the same search as a free
-    one, so its count includes the grid pass too; the closed form counts none.
+    one per Newton step, a bisection included.  A pinned shape runs the same
+    search as a free one, so its count includes the grid pass too; the closed
+    form counts none.
     ``init`` is the closed-form Gumbel fit."""
 
     neg_log_lik: float
@@ -104,6 +112,76 @@ def _profile(t, w: np.ndarray, shape: float | None):
         return np.where(scale > 0, np.log(scale) + k + k / shape, np.inf), shape, scale
 
 
+def _newton_terms(t: float, w: np.ndarray, shape: float | None):
+    """(profile NLL, xi, scale, score, curvature) at one ``t``: the profile of
+    :func:`_profile` and its first and second derivatives in ``t``, from
+    ``k = mean(log1p(t w))``, ``a = mean(w / (1 + t w))`` and
+    ``b = mean(w**2 / (1 + t w)**2)``.  The NLL is +inf where infeasible.  At a
+    free shape's ``t = 0`` the score is the limit ``a - b / (2a)`` and the
+    curvature, which needs ``mean(w**3)``, is nan."""
+    n = w.size
+    tw = t * w
+    k = float(np.log1p(tw).sum()) / n
+    r = w / (1 + tw)
+    a = float(r.sum()) / n
+    b = float(r @ r) / n
+    if shape is None:
+        if t == 0:
+            return math.log(a) + 1, 0.0, a, a - b / (2 * a), math.nan
+        if k <= -1:
+            return math.inf, math.nan, math.nan, math.nan, math.nan
+        return (math.log(k / t) + 1 + k, k, k / t, a / k - 1 / t + a,
+                1 / t**2 - (a / k) ** 2 - b / k - b)
+    scale = shape / t
+    if not scale > 0:
+        return math.inf, math.nan, math.nan, math.nan, math.nan
+    c = 1 + 1 / shape
+    return math.log(scale) + c * k, shape, scale, c * a - 1 / t, 1 / t**2 - c * b
+
+
+def _polish(w: np.ndarray, shape: float | None, v_grid: np.ndarray,
+            i: int) -> tuple[float, float, float, int, bool]:
+    """(profile NLL, xi, scale, evaluations, converged): a safeguarded Newton
+    search in ``v = log1p(t)`` for the stationary point of the profile, from
+    grid point ``i`` and inside its grid neighbours.
+
+    The score's sign at each point moves one end of the bracket to it; an
+    infeasible point becomes the end on its side of the last feasible one.  A
+    step that leaves the bracket, or one from an infeasible point or where
+    the curvature is not positive, becomes a bisection.  The evaluations
+    count the grid pass."""
+    lo, hi = float(v_grid[max(i - 1, 0)]), float(v_grid[min(i + 1, v_grid.size - 1)])
+    v = v_feasible = float(v_grid[i])
+    first = last = None
+    for evaluations in range(2, _MAX_EVALUATIONS + 1):
+        t = math.expm1(v)
+        profile, xi, scale, score, curv = _newton_terms(t, w, shape)
+        # the NLL's second derivative in v is (1 + t) * d2, and 1 + t > 0
+        d2 = (1 + t) * curv + score
+        if profile == math.inf:
+            # the infeasible t form a half-line away from the feasible ones
+            if v < v_feasible:
+                lo = v
+            else:
+                hi = v
+        else:
+            v_feasible, last = v, (profile, xi, scale)
+            first = first or last
+            if score > 0:
+                hi = v
+            elif score < 0:
+                lo = v
+        step = -score / d2 if d2 > 0 else math.nan
+        if not (abs(step) <= _V_TOL or lo < v + step < hi):
+            step = (lo + hi) / 2 - v
+        converged = abs(step) <= _V_TOL
+        if converged:
+            break
+        v += step
+    profile, xi, scale = last if last[0] <= first[0] else first
+    return profile, xi, scale, evaluations, converged
+
+
 def _search(w: np.ndarray, shape: float | None) -> tuple[float, float, float, int, bool]:
     """(profile NLL, xi, sigma_u / max(y), evaluations, converged) for a free
     shape (``None``) or one pinned at ``shape``."""
@@ -111,16 +189,7 @@ def _search(w: np.ndarray, shape: float | None) -> tuple[float, float, float, in
     # keeps every bracket that of the full grid
     v_grid = _LOG1P_T_GRID if shape is None else _LOG1P_T_GRID[_LOG1P_T_GRID * shape >= 0]
     grid = _profile(np.expm1(v_grid), w, shape)[0]
-    i = int(np.argmin(grid))
-    # an infeasible neighbour puts +inf in the bracket; the search then bisects
-    with np.errstate(invalid="ignore"):
-        res = minimize_scalar(
-            lambda v: float(_profile(math.expm1(v), w, shape)[0]), method="bounded",
-            bounds=(v_grid[max(i - 1, 0)], v_grid[min(i + 1, grid.size - 1)]),
-            options={"xatol": _XATOL})
-    v = res.x if res.fun < grid[i] else v_grid[i]
-    profile, xi, scale = _profile(math.expm1(v), w, shape)
-    return float(profile), float(xi), float(scale), 1 + res.nfev, bool(res.success)
+    return _polish(w, shape, v_grid, int(np.argmin(grid)))
 
 
 def _gev(sigma_u: float, xi: float, u: float, n_u: int) -> GevParams:
@@ -163,6 +232,12 @@ def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, 
     else:
         profile, xi, scale, evaluations, converged = _search(w, shape)
         params = _gev(y_max * scale, xi, u, n_u)
+        if shape is None and xi < -1 + _BOUNDARY_XI:
+            warnings.warn(
+                f"free shape on the xi > -1 boundary: the fitted endpoint "
+                f"{u + y_max * scale / -xi:.6g} is pinned near the largest exceedance "
+                f"{u + y_max:.6g}",
+                FitWarning, stacklevel=2)
     diag = FitDiagnostics(
         neg_log_lik=n_u * (1 - math.log(n_u) + math.log(y_max) + profile),
         iterations=evaluations,

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 
 from threshold_machine import (
     DegenerateHeightsError,
     ExceedanceSet,
     FitOptions,
+    FitWarning,
     GeneratorSpec,
     GevParams,
     InvalidConfigError,
@@ -59,15 +60,20 @@ def full_grid_search(w, shape):
     """``gev_fit._search`` over the whole grid, infeasible points included."""
     v_grid = gev_fit._LOG1P_T_GRID
     grid = gev_fit._profile(np.expm1(v_grid), w, shape)[0]
-    i = int(np.argmin(grid))
-    with np.errstate(invalid="ignore"):
-        res = minimize_scalar(
-            lambda v: float(gev_fit._profile(math.expm1(v), w, shape)[0]), method="bounded",
-            bounds=(v_grid[max(i - 1, 0)], v_grid[min(i + 1, grid.size - 1)]),
-            options={"xatol": gev_fit._XATOL})
-    v = res.x if res.fun < grid[i] else v_grid[i]
-    profile, xi, scale = gev_fit._profile(math.expm1(v), w, shape)
-    return float(profile), float(xi), float(scale), 1 + res.nfev, bool(res.success)
+    return gev_fit._polish(w, shape, v_grid, int(np.argmin(grid)))
+
+
+def profile_score(t, w, shape):
+    """Derivative in ``t`` of the Pareto profile NLL per exceedance: of
+    ``log(k/t) + 1 + k`` for a free shape and of ``log(shape/t) + k + k/shape``
+    for a pinned one, with ``k = mean(log1p(t w))`` (Grimshaw 1993)."""
+    k = np.mean(np.log1p(t * w))
+    a = np.mean(w / (1 + t * w))
+    if shape is not None:
+        return (1 + 1 / shape) * a - 1 / t
+    if t == 0:  # the limit, from k = a*t - mean(w**2)*t**2/2 + O(t**3)
+        return a - np.mean(w**2) / (2 * a)
+    return a / k - 1 / t + a
 
 
 def gumbel_sample(mu, sigma, n, seed):
@@ -244,3 +250,40 @@ class TestFit:
         res = minimize(nll, start, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
         assert res.fun >= diag.neg_log_lik - 1e-8 * e.n_u
+
+    @pytest.mark.parametrize("family, shape", [
+        pytest.param(f, xi, id=f if xi is None else f"{f}-xi={xi:g}")
+        for xi in (None, -0.2, 0.2) for f in sorted(CRITERION5_FAMILIES)
+    ])
+    def test_search_finds_the_score_root(self, family, shape):
+        # the polish reaches the root of the analytic score in the grid bracket
+        s = generate(CRITERION5_FAMILIES[family])
+        e = extract(s, quantile_cutoff(s, 0.95))
+        w = (e.heights - e.cutoff) / (e.heights - e.cutoff).max()
+        _, xi, scale, _, converged = gev_fit._search(w, shape)
+        v_grid = gev_fit._LOG1P_T_GRID
+        i = int(np.argmin(gev_fit._profile(np.expm1(v_grid), w, shape)[0]))
+        lo, hi = np.expm1(v_grid[[i - 1, i + 1]])
+        t_ref = brentq(profile_score, lo, hi, args=(w, shape), xtol=1e-300, rtol=1e-15)
+        assert converged
+        assert xi / scale == pytest.approx(t_ref, rel=1e-10, abs=0)
+
+    def test_boundary_fit_warns(self):
+        # uniform exceedances put the free shape on the k > -1 boundary
+        s = make_rng(0).random(1000)
+        e = extract(s, quantile_cutoff(s, 0.9))
+        with pytest.warns(FitWarning, match="largest exceedance"):
+            params, _ = fit(e)
+        assert params.xi == pytest.approx(-1, abs=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FitWarning)
+            fit(e, FitOptions(fix_xi=-0.9))
+
+    def test_unfinished_polish_is_not_converged(self, monkeypatch):
+        # the evaluation cap stops the polish at its last feasible point
+        monkeypatch.setattr(gev_fit, "_MAX_EVALUATIONS", 3)
+        s = generate(CRITERION5_FAMILIES["chi2"])
+        e = extract(s, quantile_cutoff(s, 0.95))
+        params, diag = fit(e)
+        assert (diag.iterations, diag.converged) == (3, False)
+        assert diag.neg_log_lik == pytest.approx(neg_log_likelihood(params, e), rel=1e-12)
