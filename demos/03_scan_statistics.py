@@ -18,6 +18,7 @@ import dataclasses
 import numpy as np
 
 from threshold_machine import DtmConfig, ErGraphSpec, run_dtm, scan_series
+from threshold_machine.exceedance import nearest_rank
 
 ALPHAS = (0.1, 0.05, 0.03, 0.01)
 spec = ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0)
@@ -41,8 +42,7 @@ maxima = np.sort([
     for j in range(100)
 ])
 for alpha in ALPHAS:
-    k = int(np.ceil((1 - alpha) * 100))
-    print(f"  alpha={alpha:<5}: {maxima[k - 1]:6.2f}")
+    print(f"  alpha={alpha:<5}: {maxima[nearest_rank(1 - alpha, 100) - 1]:6.2f}")
 
 print("\nnote: lattice-valued statistics weakly identify the tail shape; "
       "for production use on integer scans, prefer a pinned exponential "

@@ -40,7 +40,7 @@ from .errors import (
 from .evt_core import GevParams, TailModel, gev_cdf, invert_tail, model_max_cdf, tail_fn
 from .exceedance import ExceedanceSet, GapSet, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form, theta_log_likelihood
-from .gev_fit import FitDiagnostics, FitOptions, fit, neg_log_likelihood
+from .gev_fit import FitDiagnostics, fit, neg_log_likelihood
 from .generators import GeneratorSpec, generate
 from .mc_oracle import EmpiricalMaxDist, empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, arl_to_alpha, confidence_bounds, run_dtm
@@ -55,7 +55,7 @@ __all__ = [
     # exceedance
     "ExceedanceSet", "GapSet", "quantile_cutoff", "extract", "gaps",
     # gev_fit
-    "FitOptions", "FitDiagnostics", "neg_log_likelihood", "fit",
+    "FitDiagnostics", "neg_log_likelihood", "fit",
     # extremal_index
     "ThetaEstimate", "theta_log_likelihood", "theta_closed_form",
     # pipeline

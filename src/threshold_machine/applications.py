@@ -379,7 +379,7 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return confidence_bounds(history, spec.delta, cfg)
+                return confidence_bounds(history, cfg)
         except DtmError as e:
             warnings.warn(f"arm {k} bounds failed: {e}", FitWarning, stacklevel=2)
             return None

@@ -3,9 +3,9 @@
 Three subcommands:
 
 - ``threshold``: read a one-column CSV series, run the pipeline, emit a JSON
-  report.
+  report whose manifest reproduces the run.
 - ``validate``: run the pipeline on one generated path and the Monte Carlo
-  oracle on L paths, compare.
+  oracle on L paths, compare, emit a JSON report.
 - ``app``: run an application harness (scan | changepoint | bandit) from a
   JSON spec file and write its artifacts to an output directory.
 
@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     TooFewExceedancesError,
 )
-from .exceedance import MIN_EXCEEDANCES, nearest_rank
+from .exceedance import nearest_rank
 from .generators import GeneratorSpec, generate
 from .mc_oracle import empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, run_dtm
@@ -92,16 +92,8 @@ def _report_payload(report: ThresholdReport, n: int) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None, fmt: str = "json") -> None:
-    if fmt == "csv":
-        lines = ["key,value"]
-        for key, value in sorted(payload.items()):
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True).replace('"', "'")
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(payload: dict, out: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -138,8 +130,7 @@ def _read_series(path: str) -> np.ndarray:
 
 
 def _dtm_config(args, seed: int) -> DtmConfig:
-    kwargs = dict(alpha=args.alpha, seed=seed, bootstrap_reps=args.bootstrap_reps,
-                  min_exceedances=args.min_exceedances)
+    kwargs = dict(alpha=args.alpha, seed=seed, bootstrap_reps=args.bootstrap_reps)
     if args.cutoff is not None:
         kwargs["cutoff"] = args.cutoff
     if args.quantile is not None:
@@ -164,7 +155,7 @@ def _cmd_threshold(args) -> int:
     log.info("threshold %.6g at alpha %.4g", report.threshold, cfg.alpha)
     payload = _report_payload(report, len(series))
     payload["manifest"] = _manifest("threshold", dataclasses.asdict(cfg), seed)
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     return EXIT_WARNINGS if report.warnings else EXIT_OK
 
 
@@ -197,7 +188,7 @@ def _cmd_validate(args) -> int:
             args.seed,
         ),
     }
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     if not payload["passed"]:
         return EXIT_WARNINGS
     return EXIT_WARNINGS if report.warnings else EXIT_OK
@@ -344,9 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=float, default=None,
                        help="explicit cutoff value (overrides --quantile)")
         p.add_argument("--bootstrap-reps", type=int, default=1, dest="bootstrap_reps")
-        p.add_argument("--min-exceedances", type=int, default=MIN_EXCEEDANCES,
-                       dest="min_exceedances")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     t = sub.add_parser("threshold", help="threshold for a series read from CSV")
     t.add_argument("--input", required=True, help="CSV file, one numeric value per line")

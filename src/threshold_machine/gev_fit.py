@@ -20,10 +20,10 @@ pinned shape keeps its ``xi``, with ``sigma_u = xi * max(y) / t``.  Either way
 one search minimizes the profile over ``t``: a fixed grid in ``log1p(t)``,
 then a safeguarded Newton polish on the profile's analytic score between the
 best point's grid neighbours.  A free shape that ends on the ``k > -1``
-boundary pins the fitted upper endpoint near the largest exceedance and
-raises a :class:`FitWarning`.  A pinned Gumbel shape is the closed form
-``sigma_u = mean(y)``.  Then ``sigma = sigma_u * n_u**xi`` and
-``mu = u + sigma_u * (n_u**xi - 1)/xi``.
+boundary pins the fitted upper endpoint near the largest exceedance; the fit
+raises a :class:`FitWarning` and sets ``FitDiagnostics.boundary``.  A pinned
+Gumbel shape is the closed form ``sigma_u = mean(y)``.  Then
+``sigma = sigma_u * n_u**xi`` and ``mu = u + sigma_u * (n_u**xi - 1)/xi``.
 
 The search runs on ``y / max(y)``, so the fit is affine-equivariant up to
 the search tolerance.
@@ -42,7 +42,7 @@ from .errors import (DegenerateHeightsError, FitWarning, InvalidConfigError,
 from .evt_core import GevParams, _box_cox, _is_gumbel, _log_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, ExceedanceSet
 
-__all__ = ["FitOptions", "FitDiagnostics", "neg_log_likelihood", "fit"]
+__all__ = ["FitDiagnostics", "neg_log_likelihood", "fit"]
 
 # Profile grid in log1p(t): steps of 1/4 up to t = 8.1e3, through t = 0, then
 # unit steps up to t = 1e13, where shapes xi >> 1 put their optimum (t ~ n_u**xi).
@@ -56,32 +56,20 @@ _BOUNDARY_XI = 1e-6
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Options of the tail fit.
-
-    ``fix_xi`` pins the shape parameter and fits only location and scale:
-    the standard restriction for series whose exceedances cannot identify
-    curvature (bounded kernel statistics, lattice-valued data).  A pinned
-    shape must exceed -1, where the likelihood has an interior maximum.
-    """
-
-    min_exceedances: int = MIN_EXCEEDANCES
-    fix_xi: float | None = None
-
-
-@dataclass(frozen=True)
 class FitDiagnostics:
     """``iterations`` counts likelihood evaluations: one for the grid pass plus
     one per Newton step, a bisection included.  A pinned shape runs the same
     search as a free one, so its count includes the grid pass too; the closed
     form counts none.
-    ``init`` is the closed-form Gumbel fit."""
+    ``init`` is the closed-form Gumbel fit.  ``boundary`` marks a free shape
+    on the ``k > -1`` boundary, whose fit also raises a :class:`FitWarning`."""
 
     neg_log_lik: float
     iterations: int
     converged: bool
     init: GevParams
     n_u_used: int
+    boundary: bool
 
 
 def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
@@ -199,17 +187,21 @@ def _gev(sigma_u: float, xi: float, u: float, n_u: int) -> GevParams:
                      sigma=sigma_u * math.exp(xi * log_n), xi=xi)
 
 
-def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, FitDiagnostics]:
+def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, FitDiagnostics]:
     """Maximum likelihood fit of (mu, sigma, xi) from exceedance heights.
+
+    ``fix_xi`` pins the shape parameter and fits only location and scale:
+    the standard restriction for series whose exceedances cannot identify
+    curvature (bounded kernel statistics, lattice-valued data).  A pinned
+    shape must exceed -1, where the likelihood has an interior maximum.
 
     The fit with a free shape includes the Gumbel point ``t = 0`` it reports
     as ``init``, so the returned NLL never exceeds the NLL at ``init``.
     """
-    opts = opts or FitOptions()
     n_u = exc.n_u
-    if n_u < opts.min_exceedances:
+    if n_u < MIN_EXCEEDANCES:
         raise TooFewExceedancesError(
-            f"fit needs at least {opts.min_exceedances} exceedances, got {n_u}"
+            f"fit needs at least {MIN_EXCEEDANCES} exceedances, got {n_u}"
         )
     if n_u < WARN_EXCEEDANCES:
         warnings.warn(f"only {n_u} exceedances; tail estimates may be unstable",
@@ -219,20 +211,20 @@ def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, 
     if y_max == float(y.min()):
         raise DegenerateHeightsError("all exceedance heights are equal")
     w = y / y_max
-    shape = opts.fix_xi
-    if shape is not None and shape <= -1:
-        raise InvalidConfigError(f"a fixed shape must exceed -1, got {shape}")
+    if fix_xi is not None and fix_xi <= -1:
+        raise InvalidConfigError(f"a fixed shape must exceed -1, got {fix_xi}")
 
     u = exc.cutoff
     y_mean = float(np.mean(y))
     init = _gev(y_mean, 0.0, u, n_u)
-    if shape is not None and _is_gumbel(shape):
-        params, evaluations, converged = init, 0, True
+    if fix_xi is not None and _is_gumbel(fix_xi):
+        params, evaluations, converged, boundary = init, 0, True, False
         profile = math.log(y_mean / y_max) + 1
     else:
-        profile, xi, scale, evaluations, converged = _search(w, shape)
+        profile, xi, scale, evaluations, converged = _search(w, fix_xi)
         params = _gev(y_max * scale, xi, u, n_u)
-        if shape is None and xi < -1 + _BOUNDARY_XI:
+        boundary = fix_xi is None and xi < -1 + _BOUNDARY_XI
+        if boundary:
             warnings.warn(
                 f"free shape on the xi > -1 boundary: the fitted endpoint "
                 f"{u + y_max * scale / -xi:.6g} is pinned near the largest exceedance "
@@ -244,5 +236,6 @@ def fit(exc: ExceedanceSet, opts: FitOptions | None = None) -> tuple[GevParams, 
         converged=converged,
         init=init,
         n_u_used=n_u,
+        boundary=boundary,
     )
     return params, diag

@@ -14,8 +14,12 @@ Only a replicate's exceedance heights reach the fit, so a replicate is its
 index draw, and its exceedances are gathered through the draw from the
 original series without copying it.
 
+Fewer than ``exceedance.MIN_EXCEEDANCES`` exceedances above u on the
+original series fail the run.
+
 Also provides the ARL <-> alpha mapping used by sequential detection and
-upper/lower confidence bounds for the maximum of a sequence.
+upper/lower confidence bounds, both at the config's alpha, for the maximum of
+a sequence.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import InvalidConfigError, SmallSampleWarning, TooFewExceedancesErr
 from .evt_core import GevParams, TailModel, invert_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
-from .gev_fit import FitDiagnostics, FitOptions, fit
+from .gev_fit import FitDiagnostics, fit
 from .resample import as_series, bootstrap_draw
 
 __all__ = ["DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidence_bounds"]
@@ -51,7 +55,6 @@ class DtmConfig:
     cutoff: float | None = None
     seed: int = 0
     bootstrap_reps: int = 1
-    min_exceedances: int = MIN_EXCEEDANCES
     fix_xi: float | None = None
 
     def __post_init__(self):
@@ -63,8 +66,6 @@ class DtmConfig:
             )
         if self.bootstrap_reps < 1:
             raise InvalidConfigError("bootstrap_reps must be >= 1")
-        if self.min_exceedances < 2:
-            raise InvalidConfigError("min_exceedances must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
 
     A single cutoff computed from the original series is reused for both the
     bootstrap fit and the extremal index stage.  Non-fatal issues (few
-    exceedances, non-convergence, clamped theta, small sample) are reported
-    as warning codes; hard failures raise.
+    exceedances, non-convergence, a boundary shape, clamped theta, small
+    sample) are reported as warning codes; hard failures raise.
     """
     s = as_series(series)
     n = s.size
@@ -106,20 +107,19 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     # checked before the replicates, so that too few exceedances name the
     # original series; extract draws no random numbers
     exc = extract(s, u)
-    if exc.n_u < cfg.min_exceedances:
+    if exc.n_u < MIN_EXCEEDANCES:
         raise TooFewExceedancesError(
             f"original series has {exc.n_u} exceedances above u={u}, "
-            f"need {cfg.min_exceedances}"
+            f"need {MIN_EXCEEDANCES}"
         )
 
-    opts = FitOptions(min_exceedances=cfg.min_exceedances, fix_xi=cfg.fix_xi)
     fits: list[GevParams] = []
     diags: list[FitDiagnostics] = []
     # the report carries small samples as few-exceedances; other warnings pass
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallSampleWarning)
         for r in range(cfg.bootstrap_reps):
-            params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), opts)
+            params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
             fits.append(params_r)
             diags.append(diag_r)
     params = GevParams(
@@ -131,6 +131,8 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     if not all(d.converged for d in diags):
         warn_codes.append("non-convergence")
         diag = replace(diag, converged=False)
+    if any(d.boundary for d in diags):
+        warn_codes.append("boundary-shape")
     if min(d.n_u_used for d in diags) < WARN_EXCEEDANCES:
         warn_codes.append("few-exceedances")
 
@@ -164,15 +166,15 @@ def arl_to_alpha(n: int, arl: float) -> float:
     return -math.expm1(-n / arl)
 
 
-def confidence_bounds(series, delta: float, cfg: DtmConfig) -> tuple[float, float]:
-    """(lcb, ucb) for the maximum of a series at confidence delta.
+def confidence_bounds(series, cfg: DtmConfig) -> tuple[float, float]:
+    """(lcb, ucb) for the maximum of a series at level ``cfg.alpha``.
 
-    ucb solves P{max > x} = delta (the pipeline threshold at alpha = delta);
-    lcb solves P{max < x} = delta on the same fitted model.  For delta < 1/2
-    lcb < ucb; at delta = 1/2 the two coincide at the median of the fitted
-    max distribution.
+    ucb solves P{max > x} = alpha (the pipeline threshold); lcb solves
+    P{max < x} = alpha on the same fitted model.  For alpha < 1/2 lcb < ucb;
+    at alpha = 1/2 the two coincide at the median of the fitted max
+    distribution.
     """
-    report = run_dtm(series, replace(cfg, alpha=delta))
+    report = run_dtm(series, cfg)
     theta = report.theta_est.theta
-    lcb = invert_tail(report.model.params, -math.log(delta) / theta)
+    lcb = invert_tail(report.model.params, -math.log(cfg.alpha) / theta)
     return float(lcb), report.threshold

@@ -1,11 +1,12 @@
 """Tests for the command-line front end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from threshold_machine import GeneratorSpec, generate, make_rng
+from threshold_machine import DtmConfig, FitWarning, GeneratorSpec, generate, make_rng, run_dtm
 from threshold_machine import cli
 from threshold_machine.cli import main
 
@@ -82,6 +83,36 @@ class TestThresholdCommand:
               "--seed", "3", "--out", str(out)])
         payload = json.loads(out.read_text())
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_manifest_reproduces_the_run(self, chi2_csv, tmp_path):
+        out = tmp_path / "r.json"
+        main(["threshold", "--input", str(chi2_csv), "--alpha", "0.02", "--quantile", "0.9",
+              "--bootstrap-reps", "3", "--seed", "4", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        cfg = DtmConfig(**payload["manifest"]["config"])
+        assert run_dtm(np.loadtxt(chi2_csv), cfg).threshold == payload["threshold"]
+
+    def test_boundary_fit_exits_with_warnings(self, tmp_path):
+        p = tmp_path / "uniform.csv"
+        write_series(p, make_rng(0).random(1000))
+        out = tmp_path / "r.json"
+        with pytest.warns(FitWarning):
+            code = main(["threshold", "--input", str(p), "--alpha", "0.05", "--quantile", "0.9",
+                         "--bootstrap-reps", "10", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["warnings"] == ["boundary-shape"]
+
+    @pytest.mark.parametrize("command, own_flags", [
+        ("threshold", {"--input"}),
+        ("validate", {"--spec", "--n", "--mc-reps", "--gap-tolerance"}),
+    ])
+    def test_pipeline_flags(self, command, own_flags, capsys):
+        # JSON is the only output format, and the exceedance floor is a constant
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == own_flags | {
+            "--help", "--seed", "--out", "--alpha", "--quantile", "--cutoff", "--bootstrap-reps"}
 
 
 class TestValidateCommand:

@@ -10,7 +10,6 @@ from scipy.optimize import brentq, minimize
 from threshold_machine import (
     DegenerateHeightsError,
     ExceedanceSet,
-    FitOptions,
     FitWarning,
     GeneratorSpec,
     GevParams,
@@ -114,7 +113,7 @@ class TestFit:
         u = quantile_cutoff(values, q)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return fit(extract(values, u), FitOptions(**kw))
+            return fit(extract(values, u), **kw)
 
     def test_exponential_type_tail(self):
         s = make_rng(31).chisquare(1, size=10_000)
@@ -148,7 +147,7 @@ class TestFit:
         for fix_xi in (None, 0.2, -0.2):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                params, diag = fit(e, FitOptions(fix_xi=fix_xi))
+                params, diag = fit(e, fix_xi=fix_xi)
             assert diag.converged
             # a pinned shape leaves only the (mu, sigma) gradient
             n_free = 3 if fix_xi is None else 2
@@ -182,7 +181,7 @@ class TestFit:
         u = quantile_cutoff(s, 0.95)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            params, diag = fit(extract(s, u), FitOptions(fix_xi=0.0))
+            params, diag = fit(extract(s, u), fix_xi=0.0)
         assert params.xi == 0.0
         assert diag.converged
 
@@ -202,19 +201,19 @@ class TestFit:
     def test_shape_pinned_at_or_below_minus_one(self):
         s = make_rng(39).chisquare(1, size=5_000)
         with pytest.raises(InvalidConfigError):
-            fit(extract(s, quantile_cutoff(s, 0.95)), FitOptions(fix_xi=-1.0))
+            fit(extract(s, quantile_cutoff(s, 0.95)), fix_xi=-1.0)
 
     def test_gumbel_closed_form(self):
         s = make_rng(40).chisquare(1, size=5_000)
         e = extract(s, quantile_cutoff(s, 0.95))
-        params, diag = fit(e, FitOptions(fix_xi=0.0))
+        params, diag = fit(e, fix_xi=0.0)
         sigma = float(np.mean(e.heights - e.cutoff))
         assert params.sigma == pytest.approx(sigma, rel=1e-12)
         assert params.mu == pytest.approx(e.cutoff + sigma * math.log(e.n_u), rel=1e-12)
         assert params == diag.init
         # shapes on the Gumbel branch take the same closed form
         for tiny in (1e-9, -1e-9):
-            assert fit(e, FitOptions(fix_xi=tiny)) == (params, diag)
+            assert fit(e, fix_xi=tiny) == (params, diag)
 
     def test_expected_count_at_cutoff(self):
         # the Poisson factor of the likelihood is maximized at C(u) = n_u
@@ -238,7 +237,7 @@ class TestFit:
     def test_simplex_polish_finds_nothing_lower(self, family, fix_xi):
         s = generate(CRITERION5_FAMILIES[family])
         e = extract(s, quantile_cutoff(s, 0.95))
-        params, diag = fit(e, FitOptions(fix_xi=fix_xi))
+        params, diag = fit(e, fix_xi=fix_xi)
         # the reported NLL is read off the profile, not evaluated
         assert diag.neg_log_lik == pytest.approx(neg_log_likelihood(params, e), rel=1e-12)
 
@@ -273,11 +272,12 @@ class TestFit:
         s = make_rng(0).random(1000)
         e = extract(s, quantile_cutoff(s, 0.9))
         with pytest.warns(FitWarning, match="largest exceedance"):
-            params, _ = fit(e)
+            params, diag = fit(e)
         assert params.xi == pytest.approx(-1, abs=1e-6)
+        assert diag.boundary
         with warnings.catch_warnings():
             warnings.simplefilter("error", FitWarning)
-            fit(e, FitOptions(fix_xi=-0.9))
+            assert not fit(e, fix_xi=-0.9)[1].boundary
 
     def test_unfinished_polish_is_not_converged(self, monkeypatch):
         # the evaluation cap stops the polish at its last feasible point

@@ -7,6 +7,7 @@ import pytest
 
 from threshold_machine import (
     DtmConfig,
+    FitWarning,
     GeneratorSpec,
     GevParams,
     InvalidConfigError,
@@ -18,6 +19,7 @@ from threshold_machine import (
     extract,
     fit,
     generate,
+    make_rng,
     model_max_cdf,
     quantile_cutoff,
     run_dtm,
@@ -89,10 +91,10 @@ class TestRunDtm:
 
     def test_replicate_warnings_reach_the_caller(self, monkeypatch):
         # small samples are reported as few-exceedances; other warnings pass
-        def warning_fit(exc, opts=None):
+        def warning_fit(exc, fix_xi=None):
             warnings.warn("replicate small", SmallSampleWarning)
             warnings.warn("replicate other", UserWarning)
-            return fit(exc, opts)
+            return fit(exc, fix_xi)
 
         monkeypatch.setattr(pipeline, "fit", warning_fit)
         with warnings.catch_warnings(record=True) as caught:
@@ -130,6 +132,13 @@ class TestRunDtm:
         assert rep.gev_diag.n_u_used >= WARN_EXCEEDANCES
         assert "few-exceedances" in rep.warnings
 
+    def test_boundary_shape_in_any_replicate(self):
+        # uniform exceedances put every replicate's free shape on the k > -1 boundary
+        s = make_rng(0).random(1000)
+        with pytest.warns(FitWarning, match="largest exceedance"):
+            rep = run_dtm(s, DtmConfig(alpha=0.05, cutoff_quantile=0.9, bootstrap_reps=10))
+        assert "boundary-shape" in rep.warnings
+
     def test_fixed_shape_passthrough(self):
         rep = run_dtm(chi2_series(seed=14), DtmConfig(alpha=0.05, seed=14, fix_xi=0.0))
         assert rep.model.params.xi == 0.0
@@ -157,14 +166,14 @@ class TestConfidenceBounds:
         s = generate(GeneratorSpec.pareto(3.5, 500, 15))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lcb, ucb = confidence_bounds(s, 0.005, DtmConfig(alpha=0.005, seed=16))
+            lcb, ucb = confidence_bounds(s, DtmConfig(alpha=0.005, seed=16))
         assert lcb < ucb
 
     def test_bounds_coincide_at_half(self):
         s = chi2_series(n=2000, seed=17)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lcb, ucb = confidence_bounds(s, 0.5, DtmConfig(alpha=0.5, seed=18))
+            lcb, ucb = confidence_bounds(s, DtmConfig(alpha=0.5, seed=18))
         assert lcb == pytest.approx(ucb, rel=1e-12)
 
     def test_ucb_is_the_threshold(self):
@@ -172,7 +181,7 @@ class TestConfidenceBounds:
         cfg = DtmConfig(alpha=0.1, seed=20)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, ucb = confidence_bounds(s, 0.1, cfg)
+            _, ucb = confidence_bounds(s, cfg)
             rep = run_dtm(s, cfg)
         assert ucb == rep.threshold
 
