@@ -34,7 +34,6 @@ from .errors import (
     OutOfSupportError,
     ParseError,
     SizeMismatchError,
-    SmallSampleWarning,
     TooFewExceedancesError,
 )
 from .evt_core import GevParams, TailModel, gev_cdf, invert_tail, model_max_cdf, tail_fn
@@ -72,5 +71,5 @@ __all__ = [
     "InvalidQuantileError", "InvalidSeriesError", "TooFewExceedancesError",
     "DegenerateHeightsError", "InvalidThetaError", "NoClustersError", "InvalidSpecError",
     "InvalidConfigError", "SizeMismatchError", "InvalidBandwidthError", "ParseError",
-    "SmallSampleWarning", "FitWarning",
+    "FitWarning",
 ]

@@ -343,10 +343,8 @@ def _arm_seed(spec: BanditSpec, arm: int) -> int:
     return int(np.random.SeedSequence((spec.seed, arm)).generate_state(1)[0])
 
 
-def _arm_stream(spec: BanditSpec, arm: int, length: int) -> np.ndarray:
-    seed = _arm_seed(spec, arm)
-    if spec.window == 1:
-        return generate(GeneratorSpec.pareto(spec.tail_exponents[arm], n=length, seed=seed))
+def _arm_stream(spec: BanditSpec, arm: int, seed: int, length: int) -> np.ndarray:
+    # a window of 1 draws the iid Pareto stream of the same seed
     base = GeneratorSpec.pareto(spec.tail_exponents[arm], n=1, seed=0)
     return generate(GeneratorSpec.moving_average(base, spec.window, n=length, seed=seed))
 
@@ -365,7 +363,8 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
         raise InvalidSpecError(
             f"total_pulls must exceed K * burn_in = {K * spec.burn_in}"
         )
-    streams = [_arm_stream(spec, k, total_pulls) for k in range(K)]
+    seeds = [_arm_seed(spec, k) for k in range(K)]
+    streams = [_arm_stream(spec, k, seeds[k], total_pulls) for k in range(K)]
     counts = [spec.burn_in] * K
 
     def bounds_for(k: int) -> Optional[tuple[float, float]]:
@@ -374,12 +373,10 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
             alpha=spec.delta,
             cutoff_quantile=spec.cutoff_quantile,
             fix_xi=spec.fix_xi,
-            seed=_arm_seed(spec, k),
+            seed=seeds[k],
         )
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return confidence_bounds(history, cfg)
+            return confidence_bounds(history, cfg)
         except DtmError as e:
             warnings.warn(f"arm {k} bounds failed: {e}", FitWarning, stacklevel=2)
             return None

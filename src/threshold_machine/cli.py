@@ -10,8 +10,9 @@ Three subcommands:
   JSON spec file and write its artifacts to an output directory.
 
 Exit codes: 0 success, 1 statistical warnings only, 2 input error, 3 fit
-failure.  Log level comes from the THRESHOLD_MACHINE_LOG environment
-variable.  All randomness flows from --seed.
+failure.  Each pipeline warning code is also logged at WARNING level; the log
+level comes from the THRESHOLD_MACHINE_LOG environment variable.  All
+randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -100,6 +101,13 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _exit_status(codes) -> int:
+    """Log each warning code; a run with any code exits with EXIT_WARNINGS."""
+    for code in codes:
+        log.warning("pipeline warning: %s", code)
+    return EXIT_WARNINGS if codes else EXIT_OK
+
+
 def _error_payload(code: str, message: str) -> dict:
     return {"schema_version": SCHEMA_VERSION, "error": {"code": code, "message": message}}
 
@@ -156,7 +164,7 @@ def _cmd_threshold(args) -> int:
     payload = _report_payload(report, len(series))
     payload["manifest"] = _manifest("threshold", dataclasses.asdict(cfg), seed)
     _emit(payload, args.out)
-    return EXIT_WARNINGS if report.warnings else EXIT_OK
+    return _exit_status(report.warnings)
 
 
 def _cmd_validate(args) -> int:
@@ -189,9 +197,8 @@ def _cmd_validate(args) -> int:
         ),
     }
     _emit(payload, args.out)
-    if not payload["passed"]:
-        return EXIT_WARNINGS
-    return EXIT_WARNINGS if report.warnings else EXIT_OK
+    status = _exit_status(report.warnings)
+    return status if payload["passed"] else EXIT_WARNINGS
 
 
 def _load_json_arg(value: str) -> dict:
@@ -229,7 +236,8 @@ def _cmd_app(args) -> int:
     summary["manifest"] = _manifest(f"app:{args.harness}", spec_dict, args.seed)
     _emit(summary, str(outdir / "summary.json"))
     print(f"wrote {outdir}/summary.json")
-    return EXIT_OK
+    # bandit_run keeps no reports, so its summary has no warnings
+    return _exit_status(summary.get("warnings", []))
 
 
 @contextlib.contextmanager
@@ -252,10 +260,10 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     _write_csv(outdir / "scan_series.csv", ["index", "statistic"],
                enumerate(series, start=1))
 
-    thresholds = {}
+    reports = {}
     for alpha in alphas:
         cfg = DtmConfig(alpha=alpha, cutoff_quantile=quantile, seed=spec.seed + 1)
-        thresholds[str(alpha)] = run_dtm(series, cfg).threshold
+        reports[str(alpha)] = run_dtm(series, cfg)
 
     mc_maxima = []
     for j in range(mc_reps):
@@ -265,8 +273,10 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     mc = {}
     for alpha in alphas:
         mc[str(alpha)] = mc_maxima[nearest_rank(1 - alpha, mc_reps) - 1]
-    return {"dtm_thresholds": thresholds, "mc_thresholds": mc,
-            "n_subgraphs": n_subgraphs, "mc_reps": mc_reps}
+    return {"dtm_thresholds": {a: r.threshold for a, r in reports.items()},
+            "mc_thresholds": mc, "n_subgraphs": n_subgraphs, "mc_reps": mc_reps,
+            # each code once, in first-seen order
+            "warnings": list(dict.fromkeys(c for r in reports.values() for c in r.warnings))}
 
 
 def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
@@ -285,6 +295,7 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
         "alpha": result.report.config.alpha,
         "fitted": {"mu": p.mu, "sigma": p.sigma, "xi": p.xi,
                    "theta": result.report.model.theta},
+        "warnings": list(result.report.warnings),
     }
 
 
@@ -362,9 +373,6 @@ def main(argv=None) -> int:
     handlers = {"threshold": _cmd_threshold, "validate": _cmd_validate, "app": _cmd_app}
     try:
         return handlers[args.command](args)
-    except ParseError as e:
-        _emit(_error_payload(e.code, str(e)), getattr(args, "out", None))
-        return EXIT_INPUT_ERROR
     except _FIT_ERRORS as e:
         _emit(_error_payload(e.code, str(e)), getattr(args, "out", None))
         return EXIT_FIT_FAILURE

@@ -96,9 +96,6 @@ class ParseError(DtmError):
     code = "parse-error"
 
 
-class SmallSampleWarning(UserWarning):
-    """Sample size is below a heuristic bound for reliable tail estimates."""
-
-
 class FitWarning(UserWarning):
-    """A fit finished in a degraded state (non-convergence, clamped value)."""
+    """``bandit_run`` could not bound an arm and skips it for the round.  The
+    pipeline reports fit conditions only as its report's warning codes."""

@@ -12,7 +12,8 @@ from .resample import as_series
 
 __all__ = ["ExceedanceSet", "GapSet", "nearest_rank", "quantile_cutoff", "extract", "gaps"]
 
-# Fitters refuse below this many exceedances; below WARN_EXCEEDANCES they warn.
+# Fitters refuse below this many exceedances; below WARN_EXCEEDANCES the
+# pipeline reports few-exceedances.
 MIN_EXCEEDANCES = 10
 WARN_EXCEEDANCES = 30
 

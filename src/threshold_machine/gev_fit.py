@@ -20,10 +20,11 @@ pinned shape keeps its ``xi``, with ``sigma_u = xi * max(y) / t``.  Either way
 one search minimizes the profile over ``t``: a fixed grid in ``log1p(t)``,
 then a safeguarded Newton polish on the profile's analytic score between the
 best point's grid neighbours.  A free shape that ends on the ``k > -1``
-boundary pins the fitted upper endpoint near the largest exceedance; the fit
-raises a :class:`FitWarning` and sets ``FitDiagnostics.boundary``.  A pinned
-Gumbel shape is the closed form ``sigma_u = mean(y)``.  Then
-``sigma = sigma_u * n_u**xi`` and ``mu = u + sigma_u * (n_u**xi - 1)/xi``.
+boundary pins the fitted upper endpoint near the largest exceedance and sets
+``FitDiagnostics.boundary``; the fit raises no warning, and the pipeline
+reports the flag.  A pinned Gumbel shape is the closed form
+``sigma_u = mean(y)``.  Then ``sigma = sigma_u * n_u**xi`` and
+``mu = u + sigma_u * (n_u**xi - 1)/xi``.
 
 The search runs on ``y / max(y)``, so the fit is affine-equivariant up to
 the search tolerance.
@@ -32,15 +33,13 @@ the search tolerance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateHeightsError, FitWarning, InvalidConfigError,
-                     SmallSampleWarning, TooFewExceedancesError)
+from .errors import DegenerateHeightsError, InvalidConfigError, TooFewExceedancesError
 from .evt_core import GevParams, _box_cox, _is_gumbel, _log_tail
-from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, ExceedanceSet
+from .exceedance import MIN_EXCEEDANCES, ExceedanceSet
 
 __all__ = ["FitDiagnostics", "neg_log_likelihood", "fit"]
 
@@ -61,8 +60,9 @@ class FitDiagnostics:
     one per Newton step, a bisection included.  A pinned shape runs the same
     search as a free one, so its count includes the grid pass too; the closed
     form counts none.
-    ``init`` is the closed-form Gumbel fit.  ``boundary`` marks a free shape
-    on the ``k > -1`` boundary, whose fit also raises a :class:`FitWarning`."""
+    ``init`` is the closed-form Gumbel fit.  ``n_u_used`` is the exceedance
+    count of the fit.  ``boundary`` marks a free shape on the ``k > -1``
+    boundary, whose fitted endpoint sits near the largest exceedance."""
 
     neg_log_lik: float
     iterations: int
@@ -203,9 +203,6 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
         raise TooFewExceedancesError(
             f"fit needs at least {MIN_EXCEEDANCES} exceedances, got {n_u}"
         )
-    if n_u < WARN_EXCEEDANCES:
-        warnings.warn(f"only {n_u} exceedances; tail estimates may be unstable",
-                      SmallSampleWarning, stacklevel=2)
     y = exc.heights - exc.cutoff
     y_max = float(y.max())
     if y_max == float(y.min()):
@@ -224,12 +221,6 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
         profile, xi, scale, evaluations, converged = _search(w, fix_xi)
         params = _gev(y_max * scale, xi, u, n_u)
         boundary = fix_xi is None and xi < -1 + _BOUNDARY_XI
-        if boundary:
-            warnings.warn(
-                f"free shape on the xi > -1 boundary: the fitted endpoint "
-                f"{u + y_max * scale / -xi:.6g} is pinned near the largest exceedance "
-                f"{u + y_max:.6g}",
-                FitWarning, stacklevel=2)
     diag = FitDiagnostics(
         neg_log_lik=n_u * (1 - math.log(n_u) + math.log(y_max) + profile),
         iterations=evaluations,

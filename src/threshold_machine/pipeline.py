@@ -25,12 +25,11 @@ a sequence.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfigError, SmallSampleWarning, TooFewExceedancesError
+from .errors import InvalidConfigError, TooFewExceedancesError
 from .evt_core import GevParams, TailModel, invert_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
@@ -93,7 +92,7 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     A single cutoff computed from the original series is reused for both the
     bootstrap fit and the extremal index stage.  Non-fatal issues (few
     exceedances, non-convergence, a boundary shape, clamped theta, small
-    sample) are reported as warning codes; hard failures raise.
+    sample) are reported only as warning codes; hard failures raise.
     """
     s = as_series(series)
     n = s.size
@@ -115,13 +114,10 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
 
     fits: list[GevParams] = []
     diags: list[FitDiagnostics] = []
-    # the report carries small samples as few-exceedances; other warnings pass
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallSampleWarning)
-        for r in range(cfg.bootstrap_reps):
-            params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
-            fits.append(params_r)
-            diags.append(diag_r)
+    for r in range(cfg.bootstrap_reps):
+        params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
+        fits.append(params_r)
+        diags.append(diag_r)
     params = GevParams(
         mu=float(np.mean([p.mu for p in fits])),
         sigma=float(np.mean([p.sigma for p in fits])),

@@ -10,6 +10,7 @@ from scipy.spatial.distance import pdist
 from threshold_machine import (
     BanditSpec,
     ErGraphSpec,
+    GeneratorSpec,
     InvalidBandwidthError,
     InvalidSpecError,
     MmdStreamSpec,
@@ -17,11 +18,12 @@ from threshold_machine import (
     arl_to_alpha,
     bandit_run,
     change_point_run,
+    generate,
     invert_tail,
     mmd_stat,
     scan_series,
 )
-from threshold_machine.applications import _median_heuristic, _snapshot
+from threshold_machine.applications import _arm_stream, _median_heuristic, _snapshot
 
 
 class TestScanSeries:
@@ -177,6 +179,14 @@ class TestChangePointRun:
 
 
 class TestBanditRun:
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_window_one_stream_is_iid_pareto(self, arm, seed):
+        # a one-wide moving average draws the iid Pareto stream of its seed
+        spec = BanditSpec(tail_exponents=(3.5, 4.0))
+        want = generate(GeneratorSpec.pareto(spec.tail_exponents[arm], n=1000, seed=seed))
+        assert np.array_equal(_arm_stream(spec, arm, seed, 1000), want)
+
     def test_needs_at_least_two_arms(self):
         with pytest.raises(InvalidSpecError):
             BanditSpec(tail_exponents=(3.5,), delta=0.005, burn_in=10, seed=0)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from threshold_machine import DtmConfig, FitWarning, GeneratorSpec, generate, make_rng, run_dtm
+from threshold_machine import DtmConfig, GeneratorSpec, generate, make_rng, run_dtm
 from threshold_machine import cli
 from threshold_machine.cli import main
 
@@ -96,11 +96,20 @@ class TestThresholdCommand:
         p = tmp_path / "uniform.csv"
         write_series(p, make_rng(0).random(1000))
         out = tmp_path / "r.json"
-        with pytest.warns(FitWarning):
-            code = main(["threshold", "--input", str(p), "--alpha", "0.05", "--quantile", "0.9",
-                         "--bootstrap-reps", "10", "--seed", "0", "--out", str(out)])
+        code = main(["threshold", "--input", str(p), "--alpha", "0.05", "--quantile", "0.9",
+                     "--bootstrap-reps", "10", "--seed", "0", "--out", str(out)])
         assert code == 1
         assert json.loads(out.read_text())["warnings"] == ["boundary-shape"]
+
+    def test_warning_codes_are_logged(self, tmp_path, caplog):
+        # the log, and so stderr at the default level, names each code once
+        p = tmp_path / "uniform.csv"
+        write_series(p, make_rng(0).random(1000))
+        with caplog.at_level("WARNING", logger="threshold_machine"):
+            main(["threshold", "--input", str(p), "--alpha", "0.05", "--quantile", "0.9",
+                  "--bootstrap-reps", "10", "--seed", "0", "--out", str(tmp_path / "r.json")])
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("threshold_machine", "WARNING", "pipeline warning: boundary-shape")]
 
     @pytest.mark.parametrize("command, own_flags", [
         ("threshold", {"--input"}),
@@ -189,9 +198,10 @@ class TestAppCommand:
         outdir = tmp_path / "scanrun"
         code = main(["app", "scan", "--spec", str(spec_path),
                      "--outdir", str(outdir), "--seed", "6"])
-        assert code == 0
+        assert code == 1
         summary = json.loads((outdir / "summary.json").read_text())
         assert set(summary["dtm_thresholds"]) == {"0.1", "0.05"}
+        assert summary["warnings"] == ["few-exceedances"]
         assert (outdir / "scan_series.csv").exists()
 
     def test_scan_mc_threshold_nearest_rank(self, tmp_path, monkeypatch):
@@ -205,8 +215,9 @@ class TestAppCommand:
         outdir = tmp_path / "scanrun"
         code = main(["app", "scan", "--spec", str(spec_path),
                      "--outdir", str(outdir), "--seed", "6"])
-        assert code == 0
+        assert code == 1
         summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["warnings"] == ["boundary-shape"]
         maxima = sorted(799 + (6 + 20_000 + j) / 1e5 for j in range(100))
         # (1 - 0.41) * 100 evaluates just above 59; the nearest rank is 59
         assert summary["mc_thresholds"]["0.41"] == maxima[58]
@@ -220,7 +231,8 @@ class TestAppCommand:
         outdir = tmp_path / "cprun"
         code = main(["app", "changepoint", "--spec", str(spec_path),
                      "--outdir", str(outdir), "--seed", "7"])
-        assert code == 0
+        assert code == 1
         summary = json.loads((outdir / "summary.json").read_text())
         assert "stopping_time" in summary and "threshold" in summary
+        assert summary["warnings"] == ["few-exceedances"]
         assert (outdir / "changepoint_stream.csv").exists()

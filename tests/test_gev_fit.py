@@ -10,11 +10,9 @@ from scipy.optimize import brentq, minimize
 from threshold_machine import (
     DegenerateHeightsError,
     ExceedanceSet,
-    FitWarning,
     GeneratorSpec,
     GevParams,
     InvalidConfigError,
-    SmallSampleWarning,
     TooFewExceedancesError,
     extract,
     fit,
@@ -190,9 +188,12 @@ class TestFit:
             fit(exc_set([1.0, 2.0], u=0.5))
 
     def test_small_sample_warning(self):
+        # the diagnostics carry the count; the pipeline applies the few-exceedances rule
         h = gumbel_sample(0, 1, 15, seed=38)
-        with pytest.warns(SmallSampleWarning):
-            fit(exc_set(h, u=float(h.min()) - 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = fit(exc_set(h, u=float(h.min()) - 0.5))
+        assert diag.n_u_used == 15
 
     def test_degenerate_heights(self):
         with pytest.raises(DegenerateHeightsError):
@@ -267,17 +268,17 @@ class TestFit:
         assert converged
         assert xi / scale == pytest.approx(t_ref, rel=1e-10, abs=0)
 
-    def test_boundary_fit_warns(self):
-        # uniform exceedances put the free shape on the k > -1 boundary
+    def test_boundary_fit_is_flagged(self):
+        # uniform exceedances put the free shape on the k > -1 boundary; the
+        # diagnostics flag it, and the fit raises no warning
         s = make_rng(0).random(1000)
         e = extract(s, quantile_cutoff(s, 0.9))
-        with pytest.warns(FitWarning, match="largest exceedance"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             params, diag = fit(e)
+            assert not fit(e, fix_xi=-0.9)[1].boundary
         assert params.xi == pytest.approx(-1, abs=1e-6)
         assert diag.boundary
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", FitWarning)
-            assert not fit(e, fix_xi=-0.9)[1].boundary
 
     def test_unfinished_polish_is_not_converged(self, monkeypatch):
         # the evaluation cap stops the polish at its last feasible point

@@ -11,7 +11,6 @@ from threshold_machine import (
     GeneratorSpec,
     GevParams,
     InvalidConfigError,
-    SmallSampleWarning,
     TooFewExceedancesError,
     arl_to_alpha,
     bootstrap,
@@ -30,6 +29,15 @@ from threshold_machine.exceedance import WARN_EXCEEDANCES
 
 def chi2_series(n=5000, seed=0):
     return generate(GeneratorSpec.chi_square(1, n, seed))
+
+
+CRITERION5_FAMILIES = {
+    "beta25": GeneratorSpec.beta(2, 5, 10_000, 1),
+    "chi2": GeneratorSpec.chi_square(1, 10_000, 1),
+    "t4": GeneratorSpec.student_t(4, 10_000, 1),
+    "ar1_m0": GeneratorSpec.gaussian_ar1(0, 10_000, 1),
+    "ar1_m50": GeneratorSpec.gaussian_ar1(50, 10_000, 1),
+}
 
 
 class TestDtmConfig:
@@ -90,9 +98,9 @@ class TestRunDtm:
         assert rep.model.params == want  # bit-identical
 
     def test_replicate_warnings_reach_the_caller(self, monkeypatch):
-        # small samples are reported as few-exceedances; other warnings pass
+        # the pipeline filters no warning
         def warning_fit(exc, fix_xi=None):
-            warnings.warn("replicate small", SmallSampleWarning)
+            warnings.warn("replicate fit", FitWarning)
             warnings.warn("replicate other", UserWarning)
             return fit(exc, fix_xi)
 
@@ -101,7 +109,22 @@ class TestRunDtm:
             warnings.simplefilter("always")
             run_dtm(chi2_series(seed=17), DtmConfig(alpha=0.05, seed=17, bootstrap_reps=2))
         assert [(w.category, str(w.message)) for w in caught] == [
-            (UserWarning, "replicate other")] * 2
+            (FitWarning, "replicate fit"), (UserWarning, "replicate other")] * 2
+
+    @pytest.mark.parametrize("series, cfg, codes", [
+        *(pytest.param(generate(spec), DtmConfig(alpha=0.05, bootstrap_reps=10), (), id=name)
+          for name, spec in CRITERION5_FAMILIES.items()),
+        pytest.param(make_rng(0).random(1000),
+                     DtmConfig(alpha=0.05, cutoff_quantile=0.9, bootstrap_reps=10),
+                     ("boundary-shape",), id="uniform"),
+        pytest.param(chi2_series(n=700, seed=5), DtmConfig(alpha=0.05, seed=3, bootstrap_reps=5),
+                     ("few-exceedances",), id="chi2-n700"),
+    ])
+    def test_conditions_reach_only_the_codes(self, series, cfg, codes):
+        # the report's codes are the only channel for fit conditions
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_dtm(series, cfg).warnings == codes
 
     def test_deterministic_given_seed(self):
         s = chi2_series(seed=10)
@@ -135,8 +158,7 @@ class TestRunDtm:
     def test_boundary_shape_in_any_replicate(self):
         # uniform exceedances put every replicate's free shape on the k > -1 boundary
         s = make_rng(0).random(1000)
-        with pytest.warns(FitWarning, match="largest exceedance"):
-            rep = run_dtm(s, DtmConfig(alpha=0.05, cutoff_quantile=0.9, bootstrap_reps=10))
+        rep = run_dtm(s, DtmConfig(alpha=0.05, cutoff_quantile=0.9, bootstrap_reps=10))
         assert "boundary-shape" in rep.warnings
 
     def test_fixed_shape_passthrough(self):
