@@ -11,8 +11,8 @@ Three subcommands:
 
 Exit codes: 0 success, 1 statistical warnings only, 2 input error, 3 fit
 failure.  Each pipeline warning code is also logged at WARNING level; the log
-level comes from the THRESHOLD_MACHINE_LOG environment variable.  All
-randomness flows from --seed.
+level comes from the THRESHOLD_MACHINE_LOG environment variable.  Every
+command requires --seed, from which all randomness flows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import logging
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +47,8 @@ from .errors import (
     ParseError,
     TooFewExceedancesError,
 )
-from .exceedance import nearest_rank
 from .generators import GeneratorSpec, generate
-from .mc_oracle import empirical_max_cdf, mc_threshold, sup_norm_gap
+from .mc_oracle import EmpiricalMaxDist, empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, run_dtm
 
 SCHEMA_VERSION = 1
@@ -137,8 +135,8 @@ def _read_series(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _dtm_config(args, seed: int) -> DtmConfig:
-    kwargs = dict(alpha=args.alpha, seed=seed, bootstrap_reps=args.bootstrap_reps)
+def _dtm_config(args) -> DtmConfig:
+    kwargs = dict(alpha=args.alpha, seed=args.seed, bootstrap_reps=args.bootstrap_reps)
     if args.cutoff is not None:
         kwargs["cutoff"] = args.cutoff
     if args.quantile is not None:
@@ -152,30 +150,24 @@ def _dtm_config(args, seed: int) -> DtmConfig:
 
 
 def _cmd_threshold(args) -> int:
-    seed = args.seed
-    if seed is None:
-        warnings.warn("no --seed given; bootstrap seed defaults to 0", UserWarning)
-        seed = 0
     series = _read_series(args.input)
     log.info("read %d values from %s", len(series), args.input)
-    cfg = _dtm_config(args, seed)
+    cfg = _dtm_config(args)
     report = run_dtm(series, cfg)
     log.info("threshold %.6g at alpha %.4g", report.threshold, cfg.alpha)
     payload = _report_payload(report, len(series))
-    payload["manifest"] = _manifest("threshold", dataclasses.asdict(cfg), seed)
+    payload["manifest"] = _manifest("threshold", dataclasses.asdict(cfg), args.seed)
     _emit(payload, args.out)
     return _exit_status(report.warnings)
 
 
 def _cmd_validate(args) -> int:
-    if args.seed is None:
-        raise ParseError("validate requires --seed for reproducibility")
     spec_dict = _load_json_arg(args.spec)
     spec_dict.setdefault("n", args.n)
     spec_dict.setdefault("seed", args.seed)
     spec = GeneratorSpec.from_dict(spec_dict)
     series = generate(spec)
-    cfg = _dtm_config(args, args.seed)
+    cfg = _dtm_config(args)
     report = run_dtm(series, cfg)
     # oracle replicates derive from a shifted seed so they are independent of
     # the fitted path
@@ -225,8 +217,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _cmd_app(args) -> int:
-    if args.seed is None:
-        raise ParseError("app requires --seed for reproducibility")
     spec_dict = _load_json_arg(args.spec)
     spec_dict.setdefault("seed", args.seed)
     outdir = Path(args.outdir)
@@ -265,16 +255,11 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
         cfg = DtmConfig(alpha=alpha, cutoff_quantile=quantile, seed=spec.seed + 1)
         reports[str(alpha)] = run_dtm(series, cfg)
 
-    mc_maxima = []
-    for j in range(mc_reps):
-        rep = dataclasses.replace(spec, seed=spec.seed + 20_000 + j)
-        mc_maxima.append(float(np.max(scan_series(rep, n_subgraphs))))
-    mc_maxima.sort()
-    mc = {}
-    for alpha in alphas:
-        mc[str(alpha)] = mc_maxima[nearest_rank(1 - alpha, mc_reps) - 1]
+    reps = (dataclasses.replace(spec, seed=spec.seed + 20_000 + j) for j in range(mc_reps))
+    mc = EmpiricalMaxDist(np.sort([np.max(scan_series(rep, n_subgraphs)) for rep in reps]))
     return {"dtm_thresholds": {a: r.threshold for a, r in reports.items()},
-            "mc_thresholds": mc, "n_subgraphs": n_subgraphs, "mc_reps": mc_reps,
+            "mc_thresholds": {str(a): mc_threshold(mc, a) for a in alphas},
+            "n_subgraphs": n_subgraphs, "mc_reps": mc_reps,
             # each code once, in first-seen order
             "warnings": list(dict.fromkeys(c for r in reports.values() for c in r.warnings))}
 
@@ -336,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, pipeline=True):
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed")
+        p.add_argument("--seed", type=int, default=None, help="PRNG seed (required)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if not pipeline:  # the harnesses take their settings from the spec
             return
@@ -372,6 +357,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"threshold": _cmd_threshold, "validate": _cmd_validate, "app": _cmd_app}
     try:
+        if args.seed is None:
+            raise ParseError(f"{args.command} requires --seed for reproducibility")
         return handlers[args.command](args)
     except _FIT_ERRORS as e:
         _emit(_error_payload(e.code, str(e)), getattr(args, "out", None))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidSpecError
 from .resample import make_rng
@@ -156,11 +155,16 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         phi = math.exp(-1.0 / m)
         innov_sd = math.sqrt(1.0 - math.exp(-2.0 / m))
         z = rng.standard_normal(n + burn)
-        # S_t = phi * S_{t-1} + x_t with x_1 = Z_1 (stationary start), handled
-        # by the linear filter y_t = x_t + phi * y_{t-1}
-        x = innov_sd * z
-        x[0] = z[0]
-        s = lfilter([1.0], [1.0, -phi], x)
+        # S_t = phi * S_{t-1} + x_t with x_1 = Z_1 (stationary start), as a
+        # doubling scan (Blelloch 1990): after the pass with offset k, s_t
+        # holds sum_{j<2k} phi**j x_{t-j}.  Later terms are exactly 0 once
+        # k covers the path or phi**k underflows.
+        s = innov_sd * z
+        s[0] = z[0]
+        k, a = 1, phi
+        while k < s.size and a > 0:
+            s[k:] += a * s[:-k]
+            k, a = 2 * k, a * a
         return s[burn:]
 
     if spec.kind == "moving_average":

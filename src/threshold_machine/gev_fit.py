@@ -86,18 +86,18 @@ def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
     return float(nll) if np.isfinite(nll) else math.inf
 
 
-def _profile(t, w: np.ndarray, shape: float | None):
+def _profile(t, w: np.ndarray, shape: float | None) -> np.ndarray:
     """Pareto profile NLL per exceedance at each ``t = theta * max(y)``, with
-    the shape and the scale ``sigma_u / max(y)``; ``w = y / max(y)``.  A free
-    shape is ``k`` and needs ``k > -1``; a pinned one needs ``scale > 0``.  The
-    NLL is +inf where these fail."""
+    ``w = y / max(y)``.  A free shape is ``k`` and needs ``k > -1``; a pinned
+    one needs a positive scale ``sigma_u / max(y) = shape / t``.  The NLL is
+    +inf where these fail."""
     k = np.log1p(np.multiply.outer(t, w)).mean(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         if shape is None:
             scale = np.where(t == 0, w.mean(), k / t)
-            return np.where(k > -1, np.log(scale) + 1 + k, np.inf), k, scale
+            return np.where(k > -1, np.log(scale) + 1 + k, np.inf)
         scale = np.divide(shape, t)
-        return np.where(scale > 0, np.log(scale) + k + k / shape, np.inf), shape, scale
+        return np.where(scale > 0, np.log(scale) + k + k / shape, np.inf)
 
 
 def _newton_terms(t: float, w: np.ndarray, shape: float | None):
@@ -176,7 +176,7 @@ def _search(w: np.ndarray, shape: float | None) -> tuple[float, float, float, in
     # a pinned shape is feasible only where t has its sign; keeping t = 0
     # keeps every bracket that of the full grid
     v_grid = _LOG1P_T_GRID if shape is None else _LOG1P_T_GRID[_LOG1P_T_GRID * shape >= 0]
-    grid = _profile(np.expm1(v_grid), w, shape)[0]
+    grid = _profile(np.expm1(v_grid), w, shape)
     return _polish(w, shape, v_grid, int(np.argmin(grid)))
 
 

@@ -23,9 +23,11 @@ __all__ = ["EmpiricalMaxDist", "empirical_max_cdf", "mc_threshold", "sup_norm_ga
 class EmpiricalMaxDist:
     """Sorted maxima of L independently generated series."""
 
-    maxima: np.ndarray  # sorted nondecreasing, length L
-    L: int
-    spec: GeneratorSpec
+    maxima: np.ndarray  # sorted nondecreasing
+
+    @property
+    def L(self) -> int:
+        return self.maxima.size
 
     def cdf(self, x) -> np.ndarray:
         """Right-continuous empirical CDF of the maxima."""
@@ -45,7 +47,7 @@ def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:
     for j in range(L):
         maxima[j] = np.max(generate(spec.with_seed(spec.seed + j)))
     maxima.sort()
-    return EmpiricalMaxDist(maxima=maxima, L=L, spec=spec)
+    return EmpiricalMaxDist(maxima)
 
 
 def mc_threshold(dist: EmpiricalMaxDist, alpha: float) -> float:

@@ -64,6 +64,12 @@ class TestThresholdCommand:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["code"] == "parse-error"
 
+    def test_requires_seed(self, chi2_csv, capsys):
+        assert main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05"]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == {"code": "parse-error",
+                                "message": "threshold requires --seed for reproducibility"}
+
     def test_non_numeric_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1.0\nbanana\n2.0\n")

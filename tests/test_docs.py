@@ -1,7 +1,10 @@
 """The README's python examples and the demo scripts compile; nothing is run.
-The library sets no warning filter."""
+The library sets no warning filter, and importing it loads no scipy module."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,13 @@ def test_library_sets_no_warning_filter(module):
     # fit conditions reach callers as report codes; only callers filter warnings
     source = (PACKAGE / module).read_text()
     assert not re.findall(r"\b(?:catch_warnings|simplefilter|filterwarnings)\b", source)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, threshold_machine; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,13 @@
 """Tests for the synthetic series generators."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import lfilter
 
-from threshold_machine import GeneratorSpec, InvalidSpecError, generate
+from threshold_machine import GeneratorSpec, InvalidSpecError, generate, make_rng
 
 KS_SIGNIFICANCE = 0.001
 
@@ -90,6 +93,18 @@ class TestGaussianAr1:
         s = generate(GeneratorSpec.gaussian_ar1(50, 10_000, 3))
         assert abs(np.mean(s)) <= 0.05
         assert np.var(s) == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("m", [0.3, 1, 50, 500, 1e4])
+    @pytest.mark.parametrize("n", [1, 10, 10_000])
+    def test_matches_linear_filter(self, m, n):
+        # the recursion S_t = phi S_{t-1} + x_t on the same draws, by scipy
+        burn, phi = math.ceil(10 * m), math.exp(-1 / m)
+        z = make_rng(21).standard_normal(n + burn)
+        x = math.sqrt(1 - math.exp(-2 / m)) * z
+        x[0] = z[0]
+        ref = lfilter([1.0], [1.0, -phi], x)[burn:]
+        s = generate(GeneratorSpec.gaussian_ar1(m, n, 21))
+        assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_iid_case_is_standard_normal(self):
         s = generate(GeneratorSpec.gaussian_ar1(0, 10_000, 11))

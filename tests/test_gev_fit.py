@@ -56,7 +56,7 @@ POLISH_CASES = [pytest.param(f, None, id=f) for f in sorted(CRITERION5_FAMILIES)
 def full_grid_search(w, shape):
     """``gev_fit._search`` over the whole grid, infeasible points included."""
     v_grid = gev_fit._LOG1P_T_GRID
-    grid = gev_fit._profile(np.expm1(v_grid), w, shape)[0]
+    grid = gev_fit._profile(np.expm1(v_grid), w, shape)
     return gev_fit._polish(w, shape, v_grid, int(np.argmin(grid)))
 
 
@@ -262,7 +262,7 @@ class TestFit:
         w = (e.heights - e.cutoff) / (e.heights - e.cutoff).max()
         _, xi, scale, _, converged = gev_fit._search(w, shape)
         v_grid = gev_fit._LOG1P_T_GRID
-        i = int(np.argmin(gev_fit._profile(np.expm1(v_grid), w, shape)[0]))
+        i = int(np.argmin(gev_fit._profile(np.expm1(v_grid), w, shape)))
         lo, hi = np.expm1(v_grid[[i - 1, i + 1]])
         t_ref = brentq(profile_score, lo, hi, args=(w, shape), xtol=1e-300, rtol=1e-15)
         assert converged

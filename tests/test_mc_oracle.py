@@ -16,10 +16,8 @@ from threshold_machine import (
 )
 
 
-def dist_from(maxima, spec=None):
-    maxima = np.sort(np.asarray(maxima, dtype=float))
-    return EmpiricalMaxDist(maxima=maxima, L=len(maxima),
-                            spec=spec or GeneratorSpec.chi_square(1, 10, 0))
+def dist_from(maxima):
+    return EmpiricalMaxDist(np.sort(np.asarray(maxima, dtype=float)))
 
 
 class TestEmpiricalMaxCdf:
