@@ -366,17 +366,12 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
     seeds = [_arm_seed(spec, k) for k in range(K)]
     streams = [_arm_stream(spec, k, seeds[k], total_pulls) for k in range(K)]
     counts = [spec.burn_in] * K
+    cfgs = [DtmConfig(alpha=spec.delta, cutoff_quantile=spec.cutoff_quantile,
+                      fix_xi=spec.fix_xi, seed=seeds[k]) for k in range(K)]
 
     def bounds_for(k: int) -> Optional[tuple[float, float]]:
-        history = streams[k][: counts[k]]
-        cfg = DtmConfig(
-            alpha=spec.delta,
-            cutoff_quantile=spec.cutoff_quantile,
-            fix_xi=spec.fix_xi,
-            seed=seeds[k],
-        )
         try:
-            return confidence_bounds(history, cfg)
+            return confidence_bounds(streams[k][: counts[k]], cfgs[k])
         except DtmError as e:
             warnings.warn(f"arm {k} bounds failed: {e}", FitWarning, stacklevel=2)
             return None

@@ -14,7 +14,9 @@ All functions are pure and accept scalars or arrays in ``x``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +45,8 @@ class GevParams:
     xi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and np.isfinite(self.xi)):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)
+                and math.isfinite(self.xi)):
             raise InvalidParamsError(f"parameters must be finite, got {self}")
         if self.sigma <= 0:
             raise InvalidParamsError(f"sigma must be > 0, got {self.sigma}")
@@ -68,10 +71,12 @@ class TailModel:
     horizon: int
 
     def __post_init__(self):
-        if not (0 < self.theta <= 1) or not np.isfinite(self.theta):
+        if not (0 < self.theta <= 1):
             raise InvalidParamsError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.horizon < 1:
-            raise InvalidParamsError(f"horizon must be >= 1, got {self.horizon}")
+        if not math.isfinite(self.cutoff):
+            raise InvalidParamsError(f"cutoff must be finite, got {self.cutoff}")
+        if not isinstance(self.horizon, Integral) or self.horizon < 1:
+            raise InvalidParamsError(f"horizon must be an integer >= 1, got {self.horizon}")
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -133,6 +138,12 @@ def invert_tail(params: GevParams, y):
     ``y`` must be positive and finite; round-trips with :func:`tail_fn` to
     relative error below 1e-9.
     """
+    if isinstance(y, float):
+        # a Python or numpy float skips the array round trip; the logarithm
+        # stays numpy's, so both paths return the same bits
+        if not 0 < y < math.inf:
+            raise InvalidTargetError(f"inversion target must be positive and finite, got {y}")
+        return float(params.mu + params.sigma * _box_cox(params.xi, -np.log(y)))
     arr, scalar = _as_array(y)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
         raise InvalidTargetError(f"inversion target must be positive and finite, got {y}")

@@ -88,10 +88,10 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
     mask = arr > u
     if draw is not None:
         mask = np.take(mask, draw)  # the mask of values[draw]; take outpaces mask[draw]
-    pos = np.flatnonzero(mask)
+    pos = mask.nonzero()[0]
     return ExceedanceSet(
         cutoff=float(u),
-        indices=(pos + 1).astype(np.int64),  # 1-based
+        indices=(pos + 1).astype(np.int64, copy=False),  # 1-based
         heights=arr[pos] if draw is None else arr[draw[pos]],
         source_len=mask.size,
     )
@@ -104,6 +104,6 @@ def gaps(exc: ExceedanceSet) -> GapSet:
             f"need at least 2 exceedances to form gaps, got {exc.n_u}"
         )
     return GapSet(
-        gaps=np.diff(exc.indices),
+        gaps=exc.indices[1:] - exc.indices[:-1],
         rate=exc.n_u / exc.source_len,
     )

@@ -48,9 +48,9 @@ class ThetaEstimate:
 
 def _gap_stats(g: GapSet) -> tuple[int, int, int, float]:
     n_u = g.n_u
-    n_c = int(np.sum(g.gaps > 1))
+    n_c = int(np.count_nonzero(g.gaps > 1))
     a = n_u - n_c - 1
-    c = g.rate * float(np.sum(g.gaps - 1))
+    c = g.rate * float(g.gaps.sum() - g.gaps.size)
     return n_u, n_c, a, c
 
 

@@ -193,7 +193,8 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
     ``fix_xi`` pins the shape parameter and fits only location and scale:
     the standard restriction for series whose exceedances cannot identify
     curvature (bounded kernel statistics, lattice-valued data).  A pinned
-    shape must exceed -1, where the likelihood has an interior maximum.
+    shape must be finite and exceed -1, where the likelihood has an interior
+    maximum.
 
     The fit with a free shape includes the Gumbel point ``t = 0`` it reports
     as ``init``, so the returned NLL never exceeds the NLL at ``init``.
@@ -207,18 +208,17 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
     y_max = float(y.max())
     if y_max == float(y.min()):
         raise DegenerateHeightsError("all exceedance heights are equal")
-    w = y / y_max
-    if fix_xi is not None and fix_xi <= -1:
-        raise InvalidConfigError(f"a fixed shape must exceed -1, got {fix_xi}")
+    if fix_xi is not None and not -1 < fix_xi < math.inf:
+        raise InvalidConfigError(f"a fixed shape must be finite and exceed -1, got {fix_xi}")
 
     u = exc.cutoff
-    y_mean = float(np.mean(y))
+    y_mean = float(y.mean())
     init = _gev(y_mean, 0.0, u, n_u)
     if fix_xi is not None and _is_gumbel(fix_xi):
         params, evaluations, converged, boundary = init, 0, True, False
         profile = math.log(y_mean / y_max) + 1
     else:
-        profile, xi, scale, evaluations, converged = _search(w, fix_xi)
+        profile, xi, scale, evaluations, converged = _search(y / y_max, fix_xi)
         params = _gev(y_max * scale, xi, u, n_u)
         boundary = fix_xi is None and xi < -1 + _BOUNDARY_XI
     diag = FitDiagnostics(

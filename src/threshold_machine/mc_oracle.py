@@ -33,11 +33,6 @@ class EmpiricalMaxDist:
         """Right-continuous empirical CDF of the maxima."""
         return np.searchsorted(self.maxima, np.asarray(x, dtype=float), side="right") / self.L
 
-    def to_csv(self, path) -> None:
-        """Dump (max, empirical CDF) rows for external plotting."""
-        rows = np.column_stack([self.maxima, self.cdf(self.maxima)])
-        np.savetxt(path, rows, delimiter=",", comments="", header="max,empirical_cdf")
-
 
 def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:
     """Empirical distribution of the max over L replicates of ``spec``."""

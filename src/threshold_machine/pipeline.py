@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -63,8 +64,16 @@ class DtmConfig:
             raise InvalidConfigError(
                 f"cutoff_quantile must lie in (0, 1), got {self.cutoff_quantile}"
             )
-        if self.bootstrap_reps < 1:
-            raise InvalidConfigError("bootstrap_reps must be >= 1")
+        if self.cutoff is not None and not math.isfinite(self.cutoff):
+            raise InvalidConfigError(f"cutoff must be finite, got {self.cutoff}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.bootstrap_reps, Integral) or self.bootstrap_reps < 1:
+            raise InvalidConfigError(
+                f"bootstrap_reps must be an integer >= 1, got {self.bootstrap_reps!r}"
+            )
+        if self.fix_xi is not None and not -1 < self.fix_xi < math.inf:
+            raise InvalidConfigError(f"fix_xi must be finite and exceed -1, got {self.fix_xi}")
 
 
 @dataclass(frozen=True)
@@ -118,11 +127,14 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
         params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
         fits.append(params_r)
         diags.append(diag_r)
-    params = GevParams(
-        mu=float(np.mean([p.mu for p in fits])),
-        sigma=float(np.mean([p.sigma for p in fits])),
-        xi=float(np.mean([p.xi for p in fits])),
-    )
+    if len(fits) == 1:
+        params = fits[0]  # the mean of one value is that value
+    else:
+        params = GevParams(
+            mu=float(np.mean([p.mu for p in fits])),
+            sigma=float(np.mean([p.sigma for p in fits])),
+            xi=float(np.mean([p.xi for p in fits])),
+        )
     diag = diags[0]
     if not all(d.converged for d in diags):
         warn_codes.append("non-convergence")

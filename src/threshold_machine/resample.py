@@ -1,9 +1,12 @@
 """Series validation, the package PRNG, and the bootstrap index draw.
 
 Every stochastic component in the package draws from numpy's PCG64 bit
-generator seeded explicitly, so any (input, seed) pair reproduces bit-for-bit
-across runs and platforms.  Derived streams (bootstrap replicates, oracle
-replicates, harness arms) offset the base seed by a documented integer.
+generator seeded explicitly, so for a given numpy version any (input, seed)
+pair reproduces the same index draws bit-for-bit across runs and platforms.
+Floating-point results can differ in the last bits between machines, since
+numpy picks its vectorized loops by CPU.  Derived streams (bootstrap
+replicates, oracle replicates, harness arms) offset the base seed by a
+documented integer.
 
 A bootstrap replicate is defined by its index draw alone
 (:func:`bootstrap_draw`): :func:`bootstrap` gathers the series through it,
@@ -30,7 +33,7 @@ def as_series(values) -> np.ndarray:
         raise InvalidSeriesError(f"series must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise InvalidSeriesError("series must contain at least one value")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidSeriesError("series contains non-finite values")
     return arr
 

@@ -70,6 +70,13 @@ class TestThresholdCommand:
         assert err["error"] == {"code": "parse-error",
                                 "message": "threshold requires --seed for reproducibility"}
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "1", "--cutoff", "nan"]])
+    def test_invalid_config_is_input_error(self, chi2_csv, capsys, flags):
+        code = main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05", *flags])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["code"] == "invalid-config"
+
     def test_non_numeric_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1.0\nbanana\n2.0\n")

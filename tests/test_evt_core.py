@@ -79,6 +79,12 @@ class TestGevCdf:
         with pytest.raises(InvalidParamsError):
             GevParams(np.nan, 1, 0)
 
+    @pytest.mark.parametrize("field", ["mu", "sigma", "xi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+    def test_non_finite_params_rejected(self, field, bad):
+        with pytest.raises(InvalidParamsError):
+            GevParams(**{"mu": 0.0, "sigma": 1.0, "xi": 0.1, field: bad})
+
 
 class TestTailFn:
     def test_gumbel_at_location(self):
@@ -143,9 +149,24 @@ class TestInvertTail:
             assert np.all(np.abs(back - x) <= 1e-9 * np.maximum(np.abs(x), 1.0))
 
     def test_bad_targets_rejected(self):
-        for y in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(InvalidTargetError):
-                invert_tail(GevParams(0, 1, 0), y)
+        # the float path and the array path reject the same targets
+        wraps = (lambda y: y, float, np.float64, np.asarray, lambda y: np.array([y]))
+        for y in (0, -1, np.inf, -np.inf, np.nan):
+            for wrap in wraps:
+                for params in (GevParams(0, 1, 0), GevParams(0, 1, 0.2)):
+                    with pytest.raises(InvalidTargetError):
+                        invert_tail(params, wrap(y))
+
+    @pytest.mark.parametrize("params", [GevParams(5.717, 0.647, 0.0), GevParams(1.5, 2.0, 1e-9),
+                                        GevParams(-2.0, 0.3, 0.4), GevParams(3.0, 1.7, -0.6)],
+                             ids=["gumbel", "near-gumbel", "frechet", "weibull"])
+    def test_scalar_path_matches_array_path(self, params):
+        ys = np.geomspace(1e-6, 1e3, 41)
+        want = invert_tail(params, ys)
+        for y, x in zip(ys, want):
+            for scalar in (float(y), y, np.asarray(y)):
+                assert invert_tail(params, scalar) == x  # bit-identical
+                assert type(invert_tail(params, scalar)) is float
 
 
 class TestTailModel:
@@ -179,3 +200,10 @@ class TestTailModel:
             TailModel(params=params, theta=1.5, cutoff=0.0, horizon=10)
         with pytest.raises(InvalidParamsError):
             TailModel(params=params, theta=0.5, cutoff=0.0, horizon=0)
+
+    @pytest.mark.parametrize("field", ["theta", "cutoff", "horizon"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, bad):
+        fields = {"params": GevParams(0, 1, 0), "theta": 0.5, "cutoff": 0.0, "horizon": 10}
+        with pytest.raises(InvalidParamsError):
+            TailModel(**{**fields, field: bad})

@@ -201,8 +201,10 @@ class TestFit:
 
     def test_shape_pinned_at_or_below_minus_one(self):
         s = make_rng(39).chisquare(1, size=5_000)
-        with pytest.raises(InvalidConfigError):
-            fit(extract(s, quantile_cutoff(s, 0.95)), fix_xi=-1.0)
+        e = extract(s, quantile_cutoff(s, 0.95))
+        for bad in (-1.0, -1.5, -np.inf, np.inf, np.nan):
+            with pytest.raises(InvalidConfigError):
+                fit(e, fix_xi=bad)
 
     def test_gumbel_closed_form(self):
         s = make_rng(40).chisquare(1, size=5_000)

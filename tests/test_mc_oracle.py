@@ -40,15 +40,6 @@ class TestEmpiricalMaxCdf:
         b = empirical_max_cdf(spec, L=20)
         assert np.array_equal(a.maxima, b.maxima)
 
-    def test_csv_dump(self, tmp_path):
-        spec = GeneratorSpec.chi_square(1, 100, 4)
-        dist = empirical_max_cdf(spec, L=10)
-        out = tmp_path / "maxima.csv"
-        dist.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "max,empirical_cdf"
-        assert len(lines) == 11
-
     def test_uniform_iid_max_cdf(self):
         # Beta(1, 1) is Uniform(0, 1): max CDF is x**n exactly
         n, L = 100, 10_000

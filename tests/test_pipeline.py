@@ -14,6 +14,7 @@ from threshold_machine import (
     TooFewExceedancesError,
     arl_to_alpha,
     bootstrap,
+    bootstrap_draw,
     confidence_bounds,
     extract,
     fit,
@@ -53,6 +54,21 @@ class TestDtmConfig:
     def test_bootstrap_reps_floor(self):
         with pytest.raises(InvalidConfigError):
             DtmConfig(alpha=0.05, bootstrap_reps=0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("seed", -1), ("seed", 1.5), ("seed", np.nan), ("seed", "3"),
+        ("bootstrap_reps", 2.5), ("bootstrap_reps", np.nan), ("bootstrap_reps", "3"),
+        ("cutoff", np.nan), ("cutoff", np.inf), ("cutoff", -np.inf),
+        ("fix_xi", np.nan), ("fix_xi", np.inf), ("fix_xi", -np.inf), ("fix_xi", -1.0),
+        ("fix_xi", -1.5),
+    ])
+    def test_every_field_validated(self, field, bad):
+        with pytest.raises(InvalidConfigError, match=field):
+            DtmConfig(alpha=0.05, **{field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = DtmConfig(alpha=0.05, seed=np.int64(3), bootstrap_reps=np.int32(2), fix_xi=-0.5)
+        assert (cfg.seed, cfg.bootstrap_reps) == (3, 2)
 
 
 class TestRunDtm:
@@ -96,6 +112,33 @@ class TestRunDtm:
                          xi=float(np.mean([p.xi for p in fits])))
         rep = run_dtm(s, DtmConfig(alpha=0.05, seed=16, bootstrap_reps=3))
         assert rep.model.params == want  # bit-identical
+
+    @pytest.mark.parametrize("fix_xi", [None, 0.0, 0.2])
+    def test_single_replicate_is_its_fit(self, fix_xi):
+        s = chi2_series(seed=21)
+        u = quantile_cutoff(s, 0.95)
+        want = fit(extract(s, u, bootstrap_draw(s.size, 22)), fix_xi)[0]
+        rep = run_dtm(s, DtmConfig(alpha=0.05, seed=22, fix_xi=fix_xi))
+        assert rep.model.params == want  # bit-identical
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_stage_call_counts(self, monkeypatch, reps):
+        # one extract of the original series plus one per replicate, one fit
+        # per replicate and one inversion: the spans the benchmark traces
+        calls = {"extract": 0, "fit": 0, "invert_tail": 0}
+
+        def counting(name):
+            inner = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counting(name))
+        run_dtm(chi2_series(seed=23), DtmConfig(alpha=0.05, seed=24, bootstrap_reps=reps))
+        assert calls == {"extract": 1 + reps, "fit": reps, "invert_tail": 1}
 
     def test_replicate_warnings_reach_the_caller(self, monkeypatch):
         # the pipeline filters no warning
