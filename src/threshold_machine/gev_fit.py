@@ -17,9 +17,14 @@ Pareto NLL per exceedance is ``log(sigma_u / max(y)) + k + k/xi`` plus
 ``log max(y)``.  A free shape is profiled out at ``xi = k`` (Grimshaw 1993),
 restricted to ``k > -1`` (below ``xi = -1`` the likelihood is unbounded); a
 pinned shape keeps its ``xi``, with ``sigma_u = xi * max(y) / t``.  Either way
-one search minimizes the profile over ``t``: a fixed grid in ``log1p(t)``,
-then a safeguarded Newton polish on the profile's analytic score between the
-best point's grid neighbours.  A free shape that ends on the ``k > -1``
+one search minimizes the profile over ``t`` on a fixed grid in ``log1p(t)``,
+in two passes: every 4th grid point, then the points around the best and
+the runner-up of those and around the first feasible one, next to the
+``k > -1`` boundary, where a narrow dip can fall between coarse points.
+On every series tried, bounded, lattice-valued and heavy-tailed ones
+included, it finds the point a pass over the whole grid would.  A safeguarded
+Newton polish on the profile's analytic score takes over between that
+point's grid neighbours.  A free shape that ends on the ``k > -1``
 boundary pins the fitted upper endpoint near the largest exceedance and sets
 ``FitDiagnostics.boundary``; the fit raises no warning, and the pipeline
 reports the flag.  A pinned Gumbel shape is the closed form
@@ -46,6 +51,12 @@ __all__ = ["FitDiagnostics", "neg_log_likelihood", "fit"]
 # Profile grid in log1p(t): steps of 1/4 up to t = 8.1e3, through t = 0, then
 # unit steps up to t = 1e13, where shapes xi >> 1 put their optimum (t ~ n_u**xi).
 _LOG1P_T_GRID = np.concatenate([np.arange(-48, 37) / 4.0, np.arange(10.0, 31.0)])
+_T_GRID = np.expm1(_LOG1P_T_GRID)
+_GUMBEL_INDEX = 48  # t = 0, a coarse point
+# The search evaluates every _COARSE_STEP-th grid point, then the points within
+# _FINE_RADIUS of three of them.
+_COARSE_STEP = 4
+_FINE_RADIUS = 3
 # The Newton polish stops at a step this short in log1p(t), or after this
 # many evaluations.
 _V_TOL = 1e-12
@@ -56,10 +67,10 @@ _BOUNDARY_XI = 1e-6
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """``iterations`` counts likelihood evaluations: one for the grid pass plus
-    one per Newton step, a bisection included.  A pinned shape runs the same
-    search as a free one, so its count includes the grid pass too; the closed
-    form counts none.
+    """``iterations`` counts likelihood evaluations: one for the grid search,
+    both of its passes together, plus one per Newton step, a bisection
+    included.  A pinned shape runs the same search as a free one, so its
+    count includes the grid search too; the closed form counts none.
     ``init`` is the closed-form Gumbel fit.  ``n_u_used`` is the exceedance
     count of the fit.  ``boundary`` marks a free shape on the ``k > -1``
     boundary, whose fitted endpoint sits near the largest exceedance."""
@@ -91,7 +102,8 @@ def _profile(t, w: np.ndarray, shape: float | None) -> np.ndarray:
     ``w = y / max(y)``.  A free shape is ``k`` and needs ``k > -1``; a pinned
     one needs a positive scale ``sigma_u / max(y) = shape / t``.  The NLL is
     +inf where these fail."""
-    k = np.log1p(np.multiply.outer(t, w)).mean(axis=-1)
+    tw = np.multiply.outer(t, w)
+    k = np.log1p(tw, out=tw).mean(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         if shape is None:
             scale = np.where(t == 0, w.mean(), k / t)
@@ -127,8 +139,7 @@ def _newton_terms(t: float, w: np.ndarray, shape: float | None):
     return math.log(scale) + c * k, shape, scale, c * a - 1 / t, 1 / t**2 - c * b
 
 
-def _polish(w: np.ndarray, shape: float | None, v_grid: np.ndarray,
-            i: int) -> tuple[float, float, float, int, bool]:
+def _polish(w: np.ndarray, shape: float | None, i: int) -> tuple[float, float, float, int, bool]:
     """(profile NLL, xi, scale, evaluations, converged): a safeguarded Newton
     search in ``v = log1p(t)`` for the stationary point of the profile, from
     grid point ``i`` and inside its grid neighbours.
@@ -137,7 +148,8 @@ def _polish(w: np.ndarray, shape: float | None, v_grid: np.ndarray,
     infeasible point becomes the end on its side of the last feasible one.  A
     step that leaves the bracket, or one from an infeasible point or where
     the curvature is not positive, becomes a bisection.  The evaluations
-    count the grid pass."""
+    count the grid search as one."""
+    v_grid = _LOG1P_T_GRID
     lo, hi = float(v_grid[max(i - 1, 0)]), float(v_grid[min(i + 1, v_grid.size - 1)])
     v = v_feasible = float(v_grid[i])
     first = last = None
@@ -172,12 +184,32 @@ def _polish(w: np.ndarray, shape: float | None, v_grid: np.ndarray,
 
 def _search(w: np.ndarray, shape: float | None) -> tuple[float, float, float, int, bool]:
     """(profile NLL, xi, sigma_u / max(y), evaluations, converged) for a free
-    shape (``None``) or one pinned at ``shape``."""
-    # a pinned shape is feasible only where t has its sign; keeping t = 0
-    # keeps every bracket that of the full grid
-    v_grid = _LOG1P_T_GRID if shape is None else _LOG1P_T_GRID[_LOG1P_T_GRID * shape >= 0]
-    grid = _profile(np.expm1(v_grid), w, shape)
-    return _polish(w, shape, v_grid, int(np.argmin(grid)))
+    shape (``None``) or one pinned at ``shape``.
+
+    The polish starts from the best point of the whole grid, found in two
+    passes.  The coarse pass evaluates every ``_COARSE_STEP``-th point,
+    ``t = 0`` among them.  The fine pass evaluates the points within
+    ``_FINE_RADIUS`` of three coarse points: the best, the runner-up (a
+    profile can have two basins) and the first feasible one, next to a free
+    shape's ``k > -1`` boundary, where a narrow dip can fall between coarse
+    points.  Points neither pass evaluates stay +inf, and ``np.argmin`` keeps
+    the whole grid's first-index rule; the tests check that the two passes
+    pick the whole grid's point."""
+    # a pinned shape is feasible only where t has its sign; t = 0 stays in
+    lo, hi = 0, _T_GRID.size
+    if shape is not None:
+        lo, hi = (_GUMBEL_INDEX, hi) if shape > 0 else (lo, _GUMBEL_INDEX + 1)
+    grid = np.full(_T_GRID.size, np.inf)
+    coarse = _profile(_T_GRID[lo:hi:_COARSE_STEP], w, shape)
+    grid[lo:hi:_COARSE_STEP] = coarse
+    fine = np.zeros(_T_GRID.size, dtype=bool)
+    best, runner_up = np.argpartition(coarse, 1)[:2]
+    for j in (best, runner_up, np.argmax(coarse < np.inf)):
+        c = lo + _COARSE_STEP * int(j)
+        fine[max(c - _FINE_RADIUS, lo):min(c + _FINE_RADIUS + 1, hi)] = True
+    fine[lo:hi:_COARSE_STEP] = False
+    grid[fine] = _profile(_T_GRID[fine], w, shape)
+    return _polish(w, shape, int(np.argmin(grid)))
 
 
 def _gev(sigma_u: float, xi: float, u: float, n_u: int) -> GevParams:

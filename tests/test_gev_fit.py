@@ -9,6 +9,7 @@ from scipy.optimize import brentq, minimize
 
 from threshold_machine import (
     DegenerateHeightsError,
+    ErGraphSpec,
     ExceedanceSet,
     GeneratorSpec,
     GevParams,
@@ -19,10 +20,11 @@ from threshold_machine import (
     generate,
     neg_log_likelihood,
     quantile_cutoff,
+    scan_series,
     tail_fn,
 )
 from threshold_machine import gev_fit
-from threshold_machine.resample import make_rng
+from threshold_machine.resample import bootstrap_draw, make_rng
 
 
 def exc_set(heights, u, n=None):
@@ -46,6 +48,35 @@ CRITERION5_FAMILIES = {
 }
 
 
+# series whose tails are hard on a grid search: bounded and flat, lattice
+# valued, infinite mean, and the criterion-7 scan statistic
+HARD_SERIES = {
+    "uniform": lambda: make_rng(0).random(1000),
+    "beta11": lambda: generate(GeneratorSpec.beta(1, 1, 10_000, 3)),
+    "poisson": lambda: make_rng(4).poisson(3, 10_000).astype(float),
+    "rounded-gaussian": lambda: np.round(make_rng(5).standard_normal(10_000), 1),
+    "pareto0.8": lambda: generate(GeneratorSpec.pareto(0.8, 10_000, 6)),
+    "t1": lambda: generate(GeneratorSpec.student_t(1, 10_000, 7)),
+    "scan": lambda: scan_series(ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0), 5000),
+}
+SEARCH_SHAPES = (None, -0.9, -0.2, -1e-6, 1e-6, 0.2, 1.5)
+
+
+def search_weights(spec_or_series, q, draw_seed=None):
+    """``y / max(y)`` of the exceedances above the q cutoff, of the series or
+    of its bootstrap replicate ``draw_seed``; None for fewer than two
+    distinct heights, which fit rejects."""
+    s = spec_or_series
+    if isinstance(s, GeneratorSpec):
+        s = generate(s)
+    draw = None if draw_seed is None else bootstrap_draw(s.size, draw_seed)
+    e = extract(s, quantile_cutoff(s, q), draw)
+    y = e.heights - e.cutoff
+    if y.size == 0 or y.min() == y.max():
+        return None
+    return y / y.max()
+
+
 # each family with a free shape (id: the family), then with the shape pinned
 POLISH_CASES = [pytest.param(f, None, id=f) for f in sorted(CRITERION5_FAMILIES)] + [
     pytest.param(f, xi, id=f"{f}-xi={xi:g}")
@@ -54,10 +85,10 @@ POLISH_CASES = [pytest.param(f, None, id=f) for f in sorted(CRITERION5_FAMILIES)
 
 
 def full_grid_search(w, shape):
-    """``gev_fit._search`` over the whole grid, infeasible points included."""
-    v_grid = gev_fit._LOG1P_T_GRID
-    grid = gev_fit._profile(np.expm1(v_grid), w, shape)
-    return gev_fit._polish(w, shape, v_grid, int(np.argmin(grid)))
+    """The one-pass search the two-level ``gev_fit._search`` must equal: the
+    polish from the best point of the whole grid, infeasible points included."""
+    grid = gev_fit._profile(np.expm1(gev_fit._LOG1P_T_GRID), w, shape)
+    return gev_fit._polish(w, shape, int(np.argmin(grid)))
 
 
 def profile_score(t, w, shape):
@@ -235,6 +266,55 @@ class TestFit:
             w = y / y.max()
             for xi in (-0.9, -0.5, -0.2, -1e-6, 1e-6, 0.2, 0.5, 1.5):
                 assert gev_fit._search(w, xi) == full_grid_search(w, xi), (seed, xi)
+
+    @pytest.mark.parametrize("name", sorted(HARD_SERIES))
+    def test_search_matches_full_grid_on_hard_data(self, name):
+        # the two grid passes find the full grid's best point, free or pinned,
+        # on bootstrap replicates too, and down to a few exceedances at q = 0.999
+        s = HARD_SERIES[name]()
+        for q in (0.9, 0.99, 0.999):
+            for draw_seed in (None, 1, 2):
+                w = search_weights(s, q, draw_seed)
+                if w is None:
+                    continue
+                for shape in SEARCH_SHAPES:
+                    assert gev_fit._search(w, shape) == full_grid_search(w, shape), (
+                        q, draw_seed, shape)
+
+    @pytest.mark.parametrize("spec, q, draw_seed, xi", [
+        # the full grid's best point is a narrow dip at the k > -1 boundary,
+        # between coarse points and away from the coarse minimum
+        pytest.param(GeneratorSpec.chi_square(1, 10_000, 20), 0.999, None, -1, id="chi2-edge"),
+        pytest.param(GeneratorSpec.student_t(1, 10_000, 30), 0.999, 2, -1, id="t1-edge"),
+        # two basins: the coarse minimum lies in the boundary one, the full
+        # grid's best point next to the runner-up
+        pytest.param(GeneratorSpec.beta(1, 1, 10_000, 7), 0.99, None, -0.983, id="beta11-runner-up"),
+    ])
+    def test_search_windows_cover_edge_and_runner_up(self, spec, q, draw_seed, xi):
+        w = search_weights(spec, q, draw_seed)
+        found = gev_fit._search(w, None)
+        assert found == full_grid_search(w, None)
+        assert found[1] == pytest.approx(xi, abs=1e-3)
+
+    def test_coarse_pass_holds_the_gumbel_point(self):
+        # so a free fit is never above init, and a pinned shape's sign
+        # subgrid starts or ends with a coarse point
+        i = gev_fit._GUMBEL_INDEX
+        assert gev_fit._T_GRID[i] == 0 and i % gev_fit._COARSE_STEP == 0
+
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES)
+    def test_profile_rows_do_not_depend_on_the_batch(self, shape):
+        # the two-level search relies on each grid row's bits being the same
+        # whichever rows one _profile call evaluates
+        t = gev_fit._T_GRID
+        rng = make_rng(8)
+        for name, spec in CRITERION5_FAMILIES.items():
+            w = search_weights(spec, 0.95)
+            full = gev_fit._profile(t, w, shape)
+            for size in (1, 2, 7, 27, 50):
+                rows = np.sort(rng.choice(t.size, size, replace=False))
+                part = gev_fit._profile(t[rows], w, shape)
+                assert part.tobytes() == full[rows].tobytes(), (name, rows)
 
     @pytest.mark.parametrize("family, fix_xi", POLISH_CASES)
     def test_simplex_polish_finds_nothing_lower(self, family, fix_xi):
