@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +20,19 @@ WARN_EXCEEDANCES = 30
 
 @dataclass(frozen=True)
 class ExceedanceSet:
-    """Samples strictly above a cutoff, with their 1-based indices."""
+    """Samples strictly above a cutoff, with their 1-based indices.
+
+    A set that :func:`extract` cut from a series keeps that validated series
+    as ``path``, without a copy, so that :func:`extract` can gather bootstrap
+    replicates from it; a set made through a draw, or built directly, keeps
+    none.
+    """
 
     cutoff: float
     indices: np.ndarray  # int, strictly increasing, within [1, source_len]
     heights: np.ndarray  # float, each > cutoff
     source_len: int
+    path: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.indices) != len(self.heights):
@@ -77,22 +84,47 @@ def quantile_cutoff(values, q: float) -> float:
 def extract(values, u: float, draw=None) -> ExceedanceSet:
     """All (index, value) pairs with value strictly above u, in index order.
 
+    ``values`` is a series, or the set that ``extract(series, u)`` returned:
+    the series is validated and thresholded only when it is given itself.
     With ``draw``, a one-dimensional integer index array such as
-    :func:`~threshold_machine.resample.bootstrap_draw`, this is the
-    exceedance set of ``values[draw]``, built without that array: the mask of
-    ``values`` is gathered through ``draw`` and heights are gathered only at
-    the hits.  The result may be empty; downstream fitters are the ones that
-    reject too-small sets.
+    :func:`~threshold_machine.resample.bootstrap_draw`, the result is the
+    exceedance set of ``series[draw]``, gathered from the series' own
+    exceedance set without that array: a hit table scattered from the set's
+    indices is gathered through ``draw``, and heights are read from the
+    series only at the hits, so a bootstrap replicate neither re-validates
+    nor re-thresholds the series.  The result may be empty; downstream
+    fitters are the ones that reject too-small sets.
     """
-    arr = as_series(values)
-    mask = arr > u
-    if draw is not None:
-        mask = np.take(mask, draw)  # the mask of values[draw]; take outpaces mask[draw]
+    if isinstance(values, ExceedanceSet):
+        exc = values
+        if float(u) != exc.cutoff:
+            raise ValueError(f"u={u} differs from the set's cutoff {exc.cutoff}")
+    else:
+        arr = as_series(values)
+        pos = (arr > u).nonzero()[0]
+        exc = ExceedanceSet(
+            cutoff=float(u),
+            indices=(pos + 1).astype(np.int64, copy=False),  # 1-based
+            heights=arr[pos],
+            source_len=arr.size,
+            path=arr,
+        )
+    if draw is None:
+        return exc
+    path = exc.path
+    if path is None:
+        raise ValueError(
+            "a draw applies only to a set that extract cut from a series; "
+            "this set keeps no series, as it was made through a draw or built directly"
+        )
+    hits = np.zeros(path.size, dtype=bool)
+    hits[exc.indices - 1] = True
+    mask = np.take(hits, draw)  # the hits of series[draw]; take outpaces hits[draw]
     pos = mask.nonzero()[0]
     return ExceedanceSet(
-        cutoff=float(u),
-        indices=(pos + 1).astype(np.int64, copy=False),  # 1-based
-        heights=arr[pos] if draw is None else arr[draw[pos]],
+        cutoff=exc.cutoff,
+        indices=(pos + 1).astype(np.int64, copy=False),
+        heights=path[draw[pos]],
         source_len=mask.size,
     )
 

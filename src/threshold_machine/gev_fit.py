@@ -103,10 +103,13 @@ def _profile(t, w: np.ndarray, shape: float | None) -> np.ndarray:
     one needs a positive scale ``sigma_u / max(y) = shape / t``.  The NLL is
     +inf where these fail."""
     tw = np.multiply.outer(t, w)
-    k = np.log1p(tw, out=tw).mean(axis=-1)
+    k = np.log1p(tw, out=tw).sum(axis=-1) / w.size  # np.mean's own arithmetic
     with np.errstate(divide="ignore", invalid="ignore"):
         if shape is None:
-            scale = np.where(t == 0, w.mean(), k / t)
+            scale = k / t
+            gumbel = t == 0
+            if gumbel.any():
+                scale[gumbel] = w.mean()  # the limit of k / t at t = 0
             return np.where(k > -1, np.log(scale) + 1 + k, np.inf)
         scale = np.divide(shape, t)
         return np.where(scale > 0, np.log(scale) + k + k / shape, np.inf)

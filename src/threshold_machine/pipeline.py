@@ -11,8 +11,9 @@ above the same u, and returns the threshold
 so that the fitted max distribution satisfies G(x)^theta = 1 - alpha.
 
 Only a replicate's exceedance heights reach the fit, so a replicate is its
-index draw, and its exceedances are gathered through the draw from the
-original series without copying it.
+index draw, and its exceedances are the original series' exceedance set
+gathered through the draw: no replicate re-validates, re-thresholds or
+copies the series.
 
 Fewer than ``exceedance.MIN_EXCEEDANCES`` exceedances above u on the
 original series fail the run.
@@ -124,7 +125,7 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     fits: list[GevParams] = []
     diags: list[FitDiagnostics] = []
     for r in range(cfg.bootstrap_reps):
-        params_r, diag_r = fit(extract(s, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
+        params_r, diag_r = fit(extract(exc, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
         fits.append(params_r)
         diags.append(diag_r)
     if len(fits) == 1:

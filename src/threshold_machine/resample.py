@@ -10,8 +10,9 @@ documented integer.
 
 A bootstrap replicate is defined by its index draw alone
 (:func:`bootstrap_draw`): :func:`bootstrap` gathers the series through it,
-and :func:`exceedance.extract` gathers only the exceedances through it, so
-the pipeline never copies the path.
+and :func:`exceedance.extract` gathers the original series' exceedance set
+through it, so no pipeline replicate re-validates, re-thresholds or copies
+the path.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ with bootstrap averaging (10 replicates) for the curve/sign experiments.
 import dataclasses
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +41,8 @@ from threshold_machine import (
 )
 from threshold_machine.resample import make_rng
 
-warnings.filterwarnings("ignore")
+# silences warnings in this module's tests only, not in the rest of the test run
+pytestmark = pytest.mark.filterwarnings("ignore")
 
 
 def report_line(num, name, passed, detail):

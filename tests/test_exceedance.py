@@ -91,7 +91,8 @@ class TestExtract:
 
 
 class TestExtractThroughDraw:
-    """``extract(s, u, draw)`` is the exceedance set of the resampled path."""
+    """``extract(s, u, draw)`` is the exceedance set of the resampled path, and
+    so is ``extract(extract(s, u), u, draw)``, gathered from the original set."""
 
     @staticmethod
     def assert_same_set(got, want):
@@ -102,29 +103,88 @@ class TestExtractThroughDraw:
         assert got.heights.dtype == want.heights.dtype
         assert got.heights.tobytes() == want.heights.tobytes()  # bitwise, same order
 
+    def assert_replicate(self, s, u, seed):
+        """Both draw paths give the exceedance set of ``bootstrap(s, seed)``."""
+        want = extract(bootstrap(s, seed), u)
+        draw = bootstrap_draw(len(s), seed)
+        got = extract(s, u, draw)
+        self.assert_same_set(got, want)
+        self.assert_same_set(extract(extract(s, u), u, draw), want)
+        return got
+
     def test_real_valued_path(self):
         s = np.random.default_rng(12).standard_t(4, size=5_000)
         u = quantile_cutoff(s, 0.95)
         for seed in (0, 1, 2):
-            got = extract(s, u, bootstrap_draw(s.size, seed))
-            assert got.n_u > 0
-            self.assert_same_set(got, extract(bootstrap(s, seed), u))
+            assert self.assert_replicate(s, u, seed).n_u > 0
 
     def test_lattice_path_with_ties_at_cutoff(self):
         s = np.random.default_rng(13).integers(0, 6, size=2_000).astype(float)
         u = quantile_cutoff(s, 0.7)
         assert np.sum(s == u) > 100  # many ties at u, all excluded
         for seed in (3, 4):
-            got = extract(s, u, bootstrap_draw(s.size, seed))
+            got = self.assert_replicate(s, u, seed)
             assert got.n_u > 0 and np.all(got.heights > u)
-            self.assert_same_set(got, extract(bootstrap(s, seed), u))
 
     def test_draw_without_exceedances(self):
         s = np.arange(10.0)
-        draw = bootstrap_draw(s.size, 0)  # never draws index 9, the one value above 8
-        got = extract(s, 8.0, draw)
-        assert got.n_u == 0
-        self.assert_same_set(got, extract(bootstrap(s, 0), 8.0))
+        # never draws index 9, the one value above 8
+        assert self.assert_replicate(s, 8.0, 0).n_u == 0
+
+    def test_list_input_keeps_a_validated_path(self):
+        s = [1.0, 3.0, 2.0, 5.0]
+        exc = extract(s, 2.5)
+        assert exc.path.dtype == np.float64 and exc.path.tolist() == s
+        self.assert_replicate(s, 2.5, 5)
+
+    def test_negative_draw_entries(self):
+        s = np.random.default_rng(14).normal(size=300)
+        u = quantile_cutoff(s, 0.8)
+        draw = np.random.default_rng(15).integers(-300, 300, size=300)
+        assert np.any(draw < 0)
+        want = extract(s[draw], u)
+        self.assert_same_set(extract(s, u, draw), want)
+        self.assert_same_set(extract(extract(s, u), u, draw), want)
+
+    @pytest.mark.parametrize("m", [1, 77, 1_000])
+    def test_draw_length_sets_source_len(self, m):
+        s = np.random.default_rng(16).exponential(size=300)
+        u = quantile_cutoff(s, 0.9)
+        draw = np.random.default_rng(m).integers(0, s.size, size=m)
+        got = extract(extract(s, u), u, draw)
+        assert got.source_len == m
+        self.assert_same_set(got, extract(s[draw], u))
+        self.assert_same_set(extract(s, u, draw), got)
+
+    def test_out_of_range_entry(self):
+        s = np.arange(10.0)
+        for bad in (10, -11):
+            draw = np.array([0, bad, 3])
+            with pytest.raises(IndexError):
+                extract(extract(s, 4.0), 4.0, draw)
+            with pytest.raises(IndexError):
+                extract(s, 4.0, draw)
+
+    def test_set_without_draw_is_returned(self):
+        s = np.random.default_rng(17).normal(size=100)
+        exc = extract(s, 0.5)
+        assert extract(exc, 0.5) is exc
+
+    def test_set_made_through_a_draw_is_refused(self):
+        s = np.random.default_rng(18).normal(size=100)
+        draw = bootstrap_draw(s.size, 0)
+        replicate = extract(s, 0.5, draw)
+        assert replicate.path is None
+        with pytest.raises(ValueError, match="made through a draw"):
+            extract(replicate, 0.5, draw)
+
+    def test_cutoff_must_match_the_set(self):
+        s = np.random.default_rng(19).normal(size=100)
+        exc = extract(s, 0.5)
+        with pytest.raises(ValueError, match="cutoff"):
+            extract(exc, 0.25, bootstrap_draw(s.size, 0))
+        with pytest.raises(ValueError, match="cutoff"):
+            extract(exc, 0.25)
 
 
 class TestGaps:

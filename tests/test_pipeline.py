@@ -24,7 +24,7 @@ from threshold_machine import (
     quantile_cutoff,
     run_dtm,
 )
-from threshold_machine import pipeline
+from threshold_machine import exceedance, pipeline, resample
 from threshold_machine.exceedance import WARN_EXCEEDANCES
 
 
@@ -123,8 +123,10 @@ class TestRunDtm:
 
     @pytest.mark.parametrize("reps", [1, 3])
     def test_stage_call_counts(self, monkeypatch, reps):
-        # one extract of the original series plus one per replicate, one fit
-        # per replicate and one inversion: the spans the benchmark traces
+        # one extract of the original series, which validates and thresholds
+        # it, plus one per replicate, which gathers that exceedance set
+        # through the replicate's draw; one fit per replicate and one
+        # inversion: the spans the benchmark traces
         calls = {"extract": 0, "fit": 0, "invert_tail": 0}
 
         def counting(name):
@@ -139,6 +141,25 @@ class TestRunDtm:
             monkeypatch.setattr(pipeline, name, counting(name))
         run_dtm(chi2_series(seed=23), DtmConfig(alpha=0.05, seed=24, bootstrap_reps=reps))
         assert calls == {"extract": 1 + reps, "fit": reps, "invert_tail": 1}
+
+    def test_path_validated_independently_of_reps(self, monkeypatch):
+        # replicates reuse the original exceedance set, not the series
+        calls = []
+        original = resample.as_series
+
+        def counting(values):
+            calls.append(len(values))
+            return original(values)
+
+        for mod in (pipeline, exceedance, resample):
+            monkeypatch.setattr(mod, "as_series", counting)
+        s = chi2_series(seed=25)
+        counts = []
+        for reps in (1, 10):
+            calls.clear()
+            run_dtm(s, DtmConfig(alpha=0.05, seed=26, bootstrap_reps=reps))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_replicate_warnings_reach_the_caller(self, monkeypatch):
         # the pipeline filters no warning
