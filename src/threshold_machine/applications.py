@@ -24,7 +24,7 @@ from .errors import (
 )
 from .generators import GeneratorSpec, generate
 from .pipeline import DtmConfig, ThresholdReport, arl_to_alpha, confidence_bounds, run_dtm
-from .resample import make_rng
+from .resample import check_seed, make_rng
 
 __all__ = [
     "ErGraphSpec",
@@ -65,6 +65,7 @@ class ErGraphSpec:
             raise InvalidSpecError("community probability p1 must be >= p0")
         if not (1 <= self.k <= self.N):
             raise InvalidSpecError(f"community size k must lie in [1, N], got {self.k}")
+        check_seed(self.seed, InvalidSpecError)
 
 
 def _sample_adjacency(spec: ErGraphSpec, rng: np.random.Generator, planted: bool) -> np.ndarray:
@@ -199,6 +200,7 @@ class MmdStreamSpec:
             raise InvalidSpecError("horizon too short for one sliding statistic")
         if self.train_len < 2:
             raise InvalidSpecError("train_len must be >= 2")
+        check_seed(self.seed, InvalidSpecError)
 
 
 @dataclass(frozen=True)
@@ -317,8 +319,12 @@ class BanditSpec:
             raise InvalidSpecError("burn_in must be >= 2")
         if self.window < 1:
             raise InvalidSpecError("window must be >= 1")
-        if self.arm_seeds is not None and len(self.arm_seeds) != len(self.tail_exponents):
-            raise InvalidSpecError("arm_seeds must match the number of arms")
+        check_seed(self.seed, InvalidSpecError)
+        if self.arm_seeds is not None:
+            if len(self.arm_seeds) != len(self.tail_exponents):
+                raise InvalidSpecError("arm_seeds must match the number of arms")
+            for seed in self.arm_seeds:
+                check_seed(seed, InvalidSpecError)
 
     @property
     def n_arms(self) -> int:

@@ -8,7 +8,11 @@ Supported kinds:
 - ``pareto(alpha_tail)`` via inverse-CDF draws (heavy tail, support [1, inf))
 - ``gaussian_ar1(m)``: S_t = exp(-1/m) S_{t-1} + sqrt(1 - exp(-2/m)) Z_t,
   a stationary standard Gaussian process with correlation length m
-  (m = 0 means iid); a burn-in of 10*m steps is discarded
+  (m = 0 means iid); a burn-in of 10*m steps is discarded.  The recursion
+  runs in place on the scaled draws as a blocked scan: the path is cut into
+  rows of 64 steps (fewer for m < 0.32), each a scaled cumulative sum, and
+  only the row ends are carried from row to row, so with 64-step rows the
+  draws are the only path-sized array
 - ``moving_average(base, window)``: sliding mean of an iid base spec
 
 Everything draws from the package PRNG (PCG64), so a spec is reproducible
@@ -19,15 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .resample import make_rng
+from .resample import check_seed, make_rng
 
 __all__ = ["GeneratorSpec", "generate"]
 
 _KINDS = ("beta", "chi_square", "student_t", "pareto", "gaussian_ar1", "moving_average")
+# The AR(1) scan's rows of at most _ROW steps bound the rounding of each
+# row's cumulative sum; it works _CHUNK elements at a time, so that the passes
+# over one chunk find it in cache.
+_ROW, _CHUNK = 64, 1 << 15
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidSpecError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidSpecError(f"series length must be >= 1, got {self.n}")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise InvalidSpecError(f"series length must be an integer >= 1, got {self.n!r}")
+        check_seed(self.seed, InvalidSpecError)
         _validate_params(self.kind, self.params)
 
     # -- convenience constructors ------------------------------------------
@@ -89,9 +99,16 @@ class GeneratorSpec:
             params = dict(d.get("params", {}))
             if d["kind"] == "moving_average":
                 params["base"] = cls.from_dict(params["base"])
-            return cls(d["kind"], params, int(d["n"]), int(d["seed"]))
+                params["window"] = _whole(params.get("window"))
+            return cls(d["kind"], params, _whole(d["n"]), _whole(d["seed"]))
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidSpecError(f"malformed generator spec: {e}") from e
+
+
+def _whole(value):
+    # JSON may write a count as a float (1e6); a whole one stands for its
+    # integer, and anything else is left for the spec's checks to refuse
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _validate_params(kind: str, p: dict) -> None:
@@ -121,8 +138,9 @@ def _validate_params(kind: str, p: dict) -> None:
             raise InvalidSpecError("moving_average needs a base GeneratorSpec")
         if base.kind in ("gaussian_ar1", "moving_average"):
             raise InvalidSpecError("moving_average base must be an iid kind")
-        if not (p.get("window", 0) >= 1):
-            raise InvalidSpecError(f"window must be >= 1, got {p.get('window')}")
+        window = p.get("window")
+        if not isinstance(window, Integral) or window < 1:
+            raise InvalidSpecError(f"window must be an integer >= 1, got {window!r}")
 
 
 def _draw_iid(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,6 +160,33 @@ def _draw_iid(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarra
     raise InvalidSpecError(f"{kind} is not an iid kind")  # pragma: no cover
 
 
+def _ar1_scan(rows: np.ndarray, m: float) -> None:
+    """Replace the path laid out as ``rows`` by S_t = phi S_{t-1} + x_t,
+    S_1 = x_1, in place, with phi = exp(-1/m)."""
+    # Row r from its carry-in c_r = phi T_{r-1} is, at step j,
+    # phi**j * (c_r + cumsum(x_j phi**-j)).  The row ends follow
+    # T_r = E_r + phi**b T_{r-1}, with E_r the row's end from a zero start,
+    # run as a doubling scan (Blelloch 1990) over the ends only: after the
+    # pass with offset k, T_r holds sum_{i<2k} phi**(b i) E_{r-i}; later terms
+    # are exactly 0 once k covers the rows or the weight underflows.
+    b = rows.shape[1]
+    j = np.arange(b)
+    up, down = np.exp(j / m), np.exp(-j / m)
+    ends = rows @ down[::-1]  # E_r = sum_j x_j phi**(b-1-j)
+    k, a = 1, math.exp(-b / m)
+    while k < ends.size and a > 0:
+        ends[k:] += a * ends[:-k]
+        k, a = 2 * k, a * a
+    carry = np.concatenate(([0.0], math.exp(-1.0 / m) * ends[:-1]))
+    step = _CHUNK // b
+    for i in range(0, len(rows), step):
+        blk = rows[i:i + step]
+        blk *= up
+        blk[:, 0] += carry[i:i + step]
+        np.cumsum(blk, axis=1, out=blk)
+        blk *= down
+
+
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Generate the series described by ``spec``; deterministic given seed."""
     rng = make_rng(spec.seed)
@@ -152,20 +197,19 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         if m == 0:
             return rng.standard_normal(n)
         burn = int(math.ceil(10 * m))
-        phi = math.exp(-1.0 / m)
         innov_sd = math.sqrt(1.0 - math.exp(-2.0 / m))
-        z = rng.standard_normal(n + burn)
-        # S_t = phi * S_{t-1} + x_t with x_1 = Z_1 (stationary start), as a
-        # doubling scan (Blelloch 1990): after the pass with offset k, s_t
-        # holds sum_{j<2k} phi**j x_{t-j}.  Later terms are exactly 0 once
-        # k covers the path or phi**k underflows.
-        s = innov_sd * z
-        s[0] = z[0]
-        k, a = 1, phi
-        while k < s.size and a > 0:
-            s[k:] += a * s[:-k]
-            k, a = 2 * k, a * a
-        return s[burn:]
+        # Rows of b steps.  b comes from m, not from log(phi), which is -inf
+        # once phi underflows (m < 1/745); (b - 1)/m <= 200 keeps phi**-j far
+        # from overflow.  The draws fill whole rows: the ones past n + burn
+        # continue the stream and are dropped.
+        b = min(_ROW, 1 + int(200 * m))
+        z = rng.standard_normal(-(-(n + burn) // b) * b)
+        # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
+        z0 = z[0]
+        z *= innov_sd
+        z[0] = z0
+        _ar1_scan(z.reshape(-1, b), m)
+        return z[burn:burn + n]
 
     if spec.kind == "moving_average":
         base: GeneratorSpec = spec.params["base"]

@@ -36,7 +36,7 @@ from .evt_core import GevParams, TailModel, invert_tail
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
 from .gev_fit import FitDiagnostics, fit
-from .resample import as_series, bootstrap_draw
+from .resample import as_series, bootstrap_draw, check_seed
 
 __all__ = ["DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidence_bounds"]
 
@@ -67,8 +67,7 @@ class DtmConfig:
             )
         if self.cutoff is not None and not math.isfinite(self.cutoff):
             raise InvalidConfigError(f"cutoff must be finite, got {self.cutoff}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed, InvalidConfigError)
         if not isinstance(self.bootstrap_reps, Integral) or self.bootstrap_reps < 1:
             raise InvalidConfigError(
                 f"bootstrap_reps must be an integer >= 1, got {self.bootstrap_reps!r}"

@@ -17,11 +17,13 @@ the path.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
-from .errors import InvalidSeriesError
+from .errors import DtmError, InvalidSeriesError
 
-__all__ = ["as_series", "make_rng", "bootstrap_draw", "bootstrap"]
+__all__ = ["as_series", "check_seed", "make_rng", "bootstrap_draw", "bootstrap"]
 
 
 def as_series(values) -> np.ndarray:
@@ -37,6 +39,12 @@ def as_series(values) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidSeriesError("series contains non-finite values")
     return arr
+
+
+def check_seed(seed, error: type[DtmError]) -> None:
+    """Raise ``error`` unless ``seed`` is a valid seed: a non-negative integer."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise error(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

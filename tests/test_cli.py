@@ -77,6 +77,27 @@ class TestThresholdCommand:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["code"] == "invalid-config"
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}', "--seed", "-1"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}, "n": 1000.5}',
+         "--seed", "1"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}, "seed": 2.5}',
+         "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5}', "--seed", "-1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "seed": -3}',
+         "--seed", "1"],
+        ["app", "changepoint", "--spec", "{}", "--seed", "-1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0]}', "--seed", "-1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "arm_seeds": [1, -2]}',
+         "--seed", "1"],
+    ], ids=["validate-flag", "validate-fractional-n", "validate-fractional-seed", "scan-flag",
+            "scan-spec", "changepoint-flag", "bandit-flag", "bandit-arm-seeds"])
+    def test_invalid_spec_is_input_error(self, argv, tmp_path):
+        out = tmp_path / "error.json"
+        extra = ["--alpha", "0.05"] if argv[0] == "validate" else ["--outdir", str(tmp_path / "x")]
+        assert main([*argv, *extra, "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["error"]["code"] == "invalid-spec"
+
     def test_non_numeric_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1.0\nbanana\n2.0\n")

@@ -1,6 +1,7 @@
 """Tests for the synthetic series generators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,25 @@ class TestValidation:
             GeneratorSpec.pareto(-1.0, 10, 0)
         with pytest.raises(InvalidSpecError):
             GeneratorSpec.gaussian_ar1(-5, 10, 0)
+        with pytest.raises(InvalidSpecError):
+            GeneratorSpec.moving_average(GeneratorSpec.pareto(3.5, 1, 0), 2.5, 100, 0)
 
     def test_moving_average_needs_iid_base(self):
         base = GeneratorSpec.gaussian_ar1(10, 1, 0)
         with pytest.raises(InvalidSpecError):
             GeneratorSpec.moving_average(base, 5, 100, 0)
+
+    @pytest.mark.parametrize("n, seed", [(0, 1), (10.0, 1), (10, -1), (10, 2.0), (10, "3")])
+    def test_length_and_seed_are_checked(self, n, seed):
+        with pytest.raises(InvalidSpecError):
+            GeneratorSpec.chi_square(1, n, seed)
+
+    def test_from_dict_refuses_fractions(self):
+        d = GeneratorSpec.chi_square(1, 1000, 4).to_dict()
+        assert GeneratorSpec.from_dict({**d, "n": 1e3, "seed": 4.0}) == GeneratorSpec.from_dict(d)
+        for key in ("n", "seed"):
+            with pytest.raises(InvalidSpecError):
+                GeneratorSpec.from_dict({**d, key: 1000.5})
 
     def test_dict_round_trip(self):
         base = GeneratorSpec.pareto(3.5, 1, 0)
@@ -94,8 +109,10 @@ class TestGaussianAr1:
         assert abs(np.mean(s)) <= 0.05
         assert np.var(s) == pytest.approx(1.0, abs=0.1)
 
-    @pytest.mark.parametrize("m", [0.3, 1, 50, 500, 1e4])
-    @pytest.mark.parametrize("n", [1, 10, 10_000])
+    # m = 1e-3 underflows phi to 0.0 and m = 0.05 gives short scan rows; the
+    # lengths sit below, at and across the 64-step row edges
+    @pytest.mark.parametrize("m", [1e-3, 0.05, 0.3, 1, 50, 500, 1e4])
+    @pytest.mark.parametrize("n", [1, 10, 63, 64, 65, 129, 10_000, 200_001])
     def test_matches_linear_filter(self, m, n):
         # the recursion S_t = phi S_{t-1} + x_t on the same draws, by scipy
         burn, phi = math.ceil(10 * m), math.exp(-1 / m)
@@ -105,6 +122,18 @@ class TestGaussianAr1:
         ref = lfilter([1.0], [1.0, -phi], x)[burn:]
         s = generate(GeneratorSpec.gaussian_ar1(m, n, 21))
         assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_peak_memory_is_the_draws(self):
+        # the scan runs in place on the draws, with no path-sized temporary
+        n, burn = 10**6, 500
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            generate(GeneratorSpec.gaussian_ar1(50, n, 13))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (n + burn)
 
     def test_iid_case_is_standard_normal(self):
         s = generate(GeneratorSpec.gaussian_ar1(0, 10_000, 11))
