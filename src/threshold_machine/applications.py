@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,12 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise InvalidSpecError unless ``value`` is an integer >= ``low``."""
+    if not (isinstance(value, Integral) and value >= low):
+        raise InvalidSpecError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # scan statistics over a random graph
 # ---------------------------------------------------------------------------
@@ -63,7 +70,9 @@ class ErGraphSpec:
             raise InvalidSpecError("edge probabilities must lie in [0, 1]")
         if self.p1 < self.p0:
             raise InvalidSpecError("community probability p1 must be >= p0")
-        if not (1 <= self.k <= self.N):
+        _check_count("N", self.N, 1)
+        _check_count("k", self.k, 1)
+        if self.k > self.N:
             raise InvalidSpecError(f"community size k must lie in [1, N], got {self.k}")
         check_seed(self.seed, InvalidSpecError)
 
@@ -86,8 +95,7 @@ def scan_series(spec: ErGraphSpec, n_subgraphs: int, planted: bool = False) -> n
     picks k nodes uniformly without replacement and counts the edges among
     them.  Values are integers in [0, k*(k-1)/2].
     """
-    if n_subgraphs < 1:
-        raise InvalidSpecError(f"n_subgraphs must be >= 1, got {n_subgraphs}")
+    _check_count("n_subgraphs", n_subgraphs, 1)
     rng = make_rng(spec.seed)
     W = _sample_adjacency(spec, rng, planted)
     out = np.empty(n_subgraphs)
@@ -190,16 +198,18 @@ class MmdStreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.block_size < 2:
-            raise InvalidSpecError(f"block_size must be >= 2, got {self.block_size}")
+        _check_count("block_size", self.block_size, 2)
+        _check_count("n_nodes", self.n_nodes, 2)
+        _check_count("horizon", self.horizon, 1)
+        _check_count("train_len", self.train_len, 2)
+        if self.change_time is not None and not isinstance(self.change_time, Integral):
+            raise InvalidSpecError(f"change_time must be an integer, got {self.change_time!r}")
         if self.bandwidth is not None and not (self.bandwidth > 0):
             raise InvalidSpecError(f"bandwidth must be positive, got {self.bandwidth}")
         if not (0.0 <= self.p_pre <= 1.0 and 0.0 <= self.p_post <= 1.0):
             raise InvalidSpecError("edge probabilities must lie in [0, 1]")
         if self.horizon < 2 * self.block_size + 1:
             raise InvalidSpecError("horizon too short for one sliding statistic")
-        if self.train_len < 2:
-            raise InvalidSpecError("train_len must be >= 2")
         check_seed(self.seed, InvalidSpecError)
 
 
@@ -315,10 +325,8 @@ class BanditSpec:
             raise InvalidSpecError("tail exponents must be positive")
         if not (0.0 < self.delta < 1.0):
             raise InvalidSpecError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.burn_in < 2:
-            raise InvalidSpecError("burn_in must be >= 2")
-        if self.window < 1:
-            raise InvalidSpecError("window must be >= 1")
+        _check_count("burn_in", self.burn_in, 2)
+        _check_count("window", self.window, 1)
         check_seed(self.seed, InvalidSpecError)
         if self.arm_seeds is not None:
             if len(self.arm_seeds) != len(self.tail_exponents):

@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 import time
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -239,29 +240,43 @@ def _spec_errors(harness: str):
         raise InvalidSpecError(f"malformed {harness} spec: {e!r}") from e
 
 
+def _pop_count(spec_dict: dict, key: str, default: int, harness: str) -> int:
+    """Pop a harness count, which must be an integer >= 1."""
+    value = spec_dict.pop(key, default)
+    if not (isinstance(value, Integral) and value >= 1):
+        raise InvalidSpecError(
+            f"malformed {harness} spec: {key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     alphas = spec_dict.pop("alphas", [0.1, 0.05, 0.03, 0.01])
-    n_subgraphs = spec_dict.pop("n_subgraphs", 5000)
-    mc_reps = spec_dict.pop("mc_reps", 100)
+    if not (isinstance(alphas, list) and alphas
+            and all(isinstance(a, Real) and 0 < a < 1 for a in alphas)):
+        raise InvalidSpecError(
+            f"malformed scan spec: alphas must be a non-empty list of levels in (0, 1), "
+            f"got {alphas!r}")
+    n_subgraphs = _pop_count(spec_dict, "n_subgraphs", 5000, "scan")
+    mc_reps = _pop_count(spec_dict, "mc_reps", 100, "scan")
     quantile = spec_dict.pop("cutoff_quantile", 0.95)
     with _spec_errors("scan"):
         spec = ErGraphSpec(**spec_dict)
+        # no stage but the inversion reads alpha, so one fit answers every
+        # level; of its codes only small-sample reads alpha, and below 0.86
+        # its bound falls as alpha rises, so the smallest level raises every
+        # code any does
+        cfg = DtmConfig(alpha=min(alphas), cutoff_quantile=quantile, seed=spec.seed + 1)
     series = scan_series(spec, n_subgraphs)
     _write_csv(outdir / "scan_series.csv", ["index", "statistic"],
                enumerate(series, start=1))
-
-    reports = {}
-    for alpha in alphas:
-        cfg = DtmConfig(alpha=alpha, cutoff_quantile=quantile, seed=spec.seed + 1)
-        reports[str(alpha)] = run_dtm(series, cfg)
+    report = run_dtm(series, cfg)
 
     reps = (dataclasses.replace(spec, seed=spec.seed + 20_000 + j) for j in range(mc_reps))
     mc = EmpiricalMaxDist(np.sort([np.max(scan_series(rep, n_subgraphs)) for rep in reps]))
-    return {"dtm_thresholds": {a: r.threshold for a, r in reports.items()},
+    return {"dtm_thresholds": {str(a): report.model.upper(a) for a in alphas},
             "mc_thresholds": {str(a): mc_threshold(mc, a) for a in alphas},
             "n_subgraphs": n_subgraphs, "mc_reps": mc_reps,
-            # each code once, in first-seen order
-            "warnings": list(dict.fromkeys(c for r in reports.values() for c in r.warnings))}
+            "warnings": list(report.warnings)}
 
 
 def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
@@ -285,7 +300,7 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
 
 
 def _app_bandit(spec_dict: dict, outdir: Path) -> dict:
-    total_pulls = spec_dict.pop("total_pulls", 1200)
+    total_pulls = _pop_count(spec_dict, "total_pulls", 1200, "bandit")
     with _spec_errors("bandit"):
         spec_dict["tail_exponents"] = tuple(spec_dict["tail_exponents"])
         spec = BanditSpec(**spec_dict)

@@ -20,7 +20,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidParamsError, InvalidTargetError, OutOfSupportError
+from .errors import (
+    InvalidParamsError,
+    InvalidQuantileError,
+    InvalidTargetError,
+    OutOfSupportError,
+)
 
 __all__ = [
     "XI_GUMBEL_TOL",
@@ -62,7 +67,9 @@ class TailModel:
 
     ``theta`` is the extremal index in (0, 1]; ``cutoff`` is the exceedance
     level the parameters were fitted above; ``horizon`` the series length the
-    max distribution refers to.
+    max distribution refers to.  None of them depends on a level, so one
+    model answers every level: :meth:`upper` and :meth:`lower` are the only
+    maps from a level ``alpha`` to a threshold.
     """
 
     params: GevParams
@@ -77,6 +84,22 @@ class TailModel:
             raise InvalidParamsError(f"cutoff must be finite, got {self.cutoff}")
         if not isinstance(self.horizon, Integral) or self.horizon < 1:
             raise InvalidParamsError(f"horizon must be an integer >= 1, got {self.horizon}")
+
+    def upper(self, alpha: float) -> float:
+        """The x with P{max > x} = alpha: ``C^-1(-log(1 - alpha) / theta)``."""
+        check_level(alpha)
+        return invert_tail(self.params, -math.log1p(-alpha) / self.theta)
+
+    def lower(self, alpha: float) -> float:
+        """The x with P{max < x} = alpha: ``C^-1(-log(alpha) / theta)``."""
+        check_level(alpha)
+        return invert_tail(self.params, -math.log(alpha) / self.theta)
+
+
+def check_level(alpha) -> None:
+    """Raise InvalidQuantileError unless the level ``alpha`` lies in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise InvalidQuantileError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidQuantileError, InvalidSpecError
-from .evt_core import TailModel, model_max_cdf
+from .errors import InvalidSpecError
+from .evt_core import TailModel, check_level, model_max_cdf
 from .exceedance import nearest_rank
 from .generators import GeneratorSpec, generate
 
@@ -47,8 +47,7 @@ def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:
 
 def mc_threshold(dist: EmpiricalMaxDist, alpha: float) -> float:
     """Nearest-rank (1 - alpha) quantile of the simulated maxima."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidQuantileError(f"alpha must lie in (0, 1), got {alpha}")
+    check_level(alpha)
     return float(dist.maxima[nearest_rank(1.0 - alpha, dist.L) - 1])
 
 

@@ -10,6 +10,10 @@ above the same u, and returns the threshold
 
 so that the fitted max distribution satisfies G(x)^theta = 1 - alpha.
 
+No stage but the inversion reads alpha, so the report's fitted model answers
+every level: ``report.model.upper(a)`` is the threshold a run at level ``a``
+would return, and ``report.model.lower(a)`` the matching lower bound.
+
 Only a replicate's exceedance heights reach the fit, so a replicate is its
 index draw, and its exceedances are the original series' exceedance set
 gathered through the draw: no replicate re-validates, re-thresholds or
@@ -32,7 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidConfigError, TooFewExceedancesError
-from .evt_core import GevParams, TailModel, invert_tail
+from .evt_core import GevParams, TailModel
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
 from .gev_fit import FitDiagnostics, fit
@@ -148,11 +152,9 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     if theta_est.clamped:
         warn_codes.append("theta-clamped")
 
-    y = -math.log1p(-cfg.alpha) / theta_est.theta
-    threshold = invert_tail(params, y)
     model = TailModel(params=params, theta=theta_est.theta, cutoff=float(u), horizon=n)
     return ThresholdReport(
-        threshold=float(threshold),
+        threshold=model.upper(cfg.alpha),
         model=model,
         gev_diag=diag,
         theta_est=theta_est,
@@ -177,12 +179,11 @@ def arl_to_alpha(n: int, arl: float) -> float:
 def confidence_bounds(series, cfg: DtmConfig) -> tuple[float, float]:
     """(lcb, ucb) for the maximum of a series at level ``cfg.alpha``.
 
-    ucb solves P{max > x} = alpha (the pipeline threshold); lcb solves
-    P{max < x} = alpha on the same fitted model.  For alpha < 1/2 lcb < ucb;
+    ucb solves P{max > x} = alpha (the pipeline threshold,
+    ``model.upper(alpha)``); lcb solves P{max < x} = alpha on the same fitted
+    model (``model.lower(alpha)``).  For alpha < 1/2 lcb < ucb;
     at alpha = 1/2 the two coincide at the median of the fitted max
     distribution.
     """
     report = run_dtm(series, cfg)
-    theta = report.theta_est.theta
-    lcb = invert_tail(report.model.params, -math.log(cfg.alpha) / theta)
-    return float(lcb), report.threshold
+    return report.model.lower(cfg.alpha), report.threshold

@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist
 
 from threshold_machine import (
     BanditSpec,
+    DtmConfig,
     ErGraphSpec,
     GeneratorSpec,
     InvalidBandwidthError,
@@ -19,8 +20,8 @@ from threshold_machine import (
     bandit_run,
     change_point_run,
     generate,
-    invert_tail,
     mmd_stat,
+    run_dtm,
     scan_series,
 )
 from threshold_machine.applications import _arm_stream, _median_heuristic, _snapshot
@@ -53,6 +54,38 @@ class TestScanSeries:
             ErGraphSpec(N=10, p0=0.5, p1=0.1, k=3, seed=0)  # p1 < p0
         with pytest.raises(InvalidSpecError):
             ErGraphSpec(N=10, p0=0.1, p1=0.2, k=11, seed=0)  # k > N
+
+    def test_one_fit_answers_every_level(self):
+        # the criterion-7 series: a run at any level returns the threshold
+        # that the model fitted at another level reads off for it
+        series = scan_series(ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0), 5000)
+
+        def cfg(alpha):
+            return DtmConfig(alpha=alpha, cutoff_quantile=0.95, bootstrap_reps=10, seed=1)
+
+        model = run_dtm(series, cfg(0.01)).model
+        for a in (0.1, 0.05, 0.03, 0.01):
+            assert run_dtm(series, cfg(a)).threshold == model.upper(a)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ErGraphSpec, "N", 30.5),
+    (ErGraphSpec, "k", 5.0),
+    (MmdStreamSpec, "block_size", 8.5),
+    (MmdStreamSpec, "n_nodes", 20.5),
+    (MmdStreamSpec, "n_nodes", 1),
+    (MmdStreamSpec, "horizon", 4400.0),
+    (MmdStreamSpec, "train_len", "2000"),
+    (MmdStreamSpec, "change_time", 300.5),
+    (BanditSpec, "burn_in", 50.5),
+    (BanditSpec, "window", 2.5),
+])
+def test_spec_counts_are_integers(cls, field, value):
+    base = {ErGraphSpec: dict(N=30, p0=0.1, p1=0.1, k=5),
+            BanditSpec: dict(tail_exponents=(3.5, 4.0))}.get(cls, {})
+    cls(**base)  # the defaults are valid
+    with pytest.raises(InvalidSpecError, match=field):
+        cls(**{**base, field: value})
 
 
 class TestMmdStat:
@@ -119,8 +152,7 @@ class TestChangePointRun:
             warnings.simplefilter("ignore")
             res = change_point_run(spec, arl=500.0)
         alpha = arl_to_alpha(spec.train_len, 500.0)
-        y = -math.log1p(-alpha) / res.report.model.theta
-        assert res.threshold == invert_tail(res.report.model.params, y)
+        assert res.threshold == res.report.model.upper(alpha)
 
     @pytest.mark.parametrize("geometry, times", [
         (dict(horizon=300), (16, 19, 100, 300)),

@@ -90,8 +90,28 @@ class TestThresholdCommand:
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0]}', "--seed", "-1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "arm_seeds": [1, -2]}',
          "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30.5, "p0": 0.1, "p1": 0.1, "k": 5}', "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5.5}', "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"block_size": 8.5}', "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"change_time": 300.5}', "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "burn_in": 50.5}',
+         "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "window": 2.5}',
+         "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": 0.05}',
+         "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "mc_reps": 0}',
+         "--seed", "1"],
+        ["app", "scan", "--spec",
+         '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}', "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "total_pulls": "x"}',
+         "--seed", "1"],
     ], ids=["validate-flag", "validate-fractional-n", "validate-fractional-seed", "scan-flag",
-            "scan-spec", "changepoint-flag", "bandit-flag", "bandit-arm-seeds"])
+            "scan-spec", "changepoint-flag", "bandit-flag", "bandit-arm-seeds",
+            "scan-fractional-N", "scan-fractional-k", "changepoint-fractional-block-size",
+            "changepoint-fractional-change-time", "bandit-fractional-burn-in",
+            "bandit-fractional-window", "scan-scalar-alphas", "scan-zero-mc-reps",
+            "scan-fractional-n-subgraphs", "bandit-text-total-pulls"])
     def test_invalid_spec_is_input_error(self, argv, tmp_path):
         out = tmp_path / "error.json"
         extra = ["--alpha", "0.05"] if argv[0] == "validate" else ["--outdir", str(tmp_path / "x")]
@@ -205,8 +225,20 @@ class TestAppCommand:
         ("scan", {}),
         ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "no_such_key": 1}),
         ("changepoint", {"no_such_key": 1}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": 0.05}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": []}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": [0.05, 1.0]}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": ["0.05"]}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "mc_reps": 0}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": "x"}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": "x"}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "total_pulls": "x"}),
     ], ids=["bandit-missing", "bandit-unknown", "scan-missing", "scan-unknown",
-            "changepoint-unknown"])
+            "changepoint-unknown", "scan-scalar-alphas", "scan-empty-alphas",
+            "scan-alpha-one", "scan-text-alpha", "scan-zero-mc-reps",
+            "scan-text-n-subgraphs", "scan-fractional-n-subgraphs", "scan-text-quantile",
+            "bandit-text-total-pulls"])
     def test_malformed_spec_is_input_error(self, harness, spec, tmp_path):
         out = tmp_path / "error.json"
         code = main(["app", harness, "--spec", json.dumps(spec), "--outdir",
@@ -255,6 +287,31 @@ class TestAppCommand:
         maxima = sorted(799 + (6 + 20_000 + j) / 1e5 for j in range(100))
         # (1 - 0.41) * 100 evaluates just above 59; the nearest rank is 59
         assert summary["mc_thresholds"]["0.41"] == maxima[58]
+
+    def test_scan_fits_once_for_every_level(self, tmp_path, monkeypatch):
+        # one fit gives the thresholds that a run per level would
+        def scan(spec, n):
+            return make_rng(spec.seed).permutation(n) + spec.seed / 1e5
+
+        runs = []
+
+        def counting_run_dtm(series, cfg):
+            runs.append(cfg.alpha)
+            return run_dtm(series, cfg)
+
+        monkeypatch.setattr(cli, "scan_series", scan)
+        monkeypatch.setattr(cli, "run_dtm", counting_run_dtm)
+        alphas = [0.1, 0.05, 0.03, 0.01]
+        spec = {"N": 40, "p0": 0.1, "p1": 0.1, "k": 6, "n_subgraphs": 800,
+                "mc_reps": 10, "alphas": alphas}
+        outdir = tmp_path / "scanrun"
+        main(["app", "scan", "--spec", json.dumps(spec), "--outdir", str(outdir), "--seed", "6"])
+        summary = json.loads((outdir / "summary.json").read_text())
+        series = scan(cli.ErGraphSpec(N=40, p0=0.1, p1=0.1, k=6, seed=6), 800)
+        assert runs == [0.01]
+        assert summary["dtm_thresholds"] == {
+            str(a): run_dtm(series, DtmConfig(alpha=a, cutoff_quantile=0.95, seed=7)).threshold
+            for a in alphas}
 
     def test_changepoint_artifacts(self, tmp_path):
         spec = {"block_size": 8, "n_nodes": 20, "p_pre": 0.3, "p_post": 0.6,

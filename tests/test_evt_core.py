@@ -1,11 +1,14 @@
 """Tests for the extreme value family evaluations."""
 
+import math
+
 import numpy as np
 import pytest
 
 from threshold_machine import (
     GevParams,
     InvalidParamsError,
+    InvalidQuantileError,
     InvalidTargetError,
     OutOfSupportError,
     TailModel,
@@ -207,3 +210,35 @@ class TestTailModel:
         fields = {"params": GevParams(0, 1, 0), "theta": 0.5, "cutoff": 0.0, "horizon": 10}
         with pytest.raises(InvalidParamsError):
             TailModel(**{**fields, field: bad})
+
+
+LEVEL_MODELS = [TailModel(params=params, theta=theta, cutoff=0.0, horizon=1000)
+                for params in (GevParams(5.717, 0.647, 0.0), GevParams(-2.0, 0.3, 0.4),
+                               GevParams(3.0, 1.7, -0.6))
+                for theta in (1.0, 0.3)]
+LEVEL_IDS = [f"{kind}-theta{theta}" for kind in ("gumbel", "frechet", "weibull")
+             for theta in (1.0, 0.3)]
+LEVELS = (0.5, 0.1, 0.05, 0.01, 0.005, 1e-6)
+
+
+@pytest.mark.parametrize("model", LEVEL_MODELS, ids=LEVEL_IDS)
+class TestLevelMap:
+    def test_upper_is_the_pipeline_inversion(self, model):
+        for a in LEVELS:
+            assert model.upper(a) == invert_tail(model.params, -math.log1p(-a) / model.theta)
+
+    def test_lower_is_the_confidence_bound_inversion(self, model):
+        for a in LEVELS:
+            assert model.lower(a) == invert_tail(model.params, -math.log(a) / model.theta)
+
+    def test_levels_of_the_max_distribution(self, model):
+        for a in LEVELS:
+            assert abs(model_max_cdf(model, model.upper(a)) - (1 - a)) <= 1e-9
+            assert abs(model_max_cdf(model, model.lower(a)) - a) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [0, 1, -0.1, 1.5, math.nan, math.inf])
+    def test_level_outside_unit_interval_rejected(self, model, bad):
+        with pytest.raises(InvalidQuantileError):
+            model.upper(bad)
+        with pytest.raises(InvalidQuantileError):
+            model.lower(bad)

@@ -24,7 +24,7 @@ from threshold_machine import (
     quantile_cutoff,
     run_dtm,
 )
-from threshold_machine import exceedance, pipeline, resample
+from threshold_machine import evt_core, exceedance, pipeline, resample
 from threshold_machine.exceedance import WARN_EXCEEDANCES
 
 
@@ -126,11 +126,13 @@ class TestRunDtm:
         # one extract of the original series, which validates and thresholds
         # it, plus one per replicate, which gathers that exceedance set
         # through the replicate's draw; one fit per replicate and one
-        # inversion: the spans the benchmark traces
+        # inversion, which the fitted model makes: the spans the benchmark
+        # traces
         calls = {"extract": 0, "fit": 0, "invert_tail": 0}
+        modules = {"extract": pipeline, "fit": pipeline, "invert_tail": evt_core}
 
         def counting(name):
-            inner = getattr(pipeline, name)
+            inner = getattr(modules[name], name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -138,7 +140,7 @@ class TestRunDtm:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(pipeline, name, counting(name))
+            monkeypatch.setattr(modules[name], name, counting(name))
         run_dtm(chi2_series(seed=23), DtmConfig(alpha=0.05, seed=24, bootstrap_reps=reps))
         assert calls == {"extract": 1 + reps, "fit": reps, "invert_tail": 1}
 
