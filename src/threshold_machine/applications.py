@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -22,10 +21,13 @@ from .errors import (
     InvalidBandwidthError,
     InvalidSpecError,
     SizeMismatchError,
+    check_count,
+    check_level,
+    check_real,
 )
 from .generators import GeneratorSpec, generate
 from .pipeline import DtmConfig, ThresholdReport, arl_to_alpha, confidence_bounds, run_dtm
-from .resample import check_seed, make_rng
+from .resample import make_rng
 
 __all__ = [
     "ErGraphSpec",
@@ -38,12 +40,6 @@ __all__ = [
     "BanditResult",
     "bandit_run",
 ]
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Raise InvalidSpecError unless ``value`` is an integer >= ``low``."""
-    if not (isinstance(value, Integral) and value >= low):
-        raise InvalidSpecError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +66,11 @@ class ErGraphSpec:
             raise InvalidSpecError("edge probabilities must lie in [0, 1]")
         if self.p1 < self.p0:
             raise InvalidSpecError("community probability p1 must be >= p0")
-        _check_count("N", self.N, 1)
-        _check_count("k", self.k, 1)
+        check_count("N", self.N, 1, InvalidSpecError)
+        check_count("k", self.k, 1, InvalidSpecError)
         if self.k > self.N:
             raise InvalidSpecError(f"community size k must lie in [1, N], got {self.k}")
-        check_seed(self.seed, InvalidSpecError)
+        check_count("seed", self.seed, 0, InvalidSpecError)
 
 
 def _sample_adjacency(spec: ErGraphSpec, rng: np.random.Generator, planted: bool) -> np.ndarray:
@@ -95,7 +91,7 @@ def scan_series(spec: ErGraphSpec, n_subgraphs: int, planted: bool = False) -> n
     picks k nodes uniformly without replacement and counts the edges among
     them.  Values are integers in [0, k*(k-1)/2].
     """
-    _check_count("n_subgraphs", n_subgraphs, 1)
+    check_count("n_subgraphs", n_subgraphs, 1, InvalidSpecError)
     rng = make_rng(spec.seed)
     W = _sample_adjacency(spec, rng, planted)
     out = np.empty(n_subgraphs)
@@ -159,8 +155,7 @@ def mmd_stat(X, Y, bandwidth: float) -> float:
 
     Zero for identical blocks, symmetric under exchanging X and Y.
     """
-    if not (bandwidth > 0) or not math.isfinite(bandwidth):
-        raise InvalidBandwidthError(f"bandwidth must be positive, got {bandwidth}")
+    check_real("bandwidth", bandwidth, 0, InvalidBandwidthError)
     Xb, Yb = _as_block(X), _as_block(Y)
     if Xb.shape != Yb.shape:
         raise SizeMismatchError(f"blocks must have equal shape, got {Xb.shape} vs {Yb.shape}")
@@ -198,19 +193,24 @@ class MmdStreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("block_size", self.block_size, 2)
-        _check_count("n_nodes", self.n_nodes, 2)
-        _check_count("horizon", self.horizon, 1)
-        _check_count("train_len", self.train_len, 2)
-        if self.change_time is not None and not isinstance(self.change_time, Integral):
-            raise InvalidSpecError(f"change_time must be an integer, got {self.change_time!r}")
-        if self.bandwidth is not None and not (self.bandwidth > 0):
-            raise InvalidSpecError(f"bandwidth must be positive, got {self.bandwidth}")
+        check_count("block_size", self.block_size, 2, InvalidSpecError)
+        check_count("n_nodes", self.n_nodes, 2, InvalidSpecError)
+        check_count("horizon", self.horizon, 1, InvalidSpecError)
+        check_count("train_len", self.train_len, 2, InvalidSpecError)
+        if self.change_time is not None:
+            check_count("change_time", self.change_time, -math.inf, InvalidSpecError)
+        if self.bandwidth is not None:
+            check_real("bandwidth", self.bandwidth, 0, InvalidSpecError)
         if not (0.0 <= self.p_pre <= 1.0 and 0.0 <= self.p_post <= 1.0):
             raise InvalidSpecError("edge probabilities must lie in [0, 1]")
         if self.horizon < 2 * self.block_size + 1:
             raise InvalidSpecError("horizon too short for one sliding statistic")
-        check_seed(self.seed, InvalidSpecError)
+        # the pipeline fields are refused here, before any snapshot is drawn
+        check_level("cutoff_quantile", self.cutoff_quantile, InvalidSpecError)
+        check_count("bootstrap_reps", self.bootstrap_reps, 1, InvalidSpecError)
+        if self.fix_xi is not None:
+            check_real("fix_xi", self.fix_xi, -1, InvalidSpecError)
+        check_count("seed", self.seed, 0, InvalidSpecError)
 
 
 @dataclass(frozen=True)
@@ -253,10 +253,13 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
             f"horizon leaves {n_stream} statistics, fewer than train_len={spec.train_len}"
         )
 
+    alpha = arl_to_alpha(spec.train_len, arl)
+    cfg = DtmConfig(alpha=alpha, cutoff_quantile=spec.cutoff_quantile,
+                    bootstrap_reps=spec.bootstrap_reps, fix_xi=spec.fix_xi, seed=spec.seed)
+
     ref = np.stack([_snapshot(spec, t) for t in range(1, B + 1)])
     bandwidth = spec.bandwidth if spec.bandwidth is not None else _median_heuristic(ref)
-    if not (bandwidth > 0) or not math.isfinite(bandwidth):
-        raise InvalidBandwidthError("median-heuristic bandwidth degenerated to zero")
+    check_real("median-heuristic bandwidth", bandwidth, 0, InvalidBandwidthError)
 
     # Z = [window; ref] with the window a ring buffer, slot(t) = t % B; at
     # t = B the window is the reference block itself
@@ -274,12 +277,7 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
             # chronological rank i (0-based) of the window pairs with ref row i
             stream[t - stream_start] = _block_mmd(K, np.arange(t - B + 1, t + 1) % B)
 
-    train = stream[: spec.train_len]
-    alpha = arl_to_alpha(spec.train_len, arl)
-    cfg = DtmConfig(alpha=alpha, cutoff_quantile=spec.cutoff_quantile,
-                    bootstrap_reps=spec.bootstrap_reps, fix_xi=spec.fix_xi,
-                    seed=spec.seed)
-    report = run_dtm(train, cfg)
+    report = run_dtm(stream[: spec.train_len], cfg)
 
     monitored = stream[spec.train_len:]
     above = np.flatnonzero(monitored > report.threshold)
@@ -323,16 +321,18 @@ class BanditSpec:
             raise InvalidSpecError("bandit needs at least 2 arms")
         if any(not (a > 0) for a in self.tail_exponents):
             raise InvalidSpecError("tail exponents must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidSpecError(f"delta must lie in (0, 1), got {self.delta}")
-        _check_count("burn_in", self.burn_in, 2)
-        _check_count("window", self.window, 1)
-        check_seed(self.seed, InvalidSpecError)
+        check_level("delta", self.delta, InvalidSpecError)
+        check_count("burn_in", self.burn_in, 2, InvalidSpecError)
+        check_count("window", self.window, 1, InvalidSpecError)
+        check_level("cutoff_quantile", self.cutoff_quantile, InvalidSpecError)
+        if self.fix_xi is not None:
+            check_real("fix_xi", self.fix_xi, -1, InvalidSpecError)
+        check_count("seed", self.seed, 0, InvalidSpecError)
         if self.arm_seeds is not None:
             if len(self.arm_seeds) != len(self.tail_exponents):
                 raise InvalidSpecError("arm_seeds must match the number of arms")
             for seed in self.arm_seeds:
-                check_seed(seed, InvalidSpecError)
+                check_count("arm seed", seed, 0, InvalidSpecError)
 
     @property
     def n_arms(self) -> int:
@@ -373,15 +373,12 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
     skipped for the round with a warning.
     """
     K = spec.n_arms
-    if total_pulls <= K * spec.burn_in:
-        raise InvalidSpecError(
-            f"total_pulls must exceed K * burn_in = {K * spec.burn_in}"
-        )
+    check_count("total_pulls", total_pulls, K * spec.burn_in + 1, InvalidSpecError)
     seeds = [_arm_seed(spec, k) for k in range(K)]
-    streams = [_arm_stream(spec, k, seeds[k], total_pulls) for k in range(K)]
-    counts = [spec.burn_in] * K
     cfgs = [DtmConfig(alpha=spec.delta, cutoff_quantile=spec.cutoff_quantile,
                       fix_xi=spec.fix_xi, seed=seeds[k]) for k in range(K)]
+    streams = [_arm_stream(spec, k, seeds[k], total_pulls) for k in range(K)]
+    counts = [spec.burn_in] * K
 
     def bounds_for(k: int) -> Optional[tuple[float, float]]:
         try:

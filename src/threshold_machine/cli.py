@@ -26,7 +26,6 @@ import logging
 import os
 import sys
 import time
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,9 @@ from .errors import (
     NoClustersError,
     ParseError,
     TooFewExceedancesError,
+    check_count,
+    check_level,
+    check_real,
 )
 from .generators import GeneratorSpec, generate
 from .mc_oracle import EmpiricalMaxDist, empirical_max_cdf, mc_threshold, sup_norm_gap
@@ -233,33 +235,28 @@ def _cmd_app(args) -> int:
 
 @contextlib.contextmanager
 def _spec_errors(harness: str):
-    """A missing, unknown or mistyped key of a harness spec is an input error."""
+    """A missing, unknown, mistyped or refused key of a harness spec is an
+    input error; so the harness runs only on a spec that passed every check."""
     try:
         yield
     except (KeyError, TypeError) as e:
         raise InvalidSpecError(f"malformed {harness} spec: {e!r}") from e
-
-
-def _pop_count(spec_dict: dict, key: str, default: int, harness: str) -> int:
-    """Pop a harness count, which must be an integer >= 1."""
-    value = spec_dict.pop(key, default)
-    if not (isinstance(value, Integral) and value >= 1):
-        raise InvalidSpecError(
-            f"malformed {harness} spec: {key} must be an integer >= 1, got {value!r}")
-    return value
+    except DtmError as e:
+        raise InvalidSpecError(f"malformed {harness} spec: {e}") from e
 
 
 def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     alphas = spec_dict.pop("alphas", [0.1, 0.05, 0.03, 0.01])
-    if not (isinstance(alphas, list) and alphas
-            and all(isinstance(a, Real) and 0 < a < 1 for a in alphas)):
-        raise InvalidSpecError(
-            f"malformed scan spec: alphas must be a non-empty list of levels in (0, 1), "
-            f"got {alphas!r}")
-    n_subgraphs = _pop_count(spec_dict, "n_subgraphs", 5000, "scan")
-    mc_reps = _pop_count(spec_dict, "mc_reps", 100, "scan")
+    n_subgraphs = spec_dict.pop("n_subgraphs", 5000)
+    mc_reps = spec_dict.pop("mc_reps", 100)
     quantile = spec_dict.pop("cutoff_quantile", 0.95)
     with _spec_errors("scan"):
+        if not (isinstance(alphas, list) and alphas):
+            raise InvalidSpecError(f"alphas must be a non-empty list of levels, got {alphas!r}")
+        for a in alphas:
+            check_level("each of alphas", a, InvalidSpecError)
+        check_count("n_subgraphs", n_subgraphs, 1, InvalidSpecError)
+        check_count("mc_reps", mc_reps, 1, InvalidSpecError)
         spec = ErGraphSpec(**spec_dict)
         # no stage but the inversion reads alpha, so one fit answers every
         # level; of its codes only small-sample reads alpha, and below 0.86
@@ -283,6 +280,7 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
     arl = spec_dict.pop("arl", 5000.0)
     with _spec_errors("changepoint"):
         spec = MmdStreamSpec(**spec_dict)
+        check_real("arl", arl, 0, InvalidSpecError)
     result = change_point_run(spec, arl)
     times = range(result.stream_start, result.stream_start + len(result.stream))
     _write_csv(outdir / "changepoint_stream.csv", ["time", "statistic", "threshold"],
@@ -300,8 +298,9 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
 
 
 def _app_bandit(spec_dict: dict, outdir: Path) -> dict:
-    total_pulls = _pop_count(spec_dict, "total_pulls", 1200, "bandit")
+    total_pulls = spec_dict.pop("total_pulls", 1200)
     with _spec_errors("bandit"):
+        check_count("total_pulls", total_pulls, 1, InvalidSpecError)
         spec_dict["tail_exponents"] = tuple(spec_dict["tail_exponents"])
         spec = BanditSpec(**spec_dict)
     result = bandit_run(spec, total_pulls)

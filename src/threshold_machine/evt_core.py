@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +24,9 @@ from .errors import (
     InvalidQuantileError,
     InvalidTargetError,
     OutOfSupportError,
+    check_count,
+    check_level,
+    check_real,
 )
 
 __all__ = [
@@ -78,28 +80,21 @@ class TailModel:
     horizon: int
 
     def __post_init__(self):
-        if not (0 < self.theta <= 1):
-            raise InvalidParamsError(f"theta must lie in (0, 1], got {self.theta}")
-        if not math.isfinite(self.cutoff):
-            raise InvalidParamsError(f"cutoff must be finite, got {self.cutoff}")
-        if not isinstance(self.horizon, Integral) or self.horizon < 1:
-            raise InvalidParamsError(f"horizon must be an integer >= 1, got {self.horizon}")
+        check_real("theta", self.theta, 0, InvalidParamsError)
+        if self.theta > 1:
+            raise InvalidParamsError(f"theta must lie in (0, 1], got {self.theta!r}")
+        check_real("cutoff", self.cutoff, -math.inf, InvalidParamsError)
+        check_count("horizon", self.horizon, 1, InvalidParamsError)
 
     def upper(self, alpha: float) -> float:
         """The x with P{max > x} = alpha: ``C^-1(-log(1 - alpha) / theta)``."""
-        check_level(alpha)
+        check_level("alpha", alpha, InvalidQuantileError)
         return invert_tail(self.params, -math.log1p(-alpha) / self.theta)
 
     def lower(self, alpha: float) -> float:
         """The x with P{max < x} = alpha: ``C^-1(-log(alpha) / theta)``."""
-        check_level(alpha)
+        check_level("alpha", alpha, InvalidQuantileError)
         return invert_tail(self.params, -math.log(alpha) / self.theta)
-
-
-def check_level(alpha) -> None:
-    """Raise InvalidQuantileError unless the level ``alpha`` lies in (0, 1)."""
-    if not 0 < alpha < 1:
-        raise InvalidQuantileError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -127,16 +122,19 @@ def _log_tail(params: GevParams, x):
     return -np.log1p(np.where(b > -1, b, np.nan)) / params.xi
 
 
-def gev_cdf(params: GevParams, x):
-    """CDF G(x) of the extreme value family.
-
-    Outside the support the value is clamped by continuity: 0 below the lower
-    endpoint (xi > 0) and 1 above the upper endpoint (xi < 0).
-    """
+def _max_cdf(params: GevParams, theta: float, x):
+    """``G(x)**theta = exp(-theta * C(x))``, clamped by continuity outside the
+    support: 0 below the lower endpoint (xi > 0), 1 above the upper one
+    (xi < 0).  Scaling ``C`` by ``theta`` first avoids the underflow of ``G``."""
     arr, scalar = _as_array(x)
     log_c = _log_tail(params, arr)
-    out = np.where(np.isnan(log_c), float(params.xi < 0), np.exp(-np.exp(log_c)))
+    out = np.where(np.isnan(log_c), float(params.xi < 0), np.exp(-theta * np.exp(log_c)))
     return float(out) if scalar else out
+
+
+def gev_cdf(params: GevParams, x):
+    """CDF G(x) of the extreme value family, clamped outside the support."""
+    return _max_cdf(params, 1.0, x)
 
 
 def tail_fn(params: GevParams, x):
@@ -176,5 +174,4 @@ def invert_tail(params: GevParams, y):
 
 def model_max_cdf(model: TailModel, x):
     """P{max of the modeled series <= x}, i.e. G(x)**theta."""
-    g = gev_cdf(model.params, x)
-    return g ** model.theta
+    return _max_cdf(model.params, model.theta, x)

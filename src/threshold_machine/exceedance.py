@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidQuantileError, TooFewExceedancesError
+from .errors import InvalidQuantileError, TooFewExceedancesError, check_level
 from .resample import as_series
 
 __all__ = ["ExceedanceSet", "GapSet", "nearest_rank", "quantile_cutoff", "extract", "gaps"]
@@ -75,8 +75,7 @@ def quantile_cutoff(values, q: float) -> float:
     deterministic.
     """
     arr = as_series(values)
-    if not (0.0 < q < 1.0) or not np.isfinite(q):
-        raise InvalidQuantileError(f"quantile must lie in (0, 1), got {q}")
+    check_level("quantile", q, InvalidQuantileError)
     k = nearest_rank(q, arr.size)
     return float(np.partition(arr, k - 1)[k - 1])
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidSpecError
-from .resample import check_seed, make_rng
+from .errors import InvalidSpecError, check_count, check_real
+from .resample import make_rng
 
 __all__ = ["GeneratorSpec", "generate"]
 
@@ -51,9 +50,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidSpecError(f"unknown generator kind {self.kind!r}")
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise InvalidSpecError(f"series length must be an integer >= 1, got {self.n!r}")
-        check_seed(self.seed, InvalidSpecError)
+        check_count("series length n", self.n, 1, InvalidSpecError)
+        check_count("seed", self.seed, 0, InvalidSpecError)
         _validate_params(self.kind, self.params)
 
     # -- convenience constructors ------------------------------------------
@@ -113,9 +111,7 @@ def _whole(value):
 
 def _validate_params(kind: str, p: dict) -> None:
     def positive(name):
-        v = p.get(name)
-        if v is None or not (v > 0) or not math.isfinite(v):
-            raise InvalidSpecError(f"{kind} needs {name} > 0, got {v}")
+        check_real(f"{kind} {name}", p.get(name), 0, InvalidSpecError)
 
     if kind == "beta":
         positive("a")
@@ -138,9 +134,7 @@ def _validate_params(kind: str, p: dict) -> None:
             raise InvalidSpecError("moving_average needs a base GeneratorSpec")
         if base.kind in ("gaussian_ar1", "moving_average"):
             raise InvalidSpecError("moving_average base must be an iid kind")
-        window = p.get("window")
-        if not isinstance(window, Integral) or window < 1:
-            raise InvalidSpecError(f"window must be an integer >= 1, got {window!r}")
+        check_count("window", p.get("window"), 1, InvalidSpecError)
 
 
 def _draw_iid(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHeightsError, InvalidConfigError, TooFewExceedancesError
+from .errors import DegenerateHeightsError, InvalidConfigError, TooFewExceedancesError, check_real
 from .evt_core import GevParams, _box_cox, _is_gumbel, _log_tail
 from .exceedance import MIN_EXCEEDANCES, ExceedanceSet
 
@@ -243,8 +243,8 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
     y_max = float(y.max())
     if y_max == float(y.min()):
         raise DegenerateHeightsError("all exceedance heights are equal")
-    if fix_xi is not None and not -1 < fix_xi < math.inf:
-        raise InvalidConfigError(f"a fixed shape must be finite and exceed -1, got {fix_xi}")
+    if fix_xi is not None:
+        check_real("fix_xi", fix_xi, -1, InvalidConfigError)
 
     u = exc.cutoff
     y_mean = float(y.mean())

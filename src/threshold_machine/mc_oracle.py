@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
-from .evt_core import TailModel, check_level, model_max_cdf
+from .errors import InvalidQuantileError, InvalidSpecError, check_count, check_level
+from .evt_core import TailModel, model_max_cdf
 from .exceedance import nearest_rank
 from .generators import GeneratorSpec, generate
 
@@ -36,8 +36,7 @@ class EmpiricalMaxDist:
 
 def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:
     """Empirical distribution of the max over L replicates of ``spec``."""
-    if L < 1:
-        raise InvalidSpecError(f"L must be >= 1, got {L}")
+    check_count("L", L, 1, InvalidSpecError)
     maxima = np.empty(L)
     for j in range(L):
         maxima[j] = np.max(generate(spec.with_seed(spec.seed + j)))
@@ -47,7 +46,7 @@ def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:
 
 def mc_threshold(dist: EmpiricalMaxDist, alpha: float) -> float:
     """Nearest-rank (1 - alpha) quantile of the simulated maxima."""
-    check_level(alpha)
+    check_level("alpha", alpha, InvalidQuantileError)
     return float(dist.maxima[nearest_rank(1.0 - alpha, dist.L) - 1])
 
 

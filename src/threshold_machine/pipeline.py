@@ -31,16 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidConfigError, TooFewExceedancesError
+from .errors import InvalidConfigError, TooFewExceedancesError, check_count, check_level, check_real
 from .evt_core import GevParams, TailModel
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
 from .gev_fit import FitDiagnostics, fit
-from .resample import as_series, bootstrap_draw, check_seed
+from .resample import bootstrap_draw
 
 __all__ = ["DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidence_bounds"]
 
@@ -63,21 +62,14 @@ class DtmConfig:
     fix_xi: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (0.0 < self.cutoff_quantile < 1.0):
-            raise InvalidConfigError(
-                f"cutoff_quantile must lie in (0, 1), got {self.cutoff_quantile}"
-            )
-        if self.cutoff is not None and not math.isfinite(self.cutoff):
-            raise InvalidConfigError(f"cutoff must be finite, got {self.cutoff}")
-        check_seed(self.seed, InvalidConfigError)
-        if not isinstance(self.bootstrap_reps, Integral) or self.bootstrap_reps < 1:
-            raise InvalidConfigError(
-                f"bootstrap_reps must be an integer >= 1, got {self.bootstrap_reps!r}"
-            )
-        if self.fix_xi is not None and not -1 < self.fix_xi < math.inf:
-            raise InvalidConfigError(f"fix_xi must be finite and exceed -1, got {self.fix_xi}")
+        check_level("alpha", self.alpha, InvalidConfigError)
+        check_level("cutoff_quantile", self.cutoff_quantile, InvalidConfigError)
+        if self.cutoff is not None:
+            check_real("cutoff", self.cutoff, -math.inf, InvalidConfigError)
+        check_count("seed", self.seed, 0, InvalidConfigError)
+        check_count("bootstrap_reps", self.bootstrap_reps, 1, InvalidConfigError)
+        if self.fix_xi is not None:
+            check_real("fix_xi", self.fix_xi, -1, InvalidConfigError)
 
 
 @dataclass(frozen=True)
@@ -107,18 +99,15 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     exceedances, non-convergence, a boundary shape, clamped theta, small
     sample) are reported only as warning codes; hard failures raise.
     """
-    s = as_series(series)
-    n = s.size
     warn_codes: list[str] = []
-
-    u = cfg.cutoff if cfg.cutoff is not None else quantile_cutoff(s, cfg.cutoff_quantile)
-
-    if n < _sample_size_bound(cfg.alpha):
-        warn_codes.append("small-sample")
-
+    # quantile_cutoff and extract validate the series where it enters them
+    u = cfg.cutoff if cfg.cutoff is not None else quantile_cutoff(series, cfg.cutoff_quantile)
     # checked before the replicates, so that too few exceedances name the
     # original series; extract draws no random numbers
-    exc = extract(s, u)
+    exc = extract(series, u)
+    n = exc.source_len
+    if n < _sample_size_bound(cfg.alpha):
+        warn_codes.append("small-sample")
     if exc.n_u < MIN_EXCEEDANCES:
         raise TooFewExceedancesError(
             f"original series has {exc.n_u} exceedances above u={u}, "
@@ -169,10 +158,8 @@ def arl_to_alpha(n: int, arl: float) -> float:
     A sequential detector whose stopping time is asymptotically exponential
     false-alarms within n steps with probability 1 - exp(-n / ARL).
     """
-    if n < 1:
-        raise InvalidConfigError(f"window length must be >= 1, got {n}")
-    if not (arl > 0) or not math.isfinite(arl):
-        raise InvalidConfigError(f"arl must be positive, got {arl}")
+    check_count("window length n", n, 1, InvalidConfigError)
+    check_real("arl", arl, 0, InvalidConfigError)
     return -math.expm1(-n / arl)
 
 

@@ -13,6 +13,7 @@ from threshold_machine import (
     ErGraphSpec,
     GeneratorSpec,
     InvalidBandwidthError,
+    InvalidConfigError,
     InvalidSpecError,
     MmdStreamSpec,
     SizeMismatchError,
@@ -24,6 +25,7 @@ from threshold_machine import (
     run_dtm,
     scan_series,
 )
+from threshold_machine import applications
 from threshold_machine.applications import _arm_stream, _median_heuristic, _snapshot
 
 
@@ -79,6 +81,19 @@ class TestScanSeries:
     (MmdStreamSpec, "change_time", 300.5),
     (BanditSpec, "burn_in", 50.5),
     (BanditSpec, "window", 2.5),
+    # the pipeline fields a harness copies into its DtmConfig
+    (MmdStreamSpec, "cutoff_quantile", "x"),
+    (MmdStreamSpec, "cutoff_quantile", 1.0),
+    (MmdStreamSpec, "bootstrap_reps", 2.5),
+    (MmdStreamSpec, "bootstrap_reps", 0),
+    (MmdStreamSpec, "fix_xi", "x"),
+    (MmdStreamSpec, "fix_xi", -1.0),
+    (MmdStreamSpec, "bandwidth", "x"),
+    (BanditSpec, "cutoff_quantile", None),
+    (BanditSpec, "cutoff_quantile", 0.0),
+    (BanditSpec, "fix_xi", "x"),
+    (BanditSpec, "fix_xi", np.nan),
+    (BanditSpec, "delta", "x"),
 ])
 def test_spec_counts_are_integers(cls, field, value):
     base = {ErGraphSpec: dict(N=30, p0=0.1, p1=0.1, k=5),
@@ -133,8 +148,9 @@ class TestMmdStat:
             mmd_stat(np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(InvalidBandwidthError):
-            mmd_stat(np.zeros((3, 2)), np.ones((3, 2)), 0.0)
+        for bandwidth in (0.0, -1.0, np.nan, np.inf, "x", None):
+            with pytest.raises(InvalidBandwidthError):
+                mmd_stat(np.zeros((3, 2)), np.ones((3, 2)), bandwidth)
 
 
 def small_stream_spec(**kw):
@@ -189,6 +205,14 @@ class TestChangePointRun:
     def test_horizon_validation(self):
         with pytest.raises(InvalidSpecError):
             MmdStreamSpec(block_size=50, horizon=90)
+
+    @pytest.mark.parametrize("arl", ["x", None, -5.0, 0.0, np.nan, np.inf])
+    def test_arl_refused_before_any_snapshot(self, monkeypatch, arl):
+        drawn = []
+        monkeypatch.setattr(applications, "_snapshot", lambda spec, t: drawn.append(t))
+        with pytest.raises(InvalidConfigError, match="arl"):
+            change_point_run(small_stream_spec(), arl)
+        assert drawn == []
 
     def test_stream_clustering_in_reference_band(self):
         # the sliding window makes consecutive statistics overlap in B-1
@@ -272,5 +296,6 @@ class TestBanditRun:
 
     def test_total_pulls_floor(self):
         spec = BanditSpec(tail_exponents=(3.5, 4.0), delta=0.01, burn_in=300, seed=3)
-        with pytest.raises(InvalidSpecError):
-            bandit_run(spec, total_pulls=600)
+        for total_pulls in (600, 650.0, "650", None):
+            with pytest.raises(InvalidSpecError, match="total_pulls"):
+                bandit_run(spec, total_pulls=total_pulls)

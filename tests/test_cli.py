@@ -7,12 +7,25 @@ import numpy as np
 import pytest
 
 from threshold_machine import DtmConfig, GeneratorSpec, generate, make_rng, run_dtm
-from threshold_machine import cli
+from threshold_machine import applications, cli
 from threshold_machine.cli import main
 
 
 def write_series(path, values):
     path.write_text("\n".join(str(v) for v in values) + "\n")
+
+
+def count_snapshots(monkeypatch):
+    """Record the time of every change-point snapshot drawn from now on."""
+    drawn = []
+    original = applications._snapshot
+
+    def counting(spec, t):
+        drawn.append(t)
+        return original(spec, t)
+
+    monkeypatch.setattr(applications, "_snapshot", counting)
+    return drawn
 
 
 @pytest.fixture()
@@ -106,17 +119,31 @@ class TestThresholdCommand:
          '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}', "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "total_pulls": "x"}',
          "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"cutoff_quantile": "x"}', "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"fix_xi": "x"}', "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"arl": "x"}', "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"arl": -5}', "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"arl": NaN}', "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "cutoff_quantile": "x"}',
+         "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "fix_xi": "x"}',
+         "--seed", "1"],
     ], ids=["validate-flag", "validate-fractional-n", "validate-fractional-seed", "scan-flag",
             "scan-spec", "changepoint-flag", "bandit-flag", "bandit-arm-seeds",
             "scan-fractional-N", "scan-fractional-k", "changepoint-fractional-block-size",
             "changepoint-fractional-change-time", "bandit-fractional-burn-in",
             "bandit-fractional-window", "scan-scalar-alphas", "scan-zero-mc-reps",
-            "scan-fractional-n-subgraphs", "bandit-text-total-pulls"])
-    def test_invalid_spec_is_input_error(self, argv, tmp_path):
+            "scan-fractional-n-subgraphs", "bandit-text-total-pulls",
+            "changepoint-text-quantile", "changepoint-text-fix-xi", "changepoint-text-arl",
+            "changepoint-negative-arl", "changepoint-nan-arl", "bandit-text-quantile",
+            "bandit-text-fix-xi"])
+    def test_invalid_spec_is_input_error(self, argv, tmp_path, monkeypatch):
+        snapshots = count_snapshots(monkeypatch)
         out = tmp_path / "error.json"
         extra = ["--alpha", "0.05"] if argv[0] == "validate" else ["--outdir", str(tmp_path / "x")]
         assert main([*argv, *extra, "--out", str(out)]) == 2
         assert json.loads(out.read_text())["error"]["code"] == "invalid-spec"
+        assert snapshots == []  # refused before the change-point stream is drawn
 
     def test_non_numeric_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -234,12 +261,26 @@ class TestAppCommand:
         ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}),
         ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "total_pulls": "x"}),
+        ("changepoint", {"cutoff_quantile": "x"}),
+        ("changepoint", {"cutoff_quantile": 1.0}),
+        ("changepoint", {"fix_xi": "x"}),
+        ("changepoint", {"bootstrap_reps": 2.5}),
+        ("changepoint", {"arl": "x"}),
+        ("changepoint", {"arl": -5}),
+        ("changepoint", {"arl": float("nan")}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "cutoff_quantile": "x"}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": "x"}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "delta": None}),
     ], ids=["bandit-missing", "bandit-unknown", "scan-missing", "scan-unknown",
             "changepoint-unknown", "scan-scalar-alphas", "scan-empty-alphas",
             "scan-alpha-one", "scan-text-alpha", "scan-zero-mc-reps",
             "scan-text-n-subgraphs", "scan-fractional-n-subgraphs", "scan-text-quantile",
-            "bandit-text-total-pulls"])
-    def test_malformed_spec_is_input_error(self, harness, spec, tmp_path):
+            "bandit-text-total-pulls", "changepoint-text-quantile", "changepoint-quantile-one",
+            "changepoint-text-fix-xi", "changepoint-fractional-reps", "changepoint-text-arl",
+            "changepoint-negative-arl", "changepoint-nan-arl", "bandit-text-quantile",
+            "bandit-text-fix-xi", "bandit-none-delta"])
+    def test_malformed_spec_is_input_error(self, harness, spec, tmp_path, monkeypatch):
+        snapshots = count_snapshots(monkeypatch)
         out = tmp_path / "error.json"
         code = main(["app", harness, "--spec", json.dumps(spec), "--outdir",
                      str(tmp_path / "x"), "--seed", "5", "--out", str(out)])
@@ -247,6 +288,7 @@ class TestAppCommand:
         error = json.loads(out.read_text())["error"]
         assert error["code"] == "invalid-spec"
         assert error["message"].startswith(f"malformed {harness} spec")
+        assert snapshots == []  # refused before the change-point stream is drawn
 
     def test_pipeline_flags_rejected(self, tmp_path):
         # the harnesses read their settings from the spec, not from pipeline flags

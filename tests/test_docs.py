@@ -1,5 +1,6 @@
 """The README's python examples and the demo scripts compile; nothing is run.
-The library sets no warning filter, and importing it loads no scipy module."""
+The library sets no warning filter, checks input values only through the
+rules in ``errors.py``, and importing it loads no scipy module."""
 
 import os
 import re
@@ -31,6 +32,14 @@ def test_library_sets_no_warning_filter(module):
     # fit conditions reach callers as report codes; only callers filter warnings
     source = (PACKAGE / module).read_text()
     assert not re.findall(r"\b(?:catch_warnings|simplefilter|filterwarnings)\b", source)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_input_rules_live_in_errors(module):
+    # counts, levels and bounded reals are checked by errors.check_count,
+    # check_level and check_real; a type test elsewhere is a second copy
+    source = (PACKAGE / module).read_text()
+    assert module == "errors.py" or not re.findall(r"\b(?:Integral|Real)\b", source)
 
 
 def test_import_loads_no_scipy():

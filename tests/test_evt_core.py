@@ -205,20 +205,25 @@ class TestTailModel:
             TailModel(params=params, theta=0.5, cutoff=0.0, horizon=0)
 
     @pytest.mark.parametrize("field", ["theta", "cutoff", "horizon"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "x", None])
     def test_non_finite_fields_rejected(self, field, bad):
         fields = {"params": GevParams(0, 1, 0), "theta": 0.5, "cutoff": 0.0, "horizon": 10}
         with pytest.raises(InvalidParamsError):
             TailModel(**{**fields, field: bad})
 
 
+# at theta = 1e-3 the levels sit where C(x) exceeds 745 and G(x) itself
+# underflows, though G(x)**theta does not
 LEVEL_MODELS = [TailModel(params=params, theta=theta, cutoff=0.0, horizon=1000)
                 for params in (GevParams(5.717, 0.647, 0.0), GevParams(-2.0, 0.3, 0.4),
                                GevParams(3.0, 1.7, -0.6))
                 for theta in (1.0, 0.3)]
+LEVEL_MODELS += [TailModel(params=GevParams(0.0, 1.0, xi), theta=1e-3, cutoff=0.0, horizon=10)
+                 for xi in (0.0, 0.3, -0.3)]
 LEVEL_IDS = [f"{kind}-theta{theta}" for kind in ("gumbel", "frechet", "weibull")
              for theta in (1.0, 0.3)]
-LEVELS = (0.5, 0.1, 0.05, 0.01, 0.005, 1e-6)
+LEVEL_IDS += [f"{kind}-theta0.001" for kind in ("gumbel", "frechet", "weibull")]
+LEVELS = (0.6, 0.5, 0.1, 0.05, 0.01, 0.005, 1e-6)
 
 
 @pytest.mark.parametrize("model", LEVEL_MODELS, ids=LEVEL_IDS)
@@ -236,7 +241,7 @@ class TestLevelMap:
             assert abs(model_max_cdf(model, model.upper(a)) - (1 - a)) <= 1e-9
             assert abs(model_max_cdf(model, model.lower(a)) - a) <= 1e-9
 
-    @pytest.mark.parametrize("bad", [0, 1, -0.1, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0, 1, -0.1, 1.5, math.nan, math.inf, "0.1", None])
     def test_level_outside_unit_interval_rejected(self, model, bad):
         with pytest.raises(InvalidQuantileError):
             model.upper(bad)

@@ -52,7 +52,7 @@ class TestQuantileCutoff:
         for q in (0.1, 0.5, 0.9, 0.95, 0.99):
             assert quantile_cutoff(s, q) in s
 
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.5, np.nan])
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.5, np.nan, "0.5", None])
     def test_invalid_quantile(self, q):
         with pytest.raises(InvalidQuantileError):
             quantile_cutoff([1.0, 2.0], q)

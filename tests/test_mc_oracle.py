@@ -8,6 +8,7 @@ from threshold_machine import (
     GeneratorSpec,
     GevParams,
     InvalidQuantileError,
+    InvalidSpecError,
     TailModel,
     empirical_max_cdf,
     generate,
@@ -33,6 +34,11 @@ class TestEmpiricalMaxCdf:
             float(np.max(generate(spec.with_seed(9 + j)))) for j in range(5)
         )
         assert np.allclose(dist.maxima, expected)
+
+    @pytest.mark.parametrize("L", [0, -1, 2.5, "3", None])
+    def test_replicate_count_is_a_positive_integer(self, L):
+        with pytest.raises(InvalidSpecError, match="L"):
+            empirical_max_cdf(GeneratorSpec.chi_square(1, 100, 9), L)
 
     def test_reproducible(self):
         spec = GeneratorSpec.student_t(4, 200, 3)
@@ -71,8 +77,9 @@ class TestMcThreshold:
 
     def test_invalid_level(self):
         dist = dist_from([1.0, 2.0])
-        with pytest.raises(InvalidQuantileError):
-            mc_threshold(dist, 0.0)
+        for alpha in (0.0, 1.0, np.nan, "0.05", None):
+            with pytest.raises(InvalidQuantileError):
+                mc_threshold(dist, alpha)
 
 
 class TestSupNormGap:

@@ -61,10 +61,13 @@ class TestDtmConfig:
         ("cutoff", np.nan), ("cutoff", np.inf), ("cutoff", -np.inf),
         ("fix_xi", np.nan), ("fix_xi", np.inf), ("fix_xi", -np.inf), ("fix_xi", -1.0),
         ("fix_xi", -1.5),
+        # mistyped values; None is a valid cutoff and fix_xi
+        ("alpha", "x"), ("alpha", None), ("cutoff_quantile", "x"), ("cutoff_quantile", None),
+        ("cutoff", "x"), ("fix_xi", "x"),
     ])
     def test_every_field_validated(self, field, bad):
         with pytest.raises(InvalidConfigError, match=field):
-            DtmConfig(alpha=0.05, **{field: bad})
+            DtmConfig(**{"alpha": 0.05, field: bad})
 
     def test_numpy_integers_accepted(self):
         cfg = DtmConfig(alpha=0.05, seed=np.int64(3), bootstrap_reps=np.int32(2), fix_xi=-0.5)
@@ -145,7 +148,8 @@ class TestRunDtm:
         assert calls == {"extract": 1 + reps, "fit": reps, "invert_tail": 1}
 
     def test_path_validated_independently_of_reps(self, monkeypatch):
-        # replicates reuse the original exceedance set, not the series
+        # replicates reuse the original exceedance set, not the series; the
+        # series is validated where it enters quantile_cutoff and extract
         calls = []
         original = resample.as_series
 
@@ -154,14 +158,14 @@ class TestRunDtm:
             return original(values)
 
         for mod in (pipeline, exceedance, resample):
-            monkeypatch.setattr(mod, "as_series", counting)
+            monkeypatch.setattr(mod, "as_series", counting, raising=False)
         s = chi2_series(seed=25)
         counts = []
-        for reps in (1, 10):
+        for reps, cutoff in ((1, None), (10, None), (1, 4.0), (10, 4.0)):
             calls.clear()
-            run_dtm(s, DtmConfig(alpha=0.05, seed=26, bootstrap_reps=reps))
+            run_dtm(s, DtmConfig(alpha=0.05, seed=26, bootstrap_reps=reps, cutoff=cutoff))
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        assert counts == [2, 2, 1, 1]
 
     def test_replicate_warnings_reach_the_caller(self, monkeypatch):
         # the pipeline filters no warning
@@ -243,10 +247,10 @@ class TestArlToAlpha:
         assert arl_to_alpha(1000, 1000.0) == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
     def test_invalid_arl(self):
-        with pytest.raises(InvalidConfigError):
-            arl_to_alpha(100, 0.0)
-        with pytest.raises(InvalidConfigError):
-            arl_to_alpha(0, 100.0)
+        for n, arl in [(100, 0.0), (0, 100.0), (100, -5.0), (100, np.nan), (100, np.inf),
+                       (100, "x"), (100, None), (2.5, 100.0), ("100", 100.0)]:
+            with pytest.raises(InvalidConfigError):
+                arl_to_alpha(n, arl)
 
 
 class TestConfidenceBounds:
