@@ -62,8 +62,8 @@ class ErGraphSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.p0 < 1.0 + 1e-12) or not (0.0 <= self.p1 <= 1.0):
-            raise InvalidSpecError("edge probabilities must lie in [0, 1]")
+        check_real("p0", self.p0, 0, InvalidSpecError, 1, "[]")
+        check_real("p1", self.p1, 0, InvalidSpecError, 1, "[]")
         if self.p1 < self.p0:
             raise InvalidSpecError("community probability p1 must be >= p0")
         check_count("N", self.N, 1, InvalidSpecError)
@@ -76,12 +76,13 @@ class ErGraphSpec:
 def _sample_adjacency(spec: ErGraphSpec, rng: np.random.Generator, planted: bool) -> np.ndarray:
     N = spec.N
     W = np.triu((rng.random((N, N)) < spec.p0).astype(np.int64), 1)
+    W = W + W.T
     if planted and spec.p1 > spec.p0:
+        # the community's own draw replaces every null edge among its nodes
         nodes = rng.choice(N, size=spec.k, replace=False)
         sub = np.triu((rng.random((spec.k, spec.k)) < spec.p1).astype(np.int64), 1)
-        W[np.ix_(nodes, nodes)] = np.triu(W[np.ix_(nodes, nodes)], 1)
-        W[np.ix_(nodes, nodes)] |= sub
-    return W + W.T
+        W[np.ix_(nodes, nodes)] = sub + sub.T
+    return W
 
 
 def scan_series(spec: ErGraphSpec, n_subgraphs: int, planted: bool = False) -> np.ndarray:
@@ -201,8 +202,8 @@ class MmdStreamSpec:
             check_count("change_time", self.change_time, -math.inf, InvalidSpecError)
         if self.bandwidth is not None:
             check_real("bandwidth", self.bandwidth, 0, InvalidSpecError)
-        if not (0.0 <= self.p_pre <= 1.0 and 0.0 <= self.p_post <= 1.0):
-            raise InvalidSpecError("edge probabilities must lie in [0, 1]")
+        check_real("p_pre", self.p_pre, 0, InvalidSpecError, 1, "[]")
+        check_real("p_post", self.p_post, 0, InvalidSpecError, 1, "[]")
         if self.horizon < 2 * self.block_size + 1:
             raise InvalidSpecError("horizon too short for one sliding statistic")
         # the pipeline fields are refused here, before any snapshot is drawn
@@ -319,8 +320,8 @@ class BanditSpec:
     def __post_init__(self):
         if len(self.tail_exponents) < 2:
             raise InvalidSpecError("bandit needs at least 2 arms")
-        if any(not (a > 0) for a in self.tail_exponents):
-            raise InvalidSpecError("tail exponents must be positive")
+        for a in self.tail_exponents:
+            check_real("each of tail_exponents", a, 0, InvalidSpecError)
         check_level("delta", self.delta, InvalidSpecError)
         check_count("burn_in", self.burn_in, 2, InvalidSpecError)
         check_count("window", self.window, 1, InvalidSpecError)

@@ -42,6 +42,7 @@ from .applications import (
 from .errors import (
     DegenerateHeightsError,
     DtmError,
+    InvalidConfigError,
     InvalidSpecError,
     NoClustersError,
     ParseError,
@@ -165,6 +166,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    check_real("--gap-tolerance", args.gap_tolerance, 0, InvalidConfigError)
     spec_dict = _load_json_arg(args.spec)
     spec_dict.setdefault("n", args.n)
     spec_dict.setdefault("seed", args.seed)

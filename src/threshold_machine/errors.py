@@ -7,9 +7,11 @@ without parsing messages.
 
 Each kind of input value has one rule here, and the caller names the error
 it raises: :func:`check_count` for counts and seeds, :func:`check_level` for
-levels and quantiles in (0, 1), :func:`check_real` for finite reals above a
-bound.  A rule refuses a value of the wrong type, such as a string or None,
-the way it refuses one out of range.
+levels and quantiles in (0, 1), :func:`check_real` for reals in an interval,
+open by default and closed at either end on request, such as probabilities in
+[0, 1] or an extremal index in (0, 1].  A rule refuses a value of the wrong
+type, such as a string or None, the way it refuses one out of range or not
+finite.
 """
 
 import math
@@ -117,17 +119,20 @@ def check_count(name: str, value, low, error: type[DtmError]) -> None:
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def check_real(name: str, value, low, error: type[DtmError], high=math.inf) -> None:
-    """Raise ``error`` unless ``value`` is a real in the open interval
-    (``low``, ``high``): by default a finite real above ``low``."""
+def check_real(name: str, value, low, error: type[DtmError], high=math.inf, ends="()") -> None:
+    """Raise ``error`` unless ``value`` is a real in the interval from ``low``
+    to ``high`` whose ends ``ends`` writes in interval notation: by default
+    the open one, a finite real above ``low``; ``"[)"`` also admits ``low``,
+    ``"(]"`` admits ``high`` and ``"[]"`` both."""
     # a value that does not compare with numbers raises TypeError; catching
     # it costs less than an isinstance test against numbers.Real
     try:
-        if low < value < high:
+        if (low < value or ends[0] == "[" and value == low) and (
+                value < high or ends[1] == "]" and value == high):
             return
     except TypeError:
         pass
-    raise error(f"{name} must lie in ({low}, {high}), got {value!r}")
+    raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
 
 
 def check_level(name: str, value, error: type[DtmError]) -> None:

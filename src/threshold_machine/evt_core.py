@@ -52,11 +52,9 @@ class GevParams:
     xi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)
-                and math.isfinite(self.xi)):
-            raise InvalidParamsError(f"parameters must be finite, got {self}")
-        if self.sigma <= 0:
-            raise InvalidParamsError(f"sigma must be > 0, got {self.sigma}")
+        check_real("mu", self.mu, -math.inf, InvalidParamsError)
+        check_real("sigma", self.sigma, 0, InvalidParamsError)
+        check_real("xi", self.xi, -math.inf, InvalidParamsError)
 
     @property
     def is_gumbel(self) -> bool:
@@ -80,9 +78,7 @@ class TailModel:
     horizon: int
 
     def __post_init__(self):
-        check_real("theta", self.theta, 0, InvalidParamsError)
-        if self.theta > 1:
-            raise InvalidParamsError(f"theta must lie in (0, 1], got {self.theta!r}")
+        check_real("theta", self.theta, 0, InvalidParamsError, 1, "(]")
         check_real("cutoff", self.cutoff, -math.inf, InvalidParamsError)
         check_count("horizon", self.horizon, 1, InvalidParamsError)
 

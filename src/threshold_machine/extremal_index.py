@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidThetaError, NoClustersError
+from .errors import InvalidThetaError, NoClustersError, check_real
 from .exceedance import GapSet
 
 __all__ = ["ThetaEstimate", "theta_log_likelihood", "theta_closed_form"]
@@ -56,8 +56,7 @@ def _gap_stats(g: GapSet) -> tuple[int, int, int, float]:
 
 def theta_log_likelihood(theta: float, g: GapSet) -> float:
     """Log likelihood of the exponential/point-mass mixture at ``theta``."""
-    if not (0.0 < theta <= 1.0) or not np.isfinite(theta):
-        raise InvalidThetaError(f"theta must lie in (0, 1], got {theta}")
+    check_real("theta", theta, 0, InvalidThetaError, 1, "(]")
     if len(g.gaps) < 1:
         raise InvalidThetaError("need at least one gap")
     _, n_c, a, c = _gap_stats(g)

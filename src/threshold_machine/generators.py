@@ -110,24 +110,18 @@ def _whole(value):
 
 
 def _validate_params(kind: str, p: dict) -> None:
-    def positive(name):
-        check_real(f"{kind} {name}", p.get(name), 0, InvalidSpecError)
+    def real(name, low, ends="()"):
+        check_real(f"{kind} {name}", p.get(name), low, InvalidSpecError, ends=ends)
 
     if kind == "beta":
-        positive("a")
-        positive("b")
-    elif kind == "chi_square":
-        if not (p.get("df", 0) >= 1):
-            raise InvalidSpecError(f"chi_square needs df >= 1, got {p.get('df')}")
-    elif kind == "student_t":
-        if not (p.get("df", 0) >= 1):
-            raise InvalidSpecError(f"student_t needs df >= 1, got {p.get('df')}")
+        real("a", 0)
+        real("b", 0)
+    elif kind in ("chi_square", "student_t"):
+        real("df", 1, "[)")
     elif kind == "pareto":
-        positive("alpha_tail")
+        real("alpha_tail", 0)
     elif kind == "gaussian_ar1":
-        m = p.get("m")
-        if m is None or m < 0 or not math.isfinite(m):
-            raise InvalidSpecError(f"gaussian_ar1 needs m >= 0, got {m}")
+        real("m", 0, "[)")
     elif kind == "moving_average":
         base = p.get("base")
         if not isinstance(base, GeneratorSpec):

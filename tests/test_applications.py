@@ -21,6 +21,7 @@ from threshold_machine import (
     bandit_run,
     change_point_run,
     generate,
+    make_rng,
     mmd_stat,
     run_dtm,
     scan_series,
@@ -50,6 +51,15 @@ class TestScanSeries:
         s0 = scan_series(null, 3000, planted=False)
         s1 = scan_series(null, 3000, planted=True)
         assert s1.max() > s0.max()
+
+    def test_planted_community_edges_are_bernoulli_p1(self):
+        # 590 null pairs at p0 and 190 community pairs at p1: 409 edges on
+        # average, with a standard error of 0.7 over 400 graphs; a community
+        # pair that kept its null edge would read p0 + p1 - p0*p1 = 0.8
+        spec = ErGraphSpec(N=40, p0=0.5, p1=0.6, k=20)
+        edges = [applications._sample_adjacency(spec, make_rng(seed), True).sum() // 2
+                 for seed in range(400)]
+        assert np.mean(edges) == pytest.approx(0.5 * 590 + 0.6 * 190, abs=3)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpecError):

@@ -128,6 +128,14 @@ class TestThresholdCommand:
          "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "fix_xi": "x"}',
          "--seed", "1"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": "x"}}', "--seed", "1"],
+        ["validate", "--spec", '{"kind": "student_t", "params": {"df": Infinity}}',
+         "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 1.0000000000001, "p1": 1.0, "k": 5}',
+         "--seed", "1"],
+        ["app", "changepoint", "--spec", '{"p_pre": "x"}', "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": ["x", 4.0]}', "--seed", "1"],
+        ["app", "bandit", "--spec", '{"tail_exponents": [Infinity, 4.0]}', "--seed", "1"],
     ], ids=["validate-flag", "validate-fractional-n", "validate-fractional-seed", "scan-flag",
             "scan-spec", "changepoint-flag", "bandit-flag", "bandit-arm-seeds",
             "scan-fractional-N", "scan-fractional-k", "changepoint-fractional-block-size",
@@ -136,7 +144,9 @@ class TestThresholdCommand:
             "scan-fractional-n-subgraphs", "bandit-text-total-pulls",
             "changepoint-text-quantile", "changepoint-text-fix-xi", "changepoint-text-arl",
             "changepoint-negative-arl", "changepoint-nan-arl", "bandit-text-quantile",
-            "bandit-text-fix-xi"])
+            "bandit-text-fix-xi", "validate-text-df", "validate-infinite-df",
+            "scan-p0-above-one", "changepoint-text-p-pre", "bandit-text-exponent",
+            "bandit-infinite-exponent"])
     def test_invalid_spec_is_input_error(self, argv, tmp_path, monkeypatch):
         snapshots = count_snapshots(monkeypatch)
         out = tmp_path / "error.json"
@@ -222,6 +232,19 @@ class TestValidateCommand:
     def test_malformed_spec(self, capsys):
         assert main(["validate", "--spec", "{not json", "--alpha", "0.05",
                      "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_invalid_gap_tolerance_is_input_error(self, tolerance, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "generate", lambda spec: drawn.append(spec))
+        monkeypatch.setattr(cli, "empirical_max_cdf", lambda spec, L: drawn.append(spec))
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
+        code = main(["validate", "--spec", spec, "--alpha", "0.05", "--seed", "1",
+                     "--gap-tolerance", tolerance])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)  # valid JSON: no NaN written
+        assert err["error"]["code"] == "invalid-config"
+        assert drawn == []  # refused before any path or oracle is drawn
 
 
 class TestAppCommand:
