@@ -37,22 +37,22 @@ from .errors import (
     TooFewExceedancesError,
 )
 from .evt_core import GevParams, TailModel, gev_cdf, invert_tail, model_max_cdf, tail_fn
-from .exceedance import ExceedanceSet, GapSet, extract, gaps, quantile_cutoff
+from .exceedance import ExceedanceSet, GapSet, as_series, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form, theta_log_likelihood
 from .gev_fit import FitDiagnostics, fit, neg_log_likelihood
 from .generators import GeneratorSpec, generate
 from .mc_oracle import EmpiricalMaxDist, empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, arl_to_alpha, confidence_bounds, run_dtm
-from .resample import as_series, bootstrap, bootstrap_draw, make_rng
+from .resample import bootstrap, bootstrap_draw, make_rng
 
 __all__ = [
     "__version__",
     # evt_core
     "GevParams", "TailModel", "gev_cdf", "tail_fn", "invert_tail", "model_max_cdf",
     # resample
-    "as_series", "bootstrap", "bootstrap_draw", "make_rng",
+    "bootstrap", "bootstrap_draw", "make_rng",
     # exceedance
-    "ExceedanceSet", "GapSet", "quantile_cutoff", "extract", "gaps",
+    "as_series", "ExceedanceSet", "GapSet", "quantile_cutoff", "extract", "gaps",
     # gev_fit
     "FitDiagnostics", "neg_log_likelihood", "fit",
     # extremal_index

@@ -204,8 +204,12 @@ class MmdStreamSpec:
             check_real("bandwidth", self.bandwidth, 0, InvalidSpecError)
         check_real("p_pre", self.p_pre, 0, InvalidSpecError, 1, "[]")
         check_real("p_post", self.p_post, 0, InvalidSpecError, 1, "[]")
-        if self.horizon < 2 * self.block_size + 1:
-            raise InvalidSpecError("horizon too short for one sliding statistic")
+        # the sliding statistic starts at t = 2 * block_size; train_len >= 2
+        # so this also refuses a horizon too short for one statistic
+        n_stream = self.horizon - 2 * self.block_size + 1
+        if self.train_len > n_stream:
+            raise InvalidSpecError(f"horizon={self.horizon} leaves {n_stream} statistics, "
+                                   f"fewer than train_len={self.train_len}")
         # the pipeline fields are refused here, before any snapshot is drawn
         check_level("cutoff_quantile", self.cutoff_quantile, InvalidSpecError)
         check_count("bootstrap_reps", self.bootstrap_reps, 1, InvalidSpecError)
@@ -249,10 +253,6 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
     B = spec.block_size
     stream_start = 2 * B
     n_stream = spec.horizon - stream_start + 1
-    if n_stream < spec.train_len:
-        raise InvalidSpecError(
-            f"horizon leaves {n_stream} statistics, fewer than train_len={spec.train_len}"
-        )
 
     alpha = arl_to_alpha(spec.train_len, arl)
     cfg = DtmConfig(alpha=alpha, cutoff_quantile=spec.cutoff_quantile,

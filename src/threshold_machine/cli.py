@@ -78,7 +78,7 @@ def _manifest(command: str, config: dict, seed) -> dict:
     }
 
 
-def _report_payload(report: ThresholdReport, n: int) -> dict:
+def _report_payload(report: ThresholdReport) -> dict:
     p = report.model.params
     return {
         "threshold": report.threshold,
@@ -86,7 +86,7 @@ def _report_payload(report: ThresholdReport, n: int) -> dict:
         "sigma": p.sigma,
         "xi": p.xi,
         "theta": report.model.theta,
-        "n": n,
+        "n": report.model.horizon,
         "n_u": report.theta_est.n_u,
         "cutoff": report.model.cutoff,
         "alpha": report.config.alpha,
@@ -159,7 +159,7 @@ def _cmd_threshold(args) -> int:
     cfg = _dtm_config(args)
     report = run_dtm(series, cfg)
     log.info("threshold %.6g at alpha %.4g", report.threshold, cfg.alpha)
-    payload = _report_payload(report, len(series))
+    payload = _report_payload(report)
     payload["manifest"] = _manifest("threshold", dataclasses.asdict(cfg), args.seed)
     _emit(payload, args.out)
     return _exit_status(report.warnings)
@@ -167,6 +167,7 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_validate(args) -> int:
     check_real("--gap-tolerance", args.gap_tolerance, 0, InvalidConfigError)
+    check_count("--mc-reps", args.mc_reps, 1, InvalidSpecError)
     spec_dict = _load_json_arg(args.spec)
     spec_dict.setdefault("n", args.n)
     spec_dict.setdefault("seed", args.seed)
@@ -185,7 +186,7 @@ def _cmd_validate(args) -> int:
         "sup_norm_gap": gap,
         "gap_tolerance": args.gap_tolerance,
         "passed": bool(gap <= args.gap_tolerance),
-        "fit": _report_payload(report, spec.n),
+        "fit": _report_payload(report),
         "manifest": _manifest(
             "validate",
             {"spec": spec.to_dict(), "L": args.mc_reps, "alpha": args.alpha,

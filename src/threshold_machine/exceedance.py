@@ -1,4 +1,5 @@
-"""Cutoff selection and extraction of exceedances with their indices."""
+"""Series validation, cutoff selection, and extraction of exceedances with
+their indices: a series enters the package only through this module."""
 
 from __future__ import annotations
 
@@ -7,15 +8,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidQuantileError, TooFewExceedancesError, check_level
-from .resample import as_series
+from .errors import InvalidQuantileError, InvalidSeriesError, TooFewExceedancesError, check_level
 
-__all__ = ["ExceedanceSet", "GapSet", "nearest_rank", "quantile_cutoff", "extract", "gaps"]
+__all__ = ["as_series", "ExceedanceSet", "GapSet", "nearest_rank", "quantile_cutoff", "extract",
+           "gaps"]
 
 # Fitters refuse below this many exceedances; below WARN_EXCEEDANCES the
 # pipeline reports few-exceedances.
 MIN_EXCEEDANCES = 10
 WARN_EXCEEDANCES = 30
+
+
+def as_series(values) -> np.ndarray:
+    """Validate a series and return it as a float ndarray: one-dimensional,
+    finite, length >= 1."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise InvalidSeriesError(f"series must be one-dimensional, got shape {arr.shape}")
+    if arr.size < 1:
+        raise InvalidSeriesError("series must contain at least one value")
+    if not np.isfinite(arr).all():
+        raise InvalidSeriesError("series contains non-finite values")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -85,14 +99,14 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
 
     ``values`` is a series, or the set that ``extract(series, u)`` returned:
     the series is validated and thresholded only when it is given itself.
-    With ``draw``, a one-dimensional integer index array such as
-    :func:`~threshold_machine.resample.bootstrap_draw`, the result is the
+    With ``draw``, a one-dimensional integer index array, the result is the
     exceedance set of ``series[draw]``, gathered from the series' own
     exceedance set without that array: a hit table scattered from the set's
     indices is gathered through ``draw``, and heights are read from the
-    series only at the hits, so a bootstrap replicate neither re-validates
-    nor re-thresholds the series.  The result may be empty; downstream
-    fitters are the ones that reject too-small sets.
+    series only at the hits.  :func:`~threshold_machine.resample.bootstrap`
+    gathers each replicate this way, so no replicate re-validates or
+    re-thresholds the series.  The result may be empty; downstream fitters
+    are the ones that reject too-small sets.
     """
     if isinstance(values, ExceedanceSet):
         exc = values

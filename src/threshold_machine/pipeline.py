@@ -14,10 +14,10 @@ No stage but the inversion reads alpha, so the report's fitted model answers
 every level: ``report.model.upper(a)`` is the threshold a run at level ``a``
 would return, and ``report.model.lower(a)`` the matching lower bound.
 
-Only a replicate's exceedance heights reach the fit, so a replicate is its
-index draw, and its exceedances are the original series' exceedance set
-gathered through the draw: no replicate re-validates, re-thresholds or
-copies the series.
+The series enters through ``exceedance``: ``quantile_cutoff`` reads the
+cutoff from it and ``extract`` cuts its exceedance set.  Replicate r is
+``resample.bootstrap`` of that set, gathered through the replicate's index
+draw, so no replicate re-validates, re-thresholds or copies the series.
 
 Fewer than ``exceedance.MIN_EXCEEDANCES`` exceedances above u on the
 original series fail the run.
@@ -39,7 +39,7 @@ from .evt_core import GevParams, TailModel
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
 from .gev_fit import FitDiagnostics, fit
-from .resample import bootstrap_draw
+from .resample import bootstrap
 
 __all__ = ["DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidence_bounds"]
 
@@ -117,7 +117,7 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     fits: list[GevParams] = []
     diags: list[FitDiagnostics] = []
     for r in range(cfg.bootstrap_reps):
-        params_r, diag_r = fit(extract(exc, u, bootstrap_draw(n, cfg.seed + r)), cfg.fix_xi)
+        params_r, diag_r = fit(bootstrap(exc, cfg.seed + r), cfg.fix_xi)
         fits.append(params_r)
         diags.append(diag_r)
     if len(fits) == 1:

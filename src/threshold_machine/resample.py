@@ -1,4 +1,4 @@
-"""Series validation, the package PRNG, and the bootstrap index draw.
+"""The package PRNG, the bootstrap index draw, and the bootstrap replicate.
 
 Every stochastic component in the package draws from numpy's PCG64 bit
 generator seeded explicitly, so for a given numpy version any (input, seed)
@@ -9,34 +9,19 @@ replicates, oracle replicates, harness arms) offset the base seed by a
 documented integer.
 
 A bootstrap replicate is defined by its index draw alone
-(:func:`bootstrap_draw`): :func:`bootstrap` gathers the series through it,
-and :func:`exceedance.extract` gathers the original series' exceedance set
-through it, so no pipeline replicate re-validates, re-thresholds or copies
-the path.
+(:func:`bootstrap_draw`), and only its exceedances reach the fit, so
+:func:`bootstrap` gathers the original series' exceedance set through the
+draw with :func:`exceedance.extract`: no replicate re-validates,
+re-thresholds or copies the path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSeriesError
+from .exceedance import ExceedanceSet, extract
 
-__all__ = ["as_series", "make_rng", "bootstrap_draw", "bootstrap"]
-
-
-def as_series(values) -> np.ndarray:
-    """Validate and return a series as a float ndarray.
-
-    Accepts any one-dimensional array-like of finite reals with length >= 1.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidSeriesError(f"series must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 1:
-        raise InvalidSeriesError("series must contain at least one value")
-    if not np.isfinite(arr).all():
-        raise InvalidSeriesError("series contains non-finite values")
-    return arr
+__all__ = ["make_rng", "bootstrap_draw", "bootstrap"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -50,13 +35,13 @@ def bootstrap_draw(n: int, seed: int) -> np.ndarray:
     return make_rng(seed).integers(0, n, size=n)
 
 
-def bootstrap(values, seed: int) -> np.ndarray:
-    """Sample-with-replacement copy of the series, same length:
-    ``values[bootstrap_draw(n, seed)]``.
+def bootstrap(exc: ExceedanceSet, seed: int) -> ExceedanceSet:
+    """Replicate ``seed`` of the series that ``extract(series, u)`` cut ``exc``
+    from: the exceedance set of ``series[bootstrap_draw(n, seed)]`` above the
+    same cutoff, with n = ``exc.source_len``.
 
     Indices are drawn rather than values, so affine transformations of the
-    input commute with resampling under a fixed seed.  Every output element
-    equals some input element bitwise.
+    input commute with resampling under a fixed seed.  Every height equals
+    some input element bitwise.
     """
-    arr = as_series(values)
-    return arr[bootstrap_draw(arr.size, seed)]
+    return extract(exc, exc.cutoff, bootstrap_draw(exc.source_len, seed))

@@ -47,10 +47,18 @@ class TestScanSeries:
         assert np.all((s >= 0) & (s <= 45))
 
     def test_planted_community_raises_statistics(self):
-        null = ErGraphSpec(N=100, p0=0.1, p1=0.9, k=10, seed=4)
-        s0 = scan_series(null, 3000, planted=False)
-        s1 = scan_series(null, 3000, planted=True)
-        assert s1.max() > s0.max()
+        # each of the 45 pairs of a 10-node subgraph is a community pair with
+        # probability 45/4950 and then gains p1 - p0 = 0.8 in edge rate, so
+        # the planted mean exceeds the null mean by 0.8*45*45/4950 = 0.327
+        gaps = []
+        for seed in range(10):
+            spec = ErGraphSpec(N=100, p0=0.1, p1=0.9, k=10, seed=seed)
+            s0 = scan_series(spec, 3000, planted=False)
+            s1 = scan_series(spec, 3000, planted=True)
+            assert s1.mean() > s0.mean()
+            assert s1.max() >= s0.max()
+            gaps.append(s1.mean() - s0.mean())
+        assert np.mean(gaps) == pytest.approx(0.33, abs=0.1)
 
     def test_planted_community_edges_are_bernoulli_p1(self):
         # 590 null pairs at p0 and 190 community pairs at p1: 409 edges on
@@ -88,6 +96,9 @@ class TestScanSeries:
     (MmdStreamSpec, "n_nodes", 1),
     (MmdStreamSpec, "horizon", 4400.0),
     (MmdStreamSpec, "train_len", "2000"),
+    # the default horizon leaves 4400 - 2 * 50 + 1 = 4301 statistics
+    (MmdStreamSpec, "train_len", 4302),
+    (MmdStreamSpec, "horizon", 100),
     (MmdStreamSpec, "change_time", 300.5),
     (BanditSpec, "burn_in", 50.5),
     (BanditSpec, "window", 2.5),

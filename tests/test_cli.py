@@ -246,6 +246,27 @@ class TestValidateCommand:
         assert err["error"]["code"] == "invalid-config"
         assert drawn == []  # refused before any path or oracle is drawn
 
+    @pytest.mark.parametrize("mc_reps", ["0", "-1"])
+    def test_invalid_mc_reps_is_input_error(self, mc_reps, capsys, monkeypatch):
+        calls = {"generate": 0, "run_dtm": 0}
+
+        def counting(name):
+            inner = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
+        code = main(["validate", "--spec", spec, "--n", "2000", "--alpha", "0.05",
+                     "--seed", "1", "--mc-reps", mc_reps])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-spec"
+        assert calls == {"generate": 0, "run_dtm": 0}  # refused before the path is drawn
+
 
 class TestAppCommand:
     def test_bandit_artifacts(self, tmp_path):
@@ -291,6 +312,7 @@ class TestAppCommand:
         ("changepoint", {"arl": "x"}),
         ("changepoint", {"arl": -5}),
         ("changepoint", {"arl": float("nan")}),
+        ("changepoint", {"train_len": 5000}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "cutoff_quantile": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "delta": None}),
@@ -300,8 +322,8 @@ class TestAppCommand:
             "scan-text-n-subgraphs", "scan-fractional-n-subgraphs", "scan-text-quantile",
             "bandit-text-total-pulls", "changepoint-text-quantile", "changepoint-quantile-one",
             "changepoint-text-fix-xi", "changepoint-fractional-reps", "changepoint-text-arl",
-            "changepoint-negative-arl", "changepoint-nan-arl", "bandit-text-quantile",
-            "bandit-text-fix-xi", "bandit-none-delta"])
+            "changepoint-negative-arl", "changepoint-nan-arl", "changepoint-long-train",
+            "bandit-text-quantile", "bandit-text-fix-xi", "bandit-none-delta"])
     def test_malformed_spec_is_input_error(self, harness, spec, tmp_path, monkeypatch):
         snapshots = count_snapshots(monkeypatch)
         out = tmp_path / "error.json"

@@ -1,6 +1,8 @@
 """The README's python examples and the demo scripts compile; nothing is run.
 The library sets no warning filter, checks input values only through the
-rules in ``errors.py``, and importing it loads no scipy module."""
+rules in ``errors.py``, draws bootstrap replicates only in ``resample.py``,
+validates series only in ``exceedance.py``, and importing it loads no scipy
+module."""
 
 import os
 import re
@@ -42,6 +44,16 @@ def test_input_rules_live_in_errors(module):
     source = (PACKAGE / module).read_text()
     assert module == "errors.py" or not re.findall(
         r"\b(?:Integral|Real)\b|\bmath\.isfinite\b", source)
+
+
+def test_bootstrap_lives_in_resample():
+    # one definition of a replicate: the pipeline calls resample.bootstrap,
+    # and a series enters the package only through exceedance.as_series
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    draws = [m for m, src in sources.items() if re.search(r"\bbootstrap_draw\b", src)]
+    assert sorted(draws) == ["__init__.py", "resample.py"]
+    validators = [m for m, src in sources.items() if re.search(r"^def as_series\b", src, re.M)]
+    assert validators == ["exceedance.py"]
 
 
 def test_import_loads_no_scipy():

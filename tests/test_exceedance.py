@@ -104,12 +104,14 @@ class TestExtractThroughDraw:
         assert got.heights.tobytes() == want.heights.tobytes()  # bitwise, same order
 
     def assert_replicate(self, s, u, seed):
-        """Both draw paths give the exceedance set of ``bootstrap(s, seed)``."""
-        want = extract(bootstrap(s, seed), u)
+        """Both draw paths, and ``bootstrap``, give the exceedance set of
+        ``s[bootstrap_draw(n, seed)]``."""
         draw = bootstrap_draw(len(s), seed)
+        want = extract(np.asarray(s)[draw], u)
         got = extract(s, u, draw)
         self.assert_same_set(got, want)
         self.assert_same_set(extract(extract(s, u), u, draw), want)
+        self.assert_same_set(bootstrap(extract(s, u), seed), want)
         return got
 
     def test_real_valued_path(self):

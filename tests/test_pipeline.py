@@ -13,7 +13,6 @@ from threshold_machine import (
     InvalidConfigError,
     TooFewExceedancesError,
     arl_to_alpha,
-    bootstrap,
     bootstrap_draw,
     confidence_bounds,
     extract,
@@ -106,10 +105,10 @@ class TestRunDtm:
         assert model_max_cdf(r5.model, r5.threshold) == pytest.approx(0.95, abs=1e-6)
 
     def test_replicates_are_bootstrap_fits(self):
-        # each replicate fits the exceedances of bootstrap(s, seed + r)
+        # each replicate fits the exceedances of s[bootstrap_draw(n, seed + r)]
         s = chi2_series(seed=15)
         u = quantile_cutoff(s, 0.95)
-        fits = [fit(extract(bootstrap(s, 16 + r), u))[0] for r in range(3)]
+        fits = [fit(extract(s[bootstrap_draw(s.size, 16 + r)], u))[0] for r in range(3)]
         want = GevParams(mu=float(np.mean([p.mu for p in fits])),
                          sigma=float(np.mean([p.sigma for p in fits])),
                          xi=float(np.mean([p.xi for p in fits])))
@@ -127,31 +126,34 @@ class TestRunDtm:
     @pytest.mark.parametrize("reps", [1, 3])
     def test_stage_call_counts(self, monkeypatch, reps):
         # one extract of the original series, which validates and thresholds
-        # it, plus one per replicate, which gathers that exceedance set
-        # through the replicate's draw; one fit per replicate and one
-        # inversion, which the fitted model makes: the spans the benchmark
-        # traces
-        calls = {"extract": 0, "fit": 0, "invert_tail": 0}
-        modules = {"extract": pipeline, "fit": pipeline, "invert_tail": evt_core}
+        # it, plus one per replicate, which bootstrap makes to gather that
+        # exceedance set through the replicate's draw; one fit per replicate
+        # and one inversion, which the fitted model makes: the spans the
+        # benchmark traces, counted at every module that binds them
+        originals = {"extract": exceedance.extract, "bootstrap": resample.bootstrap,
+                     "fit": fit, "invert_tail": evt_core.invert_tail}
+        calls = dict.fromkeys(originals, 0)
 
         def counting(name):
-            inner = getattr(modules[name], name)
+            inner = originals[name]
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(modules[name], name, counting(name))
+        for name, inner in originals.items():
+            for mod in (pipeline, resample, exceedance, evt_core):
+                if getattr(mod, name, None) is inner:
+                    monkeypatch.setattr(mod, name, counting(name))
         run_dtm(chi2_series(seed=23), DtmConfig(alpha=0.05, seed=24, bootstrap_reps=reps))
-        assert calls == {"extract": 1 + reps, "fit": reps, "invert_tail": 1}
+        assert calls == {"extract": 1 + reps, "bootstrap": reps, "fit": reps, "invert_tail": 1}
 
     def test_path_validated_independently_of_reps(self, monkeypatch):
         # replicates reuse the original exceedance set, not the series; the
         # series is validated where it enters quantile_cutoff and extract
         calls = []
-        original = resample.as_series
+        original = exceedance.as_series
 
         def counting(values):
             calls.append(len(values))

@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from threshold_machine import InvalidSeriesError, as_series, bootstrap, bootstrap_draw, make_rng
+from threshold_machine import (
+    InvalidSeriesError,
+    as_series,
+    bootstrap,
+    bootstrap_draw,
+    extract,
+    make_rng,
+)
+
+
+def replicate(values, seed):
+    """Heights of replicate ``seed`` of a set that holds every point of the
+    series: the resampled series itself, in draw order."""
+    return bootstrap(extract(values, np.min(values) - 1), seed).heights
 
 
 class TestAsSeries:
@@ -28,28 +41,28 @@ class TestAsSeries:
 
 class TestBootstrap:
     def test_constant_series_unchanged(self):
-        out = bootstrap(np.full(50, 3.25), seed=99)
+        out = replicate(np.full(50, 3.25), seed=99)
         assert np.all(out == 3.25)
 
     def test_single_value_forced(self):
-        assert bootstrap([7.5], seed=0).tolist() == [7.5]
+        assert replicate([7.5], seed=0).tolist() == [7.5]
 
     def test_length_preserved(self):
         s = np.arange(123, dtype=float)
-        assert bootstrap(s, seed=1).shape == s.shape
+        assert replicate(s, seed=1).shape == s.shape
 
     def test_membership_bitwise(self):
         rng = np.random.default_rng(2)
         s = rng.uniform(0, 1, size=500)
-        out = bootstrap(s, seed=3)
+        out = replicate(s, seed=3)
         assert np.all(np.isin(out, s))
 
     def test_deterministic_given_seed(self):
         s = np.random.default_rng(4).normal(size=1000)
-        a = bootstrap(s, seed=42)
-        b = bootstrap(s, seed=42)
+        a = replicate(s, seed=42)
+        b = replicate(s, seed=42)
         assert np.array_equal(a, b)
-        c = bootstrap(s, seed=43)
+        c = replicate(s, seed=43)
         assert not np.array_equal(a, c)
 
     def test_ecdf_within_dkw_band(self):
@@ -58,7 +71,7 @@ class TestBootstrap:
         delta = 0.001
         eps = np.sqrt(np.log(2 / delta) / (2 * n))
         s = np.sort(np.random.default_rng(5).normal(size=n))
-        out = np.sort(bootstrap(s, seed=6))
+        out = np.sort(replicate(s, seed=6))
         grid = s
         f_orig = np.searchsorted(s, grid, side="right") / n
         f_boot = np.searchsorted(out, grid, side="right") / n
@@ -72,7 +85,7 @@ class TestBootstrap:
 
     def test_bootstrap_gathers_the_draw(self):
         s = np.random.default_rng(7).normal(size=300)
-        assert bootstrap(s, seed=8).tobytes() == s[bootstrap_draw(s.size, 8)].tobytes()
+        assert replicate(s, seed=8).tobytes() == s[bootstrap_draw(s.size, 8)].tobytes()
 
     def test_pcg64_is_the_generator(self):
         # the documented PRNG contract: Generator over PCG64
