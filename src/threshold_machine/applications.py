@@ -229,7 +229,7 @@ class ChangePointResult:
 
 def _snapshot(spec: MmdStreamSpec, t: int) -> np.ndarray:
     # tuple entropy keeps snapshot streams independent across spec seeds
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, t))))
+    rng = make_rng((spec.seed, t))
     p = spec.p_pre if spec.change_time is None or t <= spec.change_time else spec.p_post
     d = spec.n_nodes * (spec.n_nodes - 1) // 2
     return (rng.random(d) < p).astype(float)

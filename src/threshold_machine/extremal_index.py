@@ -26,6 +26,7 @@ non-positive at 1.)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,5 +87,5 @@ def theta_closed_form(g: GapSet) -> ThetaEstimate:
     s = a + b + c
     raw = 2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c))
     clamped = not (0.0 < raw <= 1.0)
-    theta = min(max(raw, np.finfo(float).tiny), 1.0)
+    theta = min(max(raw, sys.float_info.min), 1.0)
     return ThetaEstimate(theta=float(theta), n_u=n_u, n_c=n_c, clamped=clamped)

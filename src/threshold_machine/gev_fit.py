@@ -109,7 +109,7 @@ def _profile(t, w: np.ndarray, shape: float | None) -> np.ndarray:
             scale = k / t
             gumbel = t == 0
             if gumbel.any():
-                scale[gumbel] = w.mean()  # the limit of k / t at t = 0
+                scale[gumbel] = w.sum() / w.size  # the limit of k / t at t = 0
             return np.where(k > -1, np.log(scale) + 1 + k, np.inf)
         scale = np.divide(shape, t)
         return np.where(scale > 0, np.log(scale) + k + k / shape, np.inf)
@@ -247,7 +247,7 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
         check_real("fix_xi", fix_xi, -1, InvalidConfigError)
 
     u = exc.cutoff
-    y_mean = float(y.mean())
+    y_mean = float(y.sum()) / y.size  # np.mean's own arithmetic
     init = _gev(y_mean, 0.0, u, n_u)
     if fix_xi is not None and _is_gumbel(fix_xi):
         params, evaluations, converged, boundary = init, 0, True, False

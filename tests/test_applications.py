@@ -223,6 +223,13 @@ class TestChangePointRun:
         assert _snapshot(spec, 50).sum() == 0
         assert _snapshot(spec, 51).sum() == spec.n_nodes * (spec.n_nodes - 1) // 2
 
+    def test_snapshot_stream_is_pinned(self):
+        # snapshot t of a spec draws from SeedSequence entropy (seed, t)
+        spec = small_stream_spec(p_pre=0.5, seed=3)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, 7))))
+        d = spec.n_nodes * (spec.n_nodes - 1) // 2
+        assert _snapshot(spec, 7).tobytes() == (rng.random(d) < 0.5).astype(float).tobytes()
+
     def test_horizon_validation(self):
         with pytest.raises(InvalidSpecError):
             MmdStreamSpec(block_size=50, horizon=90)

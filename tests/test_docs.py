@@ -1,8 +1,8 @@
 """The README's python examples and the demo scripts compile; nothing is run.
 The library sets no warning filter, checks input values only through the
-rules in ``errors.py``, draws bootstrap replicates only in ``resample.py``,
-validates series only in ``exceedance.py``, and importing it loads no scipy
-module."""
+rules in ``errors.py``, draws bootstrap replicates and builds PCG64 only in
+``resample.py``, validates series only in ``exceedance.py``, and importing it
+loads no scipy or ``numpy.random`` module."""
 
 import os
 import re
@@ -56,11 +56,30 @@ def test_bootstrap_lives_in_resample():
     assert validators == ["exceedance.py"]
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference
+def test_pcg64_built_only_in_resample():
+    # make_rng is the package PRNG; only bootstrap_draw seeds PCG64 itself
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    builders = [m for m, src in sources.items() if re.search(r"\bPCG64\(", src)]
+    assert builders == ["resample.py"]
+
+
+def loaded_by_import(package):
+    """The modules of ``package`` that importing threshold_machine loads in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, threshold_machine; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    assert loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random loads on the first draw; the import alone is the set-up
+    # time of a short run such as a bandit's
+    assert loaded_by_import("numpy.random") == "[]"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from threshold_machine import (
+    InvalidConfigError,
     InvalidSeriesError,
     as_series,
     bootstrap,
     bootstrap_draw,
     extract,
     make_rng,
+    resample,
 )
 
 
@@ -91,3 +93,38 @@ class TestBootstrap:
         # the documented PRNG contract: Generator over PCG64
         rng = make_rng(0)
         assert isinstance(rng.bit_generator, np.random.PCG64)
+        assert isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+
+    def test_tuple_seed_is_seed_sequence_entropy(self):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 3))))
+        assert make_rng((7, 3)).random(5).tobytes() == ref.random(5).tobytes()
+
+
+class TestDrawSeed:
+    @pytest.mark.parametrize("seed", [None, 5.0, -1, "3"])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        # None would seed from OS entropy, and 5.0 must not share seed 5's memo entry
+        with pytest.raises(InvalidConfigError):
+            bootstrap_draw(10, seed)
+
+    def test_numpy_integer_seed(self):
+        assert bootstrap_draw(10, np.int64(5)).tolist() == make_rng(5).integers(0, 10, 10).tolist()
+
+    @pytest.mark.parametrize("n", [1, 10, 550, 10_000])
+    def test_memo_is_bit_identical(self, n):
+        # a seed's first draw, a repeat from the memo, and a draw after more
+        # seeds than the memo holds have evicted it
+        memo = resample._seed_words
+        memo.cache_clear()
+        seed = 2**40 + n
+        first = bootstrap_draw(n, seed)
+        repeat = bootstrap_draw(n, seed)
+        for other in range(resample.SEED_MEMO_SIZE):
+            bootstrap_draw(1, other)
+        evicted = bootstrap_draw(n, seed)
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (1, resample.SEED_MEMO_SIZE + 2)
+        assert not memo(seed).words.flags.writeable
+        ref = make_rng(seed).integers(0, n, size=n)
+        for draw in (first, repeat, evicted):
+            assert draw.dtype == ref.dtype and draw.tobytes() == ref.tobytes()
