@@ -6,6 +6,8 @@ give it one chi-square(1) path, then validate the claim against 2000
 independently simulated paths the pipeline never saw.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from threshold_machine import (
@@ -50,6 +52,7 @@ rows = np.column_stack([
     oracle.cdf(oracle.maxima),
     model_max_cdf(report.model, oracle.maxima),
 ])
-np.savetxt("demo01_max_cdf.csv", rows, delimiter=",", comments="",
+csv_path = Path(__file__).with_name("demo01_max_cdf.csv")
+np.savetxt(csv_path, rows, delimiter=",", comments="",
            header="x,empirical_max_cdf,fitted_max_cdf")
-print("\nwrote demo01_max_cdf.csv (x, empirical, fitted) for plotting")
+print(f"\nwrote {csv_path} (x, empirical, fitted) for plotting")

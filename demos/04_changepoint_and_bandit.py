@@ -9,6 +9,8 @@ Bandit: each arm's maximum reward gets (lcb, ucb) bounds from the pipeline;
 pull the best ucb, stop when the leader's lcb clears every other ucb.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from threshold_machine import BanditSpec, MmdStreamSpec, bandit_run, change_point_run
@@ -33,10 +35,11 @@ print(f"  training: statistics {res.stream_start}..{mon_start - 1} "
       f"(alpha={res.report.config.alpha:.3f} for ARL=10000)")
 print(f"  true change at t={spec.change_time}; alarm at t={res.stopping_time}")
 times = np.arange(res.stream_start, spec.horizon + 1)
-np.savetxt("demo04_stream.csv",
+csv_path = Path(__file__).with_name("demo04_stream.csv")
+np.savetxt(csv_path,
            np.column_stack([times, res.stream, np.full_like(res.stream, res.threshold)]),
            delimiter=",", comments="", header="time,statistic,threshold")
-print("  wrote demo04_stream.csv (time, statistic, threshold)")
+print(f"  wrote {csv_path} (time, statistic, threshold)")
 
 # --- max-reward bandit --------------------------------------------------------
 

@@ -174,8 +174,8 @@ class MmdStreamSpec:
     Snapshots are vectorized upper triangles of independent adjacency
     realizations: edge probability ``p_pre`` up to and including
     ``change_time``, ``p_post`` afterwards (``change_time=None`` for a stream
-    with no change).  Snapshot t is drawn from seed + t, so any snapshot can
-    be regenerated independently.
+    with no change).  Snapshot t is drawn from the entropy (seed, t), so any
+    snapshot can be regenerated independently.
     """
 
     block_size: int = 50
@@ -185,12 +185,7 @@ class MmdStreamSpec:
     change_time: Optional[int] = None
     horizon: int = 4400
     train_len: int = 2000
-    bandwidth: Optional[float] = None
-    cutoff_quantile: float = 0.95
     bootstrap_reps: int = 10
-    # bounded kernel statistics at n_u ~ 100 cannot identify the shape; pin
-    # the exponential-type branch (free fits endpoint-cap the threshold)
-    fix_xi: Optional[float] = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -200,8 +195,6 @@ class MmdStreamSpec:
         check_count("train_len", self.train_len, 2, InvalidSpecError)
         if self.change_time is not None:
             check_count("change_time", self.change_time, -math.inf, InvalidSpecError)
-        if self.bandwidth is not None:
-            check_real("bandwidth", self.bandwidth, 0, InvalidSpecError)
         check_real("p_pre", self.p_pre, 0, InvalidSpecError, 1, "[]")
         check_real("p_post", self.p_post, 0, InvalidSpecError, 1, "[]")
         # the sliding statistic starts at t = 2 * block_size; train_len >= 2
@@ -210,11 +203,8 @@ class MmdStreamSpec:
         if self.train_len > n_stream:
             raise InvalidSpecError(f"horizon={self.horizon} leaves {n_stream} statistics, "
                                    f"fewer than train_len={self.train_len}")
-        # the pipeline fields are refused here, before any snapshot is drawn
-        check_level("cutoff_quantile", self.cutoff_quantile, InvalidSpecError)
+        # the pipeline field is refused here, before any snapshot is drawn
         check_count("bootstrap_reps", self.bootstrap_reps, 1, InvalidSpecError)
-        if self.fix_xi is not None:
-            check_real("fix_xi", self.fix_xi, -1, InvalidSpecError)
         check_count("seed", self.seed, 0, InvalidSpecError)
 
 
@@ -243,23 +233,25 @@ def _median_heuristic(ref: np.ndarray) -> float:
 def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
     """Online sliding-window detection on the snapshot stream.
 
-    The reference block is the first ``block_size`` snapshots; the statistic
-    at time t compares the block of the last ``block_size`` snapshots against
-    it, starting at t = 2 * block_size (first disjoint window).  The pipeline
-    is trained on the first ``train_len`` statistics at
-    alpha = arl_to_alpha(train_len, arl); monitoring scans everything after
-    the training prefix and stops at the first exceedance.
+    The reference block is the first ``block_size`` snapshots, and its median
+    pairwise distance is the kernel bandwidth; the statistic at time t
+    compares the last ``block_size`` snapshots against it, from
+    t = 2 * block_size (first disjoint window).  The pipeline (default cutoff
+    quantile, shape pinned at 0) is trained on the first ``train_len``
+    statistics at alpha = arl_to_alpha(train_len, arl); monitoring scans the
+    rest of the stream and stops at the first exceedance.
     """
     B = spec.block_size
     stream_start = 2 * B
     n_stream = spec.horizon - stream_start + 1
 
     alpha = arl_to_alpha(spec.train_len, arl)
-    cfg = DtmConfig(alpha=alpha, cutoff_quantile=spec.cutoff_quantile,
-                    bootstrap_reps=spec.bootstrap_reps, fix_xi=spec.fix_xi, seed=spec.seed)
+    # bounded kernel statistics at n_u ~ 100 cannot identify the shape; pin
+    # the exponential-type branch (free fits endpoint-cap the threshold)
+    cfg = DtmConfig(alpha=alpha, bootstrap_reps=spec.bootstrap_reps, fix_xi=0.0, seed=spec.seed)
 
     ref = np.stack([_snapshot(spec, t) for t in range(1, B + 1)])
-    bandwidth = spec.bandwidth if spec.bandwidth is not None else _median_heuristic(ref)
+    bandwidth = _median_heuristic(ref)
     check_real("median-heuristic bandwidth", bandwidth, 0, InvalidBandwidthError)
 
     # Z = [window; ref] with the window a ring buffer, slot(t) = t % B; at
@@ -303,7 +295,7 @@ class BanditSpec:
 
     Arm k draws iid Pareto(tail_exponents[k]) rewards when window == 1, or a
     sliding mean over that many iid draws otherwise.  Arm streams derive from
-    (seed, arm) unless ``arm_seeds`` pins them directly.
+    (seed, arm), and the bound fits pin the shape at 0 (see :func:`bandit_run`).
     """
 
     tail_exponents: tuple[float, ...]
@@ -311,11 +303,7 @@ class BanditSpec:
     burn_in: int = 500
     window: int = 1
     cutoff_quantile: float = 0.95
-    # a burn-in history yields ~25 exceedances per arm, too few to identify
-    # the shape; pin the exponential-type branch for the bound fits
-    fix_xi: Optional[float] = 0.0
     seed: int = 0
-    arm_seeds: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if len(self.tail_exponents) < 2:
@@ -326,14 +314,7 @@ class BanditSpec:
         check_count("burn_in", self.burn_in, 2, InvalidSpecError)
         check_count("window", self.window, 1, InvalidSpecError)
         check_level("cutoff_quantile", self.cutoff_quantile, InvalidSpecError)
-        if self.fix_xi is not None:
-            check_real("fix_xi", self.fix_xi, -1, InvalidSpecError)
         check_count("seed", self.seed, 0, InvalidSpecError)
-        if self.arm_seeds is not None:
-            if len(self.arm_seeds) != len(self.tail_exponents):
-                raise InvalidSpecError("arm_seeds must match the number of arms")
-            for seed in self.arm_seeds:
-                check_count("arm seed", seed, 0, InvalidSpecError)
 
     @property
     def n_arms(self) -> int:
@@ -352,8 +333,6 @@ class BanditResult:
 
 
 def _arm_seed(spec: BanditSpec, arm: int) -> int:
-    if spec.arm_seeds is not None:
-        return spec.arm_seeds[arm]
     # tuple entropy keeps arm streams independent across spec seeds
     return int(np.random.SeedSequence((spec.seed, arm)).generate_state(1)[0])
 
@@ -376,8 +355,10 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
     K = spec.n_arms
     check_count("total_pulls", total_pulls, K * spec.burn_in + 1, InvalidSpecError)
     seeds = [_arm_seed(spec, k) for k in range(K)]
+    # a burn-in history yields ~25 exceedances per arm, too few to identify
+    # the shape; pin the exponential-type branch for the bound fits
     cfgs = [DtmConfig(alpha=spec.delta, cutoff_quantile=spec.cutoff_quantile,
-                      fix_xi=spec.fix_xi, seed=seeds[k]) for k in range(K)]
+                      fix_xi=0.0, seed=seeds[k]) for k in range(K)]
     streams = [_arm_stream(spec, k, seeds[k], total_pulls) for k in range(K)]
     counts = [spec.burn_in] * K
 

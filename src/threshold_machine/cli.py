@@ -252,7 +252,6 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
     alphas = spec_dict.pop("alphas", [0.1, 0.05, 0.03, 0.01])
     n_subgraphs = spec_dict.pop("n_subgraphs", 5000)
     mc_reps = spec_dict.pop("mc_reps", 100)
-    quantile = spec_dict.pop("cutoff_quantile", 0.95)
     with _spec_errors("scan"):
         if not (isinstance(alphas, list) and alphas):
             raise InvalidSpecError(f"alphas must be a non-empty list of levels, got {alphas!r}")
@@ -265,7 +264,7 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
         # level; of its codes only small-sample reads alpha, and below 0.86
         # its bound falls as alpha rises, so the smallest level raises every
         # code any does
-        cfg = DtmConfig(alpha=min(alphas), cutoff_quantile=quantile, seed=spec.seed + 1)
+        cfg = DtmConfig(alpha=min(alphas), seed=spec.seed + 1)
     series = scan_series(spec, n_subgraphs)
     _write_csv(outdir / "scan_series.csv", ["index", "statistic"],
                enumerate(series, start=1))

@@ -10,8 +10,8 @@ it raises: :func:`check_count` for counts and seeds, :func:`check_level` for
 levels and quantiles in (0, 1), :func:`check_real` for reals in an interval,
 open by default and closed at either end on request, such as probabilities in
 [0, 1] or an extremal index in (0, 1].  A rule refuses a value of the wrong
-type, such as a string or None, the way it refuses one out of range or not
-finite.
+type, such as a string, None or a bool (what JSON ``true`` becomes, though
+Python counts it as 1), the way it refuses one out of range or not finite.
 """
 
 import math
@@ -114,8 +114,10 @@ class FitWarning(UserWarning):
 
 
 def check_count(name: str, value, low, error: type[DtmError]) -> None:
-    """Raise ``error`` unless ``value`` is an integer >= ``low``."""
-    if not (isinstance(value, Integral) and value >= low):
+    """Raise ``error`` unless ``value`` is an integer >= ``low``, not a bool."""
+    # an exact int skips the slower isinstance test against the numbers.Integral ABC
+    if (type(value) is not int and (type(value) is bool or not isinstance(value, Integral))
+            or value < low):
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -123,11 +125,12 @@ def check_real(name: str, value, low, error: type[DtmError], high=math.inf, ends
     """Raise ``error`` unless ``value`` is a real in the interval from ``low``
     to ``high`` whose ends ``ends`` writes in interval notation: by default
     the open one, a finite real above ``low``; ``"[)"`` also admits ``low``,
-    ``"(]"`` admits ``high`` and ``"[]"`` both."""
+    ``"(]"`` admits ``high`` and ``"[]"`` both.  A bool is not a real here."""
     # a value that does not compare with numbers raises TypeError; catching
     # it costs less than an isinstance test against numbers.Real
     try:
-        if (low < value or ends[0] == "[" and value == low) and (
+        if type(value) is not bool and (
+                low < value or ends[0] == "[" and value == low) and (
                 value < high or ends[1] == "]" and value == high):
             return
     except TypeError:

@@ -81,10 +81,12 @@ def bootstrap_draw(n: int, seed: int) -> np.ndarray:
     n-long series draws with replacement: ``make_rng(seed).integers(0, n,
     size=n)``, bit for bit.
 
-    ``seed`` must be an integer >= 0 (else :class:`InvalidConfigError`); the
-    seeding words of recent seeds are memoized (see the module docstring),
-    keyed on ``int(seed)`` so that ``np.int64(5)`` and ``5`` share an entry.
+    ``n`` must be an integer >= 1 and ``seed`` an integer >= 0 (else
+    :class:`InvalidConfigError`); the seeding words of recent seeds are
+    memoized (see the module docstring), keyed on ``int(seed)`` so that
+    ``np.int64(5)`` and ``5`` share an entry.
     """
+    check_count("n", n, 1, InvalidConfigError)
     check_count("seed", seed, 0, InvalidConfigError)
     rng = np.random.Generator(np.random.PCG64(_seed_words(int(seed))))
     return rng.integers(0, n, size=n)

@@ -102,18 +102,16 @@ class TestScanSeries:
     (MmdStreamSpec, "change_time", 300.5),
     (BanditSpec, "burn_in", 50.5),
     (BanditSpec, "window", 2.5),
+    # a bool is not a count, though Python counts True as 1
+    (ErGraphSpec, "k", True),
+    (MmdStreamSpec, "seed", False),
+    (BanditSpec, "window", True),
     # the pipeline fields a harness copies into its DtmConfig
-    (MmdStreamSpec, "cutoff_quantile", "x"),
-    (MmdStreamSpec, "cutoff_quantile", 1.0),
     (MmdStreamSpec, "bootstrap_reps", 2.5),
     (MmdStreamSpec, "bootstrap_reps", 0),
-    (MmdStreamSpec, "fix_xi", "x"),
-    (MmdStreamSpec, "fix_xi", -1.0),
-    (MmdStreamSpec, "bandwidth", "x"),
+    (MmdStreamSpec, "bootstrap_reps", True),
     (BanditSpec, "cutoff_quantile", None),
     (BanditSpec, "cutoff_quantile", 0.0),
-    (BanditSpec, "fix_xi", "x"),
-    (BanditSpec, "fix_xi", np.nan),
     (BanditSpec, "delta", "x"),
 ])
 def test_spec_counts_are_integers(cls, field, value):
@@ -275,9 +273,11 @@ class TestBanditRun:
         with pytest.raises(InvalidSpecError):
             BanditSpec(tail_exponents=(3.5,), delta=0.005, burn_in=10, seed=0)
 
-    def test_symmetric_arms_tie_break_to_lowest(self):
+    def test_symmetric_arms_tie_break_to_lowest(self, monkeypatch):
+        # both arms draw the same stream and bootstrap with the same seed
+        monkeypatch.setattr(applications, "_arm_seed", lambda spec, arm: 123)
         spec = BanditSpec(tail_exponents=(3.5, 3.5), delta=0.01, burn_in=300,
-                          cutoff_quantile=0.9, seed=0, arm_seeds=(123, 123))
+                          cutoff_quantile=0.9, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = bandit_run(spec, total_pulls=620)

@@ -316,6 +316,16 @@ class TestAppCommand:
         ("bandit", {"tail_exponents": [3.5, 4.0], "cutoff_quantile": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "delta": None}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": True, "mc_reps": 2}),
+        ("changepoint", {"bootstrap_reps": True}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "seed": False}),
+        # settings the harnesses fix: a valid value is refused, not ignored
+        ("changepoint", {"fix_xi": 0.0}),
+        ("changepoint", {"bandwidth": 1.0}),
+        ("changepoint", {"cutoff_quantile": 0.9}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": 0.0}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "arm_seeds": [1, 2]}),
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": 0.9}),
     ], ids=["bandit-missing", "bandit-unknown", "scan-missing", "scan-unknown",
             "changepoint-unknown", "scan-scalar-alphas", "scan-empty-alphas",
             "scan-alpha-one", "scan-text-alpha", "scan-zero-mc-reps",
@@ -323,9 +333,15 @@ class TestAppCommand:
             "bandit-text-total-pulls", "changepoint-text-quantile", "changepoint-quantile-one",
             "changepoint-text-fix-xi", "changepoint-fractional-reps", "changepoint-text-arl",
             "changepoint-negative-arl", "changepoint-nan-arl", "changepoint-long-train",
-            "bandit-text-quantile", "bandit-text-fix-xi", "bandit-none-delta"])
+            "bandit-text-quantile", "bandit-text-fix-xi", "bandit-none-delta",
+            "scan-bool-n-subgraphs", "changepoint-bool-reps", "bandit-bool-seed",
+            "changepoint-fixed-shape", "changepoint-fixed-bandwidth",
+            "changepoint-fixed-quantile", "bandit-fixed-shape", "bandit-fixed-arm-seeds",
+            "scan-fixed-quantile"])
     def test_malformed_spec_is_input_error(self, harness, spec, tmp_path, monkeypatch):
-        snapshots = count_snapshots(monkeypatch)
+        ran = []
+        for name in ("scan_series", "change_point_run", "bandit_run"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
         out = tmp_path / "error.json"
         code = main(["app", harness, "--spec", json.dumps(spec), "--outdir",
                      str(tmp_path / "x"), "--seed", "5", "--out", str(out)])
@@ -333,7 +349,7 @@ class TestAppCommand:
         error = json.loads(out.read_text())["error"]
         assert error["code"] == "invalid-spec"
         assert error["message"].startswith(f"malformed {harness} spec")
-        assert snapshots == []  # refused before the change-point stream is drawn
+        assert ran == []  # refused before any harness draws data
 
     def test_pipeline_flags_rejected(self, tmp_path):
         # the harnesses read their settings from the spec, not from pipeline flags

@@ -27,6 +27,7 @@ from threshold_machine.errors import DtmError, check_real
     (0.0, "(]", False), (1.0, "(]", True),
     (0.0, "[]", True), (1.0, "[]", True), (1.0 + 1e-13, "[]", False), (-1e-300, "[]", False),
     (math.nan, "[]", False), ("0.5", "[]", False), (None, "[]", False),
+    (True, "[]", False), (False, "[]", False),
 ])
 def test_check_real_ends(value, ends, admitted):
     def check():
@@ -64,6 +65,7 @@ REFUSED = {
                                  InvalidSpecError, "tail_exponents"),
     "graph-p0-above-one": (lambda: ErGraphSpec(N=30, p0=1 + 1e-13, p1=1.0, k=5),
                            InvalidSpecError, "p0"),
+    "graph-bool-p0": (lambda: ErGraphSpec(N=30, p0=True, p1=True, k=5), InvalidSpecError, "p0"),
 }
 
 

@@ -63,6 +63,8 @@ class TestDtmConfig:
         # mistyped values; None is a valid cutoff and fix_xi
         ("alpha", "x"), ("alpha", None), ("cutoff_quantile", "x"), ("cutoff_quantile", None),
         ("cutoff", "x"), ("fix_xi", "x"),
+        # bools, which Python compares as 0 and 1
+        ("seed", False), ("bootstrap_reps", True), ("cutoff", True), ("fix_xi", False),
     ])
     def test_every_field_validated(self, field, bad):
         with pytest.raises(InvalidConfigError, match=field):

@@ -100,6 +100,16 @@ class TestBootstrap:
         assert make_rng((7, 3)).random(5).tobytes() == ref.random(5).tobytes()
 
 
+class TestDrawCount:
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, "3", True, None])
+    def test_count_is_a_positive_integer(self, n):
+        with pytest.raises(InvalidConfigError, match="n must be an integer >= 1"):
+            bootstrap_draw(n, 0)
+
+    def test_numpy_integer_count(self):
+        assert bootstrap_draw(np.int64(10), 5).tolist() == make_rng(5).integers(0, 10, 10).tolist()
+
+
 class TestDrawSeed:
     @pytest.mark.parametrize("seed", [None, 5.0, -1, "3"])
     def test_seed_is_a_non_negative_integer(self, seed):
