@@ -346,11 +346,13 @@ def _arm_stream(spec: BanditSpec, arm: int, seed: int, length: int) -> np.ndarra
 def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
     """UCB policy on the max-reward bandit.
 
-    After ``burn_in`` pulls of every arm, each round recomputes the pulled
-    arm's (lcb, ucb) from its reward history, pulls the arm with the highest
-    ucb (ties to the lowest index), and stops early once the leader's lcb
-    exceeds every other arm's ucb.  Arms whose bound estimation fails are
-    skipped for the round with a warning.
+    After ``burn_in`` pulls of every arm, each round pulls the arm with the
+    highest ucb (ties to the lowest index) and recomputes its (lcb, ucb) from
+    its longer reward history; the run stops early, before pulling, once the
+    leader's lcb exceeds the ucb of every other arm that has bounds.  Each
+    failed bound estimation warns (:class:`FitWarning`): an arm without
+    burn-in bounds is skipped until the end, and a pulled arm keeps its
+    previous bounds.  If no arm has bounds the run raises :class:`DtmError`.
     """
     K = spec.n_arms
     check_count("total_pulls", total_pulls, K * spec.burn_in + 1, InvalidSpecError)
@@ -374,16 +376,25 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
 
     pulls_left = total_pulls - K * spec.burn_in
     for _ in range(pulls_left):
-        usable = [k for k in range(K) if current[k] is not None]
-        if not usable:
+        # one pass over the arms with bounds: the leader, and the highest ucb
+        # of the others (a displaced leader's ucb tops every arm before it)
+        leader, lead, other_ucb = -1, None, None
+        for k, b in enumerate(current):
+            if b is None:
+                continue
+            if lead is None:
+                leader, lead = k, b
+            elif b[1] > lead[1]:  # a tie stays with the lower index
+                leader, lead, other_ucb = k, b, lead[1]
+            elif other_ucb is None or b[1] > other_ucb:
+                other_ucb = b[1]
+        if lead is None:
             raise DtmError("confidence bounds failed for every arm")
-        leader = max(usable, key=lambda k: (current[k][1], -k))
-        others = [k for k in usable if k != leader]
-        if others and all(current[leader][0] > current[k][1] for k in others):
+        if other_ucb is not None and lead[0] > other_ucb:
             result.stopped_early = True
             break
         result.pulls.append(leader)
         counts[leader] += 1
-        current[leader] = bounds_for(leader) or current[leader]
+        current[leader] = bounds_for(leader) or lead
         result.bounds_history.append(list(current))
     return result

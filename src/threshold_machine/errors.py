@@ -10,12 +10,19 @@ it raises: :func:`check_count` for counts and seeds, :func:`check_level` for
 levels and quantiles in (0, 1), :func:`check_real` for reals in an interval,
 open by default and closed at either end on request, such as probabilities in
 [0, 1] or an extremal index in (0, 1].  A rule refuses a value of the wrong
-type, such as a string, None or a bool (what JSON ``true`` becomes, though
-Python counts it as 1), the way it refuses one out of range or not finite.
+type, such as a string, None or a bool, Python's (what JSON ``true`` becomes)
+or numpy's, though both compare as 0 and 1, the way it refuses one out of
+range or not finite.
 """
 
 import math
 from numbers import Integral
+
+import numpy as np
+
+# check_real refuses these by type; numpy's bool is not a numbers.Integral,
+# so check_count refuses it without them
+_BOOLS = (bool, np.bool_)
 
 
 class DtmError(Exception):
@@ -125,11 +132,12 @@ def check_real(name: str, value, low, error: type[DtmError], high=math.inf, ends
     """Raise ``error`` unless ``value`` is a real in the interval from ``low``
     to ``high`` whose ends ``ends`` writes in interval notation: by default
     the open one, a finite real above ``low``; ``"[)"`` also admits ``low``,
-    ``"(]"`` admits ``high`` and ``"[]"`` both.  A bool is not a real here."""
+    ``"(]"`` admits ``high`` and ``"[]"`` both.  A bool, Python's or numpy's,
+    is not a real here."""
     # a value that does not compare with numbers raises TypeError; catching
     # it costs less than an isinstance test against numbers.Real
     try:
-        if type(value) is not bool and (
+        if type(value) not in _BOOLS and (
                 low < value or ends[0] == "[" and value == low) and (
                 value < high or ends[1] == "]" and value == high):
             return

@@ -27,7 +27,7 @@ def as_series(values) -> np.ndarray:
         raise InvalidSeriesError(f"series must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise InvalidSeriesError("series must contain at least one value")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):  # .all() without its method wrapper
         raise InvalidSeriesError("series contains non-finite values")
     return arr
 
@@ -91,7 +91,9 @@ def quantile_cutoff(values, q: float) -> float:
     arr = as_series(values)
     check_level("quantile", q, InvalidQuantileError)
     k = nearest_rank(q, arr.size)
-    return float(np.partition(arr, k - 1)[k - 1])
+    part = arr.copy()  # np.partition's own copy and method, without its wrapper
+    part.partition(k - 1)
+    return float(part[k - 1])
 
 
 def extract(values, u: float, draw=None) -> ExceedanceSet:
@@ -117,7 +119,7 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
         pos = (arr > u).nonzero()[0]
         exc = ExceedanceSet(
             cutoff=float(u),
-            indices=(pos + 1).astype(np.int64, copy=False),  # 1-based
+            indices=pos + 1,  # 1-based
             heights=arr[pos],
             source_len=arr.size,
             path=arr,
@@ -132,11 +134,11 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
         )
     hits = np.zeros(path.size, dtype=bool)
     hits[exc.indices - 1] = True
-    mask = np.take(hits, draw)  # the hits of series[draw]; take outpaces hits[draw]
+    mask = hits.take(draw)  # the hits of series[draw]; take outpaces hits[draw]
     pos = mask.nonzero()[0]
     return ExceedanceSet(
         cutoff=exc.cutoff,
-        indices=(pos + 1).astype(np.int64, copy=False),
+        indices=pos + 1,
         heights=path[draw[pos]],
         source_len=mask.size,
     )

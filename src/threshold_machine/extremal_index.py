@@ -49,9 +49,10 @@ class ThetaEstimate:
 
 def _gap_stats(g: GapSet) -> tuple[int, int, int, float]:
     n_u = g.n_u
-    n_c = int(np.count_nonzero(g.gaps > 1))
+    t = g.gaps
+    n_c = int(np.count_nonzero(t > 1))
     a = n_u - n_c - 1
-    c = g.rate * float(g.gaps.sum() - g.gaps.size)
+    c = g.rate * float(np.add.reduce(t) - t.size)
     return n_u, n_c, a, c
 
 

@@ -239,15 +239,17 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
         raise TooFewExceedancesError(
             f"fit needs at least {MIN_EXCEEDANCES} exceedances, got {n_u}"
         )
-    y = exc.heights - exc.cutoff
-    y_max = float(y.max())
-    if y_max == float(y.min()):
+    u = exc.cutoff
+    y = exc.heights - u
+    # the ufunc reductions behind y.max(), y.min() and y.sum(), without the
+    # method wrappers
+    y_max = float(np.maximum.reduce(y))
+    if y_max == float(np.minimum.reduce(y)):
         raise DegenerateHeightsError("all exceedance heights are equal")
     if fix_xi is not None:
         check_real("fix_xi", fix_xi, -1, InvalidConfigError)
 
-    u = exc.cutoff
-    y_mean = float(y.sum()) / y.size  # np.mean's own arithmetic
+    y_mean = float(np.add.reduce(y)) / n_u  # np.mean's own arithmetic
     init = _gev(y_mean, 0.0, u, n_u)
     if fix_xi is not None and _is_gumbel(fix_xi):
         params, evaluations, converged, boundary = init, 0, True, False

@@ -114,27 +114,26 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
             f"need {MIN_EXCEEDANCES}"
         )
 
-    fits: list[GevParams] = []
-    diags: list[FitDiagnostics] = []
-    for r in range(cfg.bootstrap_reps):
-        params_r, diag_r = fit(bootstrap(exc, cfg.seed + r), cfg.fix_xi)
-        fits.append(params_r)
-        diags.append(diag_r)
+    fits = [fit(bootstrap(exc, cfg.seed + r), cfg.fix_xi) for r in range(cfg.bootstrap_reps)]
+    params, diag = fits[0]
     if len(fits) == 1:
-        params = fits[0]  # the mean of one value is that value
+        # the mean of one value is that value, and its diagnostics are all there are
+        converged, boundary, n_u_used = diag.converged, diag.boundary, diag.n_u_used
     else:
         params = GevParams(
-            mu=float(np.mean([p.mu for p in fits])),
-            sigma=float(np.mean([p.sigma for p in fits])),
-            xi=float(np.mean([p.xi for p in fits])),
+            mu=float(np.mean([p.mu for p, _ in fits])),
+            sigma=float(np.mean([p.sigma for p, _ in fits])),
+            xi=float(np.mean([p.xi for p, _ in fits])),
         )
-    diag = diags[0]
-    if not all(d.converged for d in diags):
+        converged = all(d.converged for _, d in fits)
+        boundary = any(d.boundary for _, d in fits)
+        n_u_used = min(d.n_u_used for _, d in fits)
+    if not converged:
         warn_codes.append("non-convergence")
         diag = replace(diag, converged=False)
-    if any(d.boundary for d in diags):
+    if boundary:
         warn_codes.append("boundary-shape")
-    if min(d.n_u_used for d in diags) < WARN_EXCEEDANCES:
+    if n_u_used < WARN_EXCEEDANCES:
         warn_codes.append("few-exceedances")
 
     theta_est = theta_closed_form(gaps(exc))

@@ -45,7 +45,16 @@ SEED_MEMO_SIZE = 64
 
 def make_rng(seed: int | tuple[int, ...]) -> np.random.Generator:
     """The package-wide PRNG: numpy Generator over PCG64 with explicit seed,
-    an integer or a tuple of integers (entropy for ``SeedSequence``)."""
+    an integer or a non-empty tuple of integers (entropy for
+    ``SeedSequence``), each >= 0 and not a bool, checked by the rule
+    ``DtmConfig.seed`` uses (else :class:`InvalidConfigError`).  So no seed
+    falls back to OS entropy (``None``), and an empty tuple, which
+    ``SeedSequence`` reads as seed 0, is refused."""
+    entries = seed if isinstance(seed, tuple) else (seed,)
+    if not entries:
+        raise InvalidConfigError("a tuple seed must hold at least one integer, got ()")
+    for entry in entries:
+        check_count("seed", entry, 0, InvalidConfigError)
     return np.random.Generator(np.random.PCG64(seed))
 
 

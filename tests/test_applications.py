@@ -10,7 +10,9 @@ from scipy.spatial.distance import pdist
 from threshold_machine import (
     BanditSpec,
     DtmConfig,
+    DtmError,
     ErGraphSpec,
+    FitWarning,
     GeneratorSpec,
     InvalidBandwidthError,
     InvalidConfigError,
@@ -20,6 +22,7 @@ from threshold_machine import (
     arl_to_alpha,
     bandit_run,
     change_point_run,
+    confidence_bounds,
     generate,
     make_rng,
     mmd_stat,
@@ -27,7 +30,7 @@ from threshold_machine import (
     scan_series,
 )
 from threshold_machine import applications
-from threshold_machine.applications import _arm_stream, _median_heuristic, _snapshot
+from threshold_machine.applications import _arm_seed, _arm_stream, _median_heuristic, _snapshot
 
 
 class TestScanSeries:
@@ -327,3 +330,153 @@ class TestBanditRun:
         for total_pulls in (600, 650.0, "650", None):
             with pytest.raises(InvalidSpecError, match="total_pulls"):
                 bandit_run(spec, total_pulls=total_pulls)
+
+
+def criterion_9_spec(seed):
+    return BanditSpec(tail_exponents=(3.5, 4.0), delta=0.005, burn_in=500, seed=seed)
+
+
+def arm_bounds(spec, arm, total_pulls):
+    """The arm's bounds on the first m rewards of its stream, as a function of m:
+    ``confidence_bounds`` with the config bandit_run documents."""
+    seed = _arm_seed(spec, arm)
+    stream = _arm_stream(spec, arm, seed, total_pulls)
+    cfg = DtmConfig(alpha=spec.delta, cutoff_quantile=spec.cutoff_quantile, fix_xi=0.0, seed=seed)
+    return lambda m: confidence_bounds(stream[:m], cfg)
+
+
+def leader_of(bounds):
+    """The arm with bounds and the highest ucb, the lowest such index on a tie."""
+    live = [k for k, b in enumerate(bounds) if b is not None]
+    top = max(bounds[k][1] for k in live)
+    return min(k for k in live if bounds[k][1] == top)
+
+
+def stop_rule(bounds, leader):
+    """The leader's lcb exceeds the ucb of every other arm with bounds, and
+    there is one."""
+    others = [b for k, b in enumerate(bounds) if b is not None and k != leader]
+    return bool(others) and all(bounds[leader][0] > b[1] for b in others)
+
+
+class TestBanditRoundRule:
+    """The round rule of bandit_run, replayed from its result: which arm is
+    pulled, what its new bounds are, and when the run stops."""
+
+    TOTAL_PULLS = 1100
+
+    def replay(self, spec, res, failing=()):
+        """Check every round of ``res`` against the rule; ``failing`` names
+        arms whose bounds raise on every fit."""
+        K = spec.n_arms
+        bounds_of = [arm_bounds(spec, k, self.TOTAL_PULLS) for k in range(K)]
+        counts = [spec.burn_in] * K
+        before = [None if k in failing else bounds_of[k](spec.burn_in) for k in range(K)]
+        assert res.initial_bounds == before
+        assert len(res.bounds_history) == len(res.pulls)
+        for pulled, after in zip(res.pulls, res.bounds_history):
+            assert pulled == leader_of(before)
+            assert not stop_rule(before, pulled)
+            counts[pulled] += 1
+            want = list(before)
+            want[pulled] = bounds_of[pulled](counts[pulled])
+            assert after == want
+            before = after
+        if res.stopped_early:
+            assert stop_rule(before, leader_of(before))
+        else:
+            assert len(res.pulls) == self.TOTAL_PULLS - K * spec.burn_in
+
+    # seeds 0-2 pull to the end, seeds 1 and 2 pulling both arms; seed 7 stops
+    # early, so both outcomes of the stop rule are replayed
+    @pytest.mark.parametrize("seed, stops", [(0, False), (1, False), (2, False), (7, True)])
+    def test_rounds_follow_the_rule(self, seed, stops):
+        spec = criterion_9_spec(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bandit_run(spec, self.TOTAL_PULLS)
+        assert res.stopped_early == stops
+        self.replay(spec, res)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_failed_bounds_keep_the_previous_ones(self, monkeypatch, seed):
+        # arm 0's first recomputation after burn-in raises: the arm keeps its
+        # burn-in bounds for that round and the run warns once
+        spec = criterion_9_spec(seed)
+        seed0 = _arm_seed(spec, 0)
+
+        def flaky(series, cfg):
+            if cfg.seed == seed0 and len(series) == spec.burn_in + 1:
+                raise DtmError("injected")
+            return confidence_bounds(series, cfg)
+
+        monkeypatch.setattr(applications, "confidence_bounds", flaky)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = bandit_run(spec, self.TOTAL_PULLS)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (FitWarning, "arm 0 bounds failed: injected")]
+        first = res.pulls.index(0)
+        before = res.bounds_history[first - 1] if first else res.initial_bounds
+        assert res.bounds_history[first] == before
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_arm_without_bounds_is_skipped(self, monkeypatch, seed):
+        # arm 1 never gets bounds: every round pulls arm 0, and with no other
+        # arm to beat the run never stops early
+        spec = criterion_9_spec(seed)
+        seed1 = _arm_seed(spec, 1)
+
+        def failing_arm_1(series, cfg):
+            if cfg.seed == seed1:
+                raise DtmError("injected")
+            return confidence_bounds(series, cfg)
+
+        monkeypatch.setattr(applications, "confidence_bounds", failing_arm_1)
+        with pytest.warns(FitWarning, match="arm 1 bounds failed: injected") as caught:
+            res = bandit_run(spec, self.TOTAL_PULLS)
+        assert len(caught) == 1
+        assert res.pulls == [0] * (self.TOTAL_PULLS - 2 * spec.burn_in)
+        self.replay(spec, res, failing=(1,))
+
+    def test_scripted_bounds(self, monkeypatch):
+        # bounds scripted per (arm, rewards seen): a ucb tie goes to the lower
+        # index, the last arm scanned takes the lead over two others, an arm
+        # without bounds is ignored by the stop rule, and the run stops once
+        # the leader's lcb clears every other ucb
+        spec = BanditSpec(tail_exponents=(3.5, 4.0, 4.5, 5.0), burn_in=10, seed=3)
+        script = {
+            0: {10: (1.0, 5.0)},
+            1: {10: (2.0, 6.0), 11: (1.5, 5.5)},
+            2: {10: (0.0, 6.0), 11: (3.0, 7.0), 12: (6.5, 9.0)},
+        }
+        arm_of = {_arm_seed(spec, k): k for k in range(spec.n_arms)}
+
+        def scripted(series, cfg):
+            arm = arm_of[cfg.seed]
+            if arm == 3:
+                raise DtmError("injected")
+            return script[arm][len(series)]
+
+        monkeypatch.setattr(applications, "confidence_bounds", scripted)
+        with pytest.warns(FitWarning, match="arm 3 bounds failed") as caught:
+            res = bandit_run(spec, 4 * 10 + 6)
+        assert len(caught) == 1
+        assert res.initial_bounds == [(1.0, 5.0), (2.0, 6.0), (0.0, 6.0), None]
+        assert res.pulls == [1, 2, 2]
+        assert res.bounds_history == [
+            [(1.0, 5.0), (1.5, 5.5), (0.0, 6.0), None],
+            [(1.0, 5.0), (1.5, 5.5), (3.0, 7.0), None],
+            [(1.0, 5.0), (1.5, 5.5), (6.5, 9.0), None],
+        ]
+        assert res.stopped_early
+
+    def test_every_arm_failing_raises(self, monkeypatch):
+        def failing(series, cfg):
+            raise DtmError("injected")
+
+        monkeypatch.setattr(applications, "confidence_bounds", failing)
+        with pytest.warns(FitWarning) as caught:
+            with pytest.raises(DtmError, match="every arm"):
+                bandit_run(criterion_9_spec(0), self.TOTAL_PULLS)
+        assert len(caught) == 2

@@ -27,7 +27,8 @@ from threshold_machine.errors import DtmError, check_real
     (0.0, "(]", False), (1.0, "(]", True),
     (0.0, "[]", True), (1.0, "[]", True), (1.0 + 1e-13, "[]", False), (-1e-300, "[]", False),
     (math.nan, "[]", False), ("0.5", "[]", False), (None, "[]", False),
-    (True, "[]", False), (False, "[]", False),
+    (True, "[]", False), (False, "[]", False), (np.True_, "[]", False), (np.False_, "[]", False),
+    (np.float64(0.25), "()", True), (np.int64(1), "(]", True),
 ])
 def test_check_real_ends(value, ends, admitted):
     def check():

@@ -65,6 +65,8 @@ class TestDtmConfig:
         ("cutoff", "x"), ("fix_xi", "x"),
         # bools, which Python compares as 0 and 1
         ("seed", False), ("bootstrap_reps", True), ("cutoff", True), ("fix_xi", False),
+        ("seed", np.False_), ("bootstrap_reps", np.True_), ("cutoff", np.True_),
+        ("fix_xi", np.True_), ("fix_xi", np.False_),
     ])
     def test_every_field_validated(self, field, bad):
         with pytest.raises(InvalidConfigError, match=field):

@@ -1,5 +1,7 @@
 """Tests for series validation and bootstrap resampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,25 @@ class TestAsSeries:
             as_series([1.0, np.inf])
         with pytest.raises(InvalidSeriesError):
             as_series([1.0, np.nan])
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, 1e308]])
+    def test_accepts_finite_values_whose_sum_overflows(self, values):
+        # a finiteness test through the sum would need a fallback here, and
+        # numpy would warn of the overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_series(values).tolist() == values
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "inf,-inf"])
+    @pytest.mark.parametrize("where", ["alone", "mid-path"])
+    def test_rejects_each_non_finite_value(self, bad, where):
+        values = np.array(bad)
+        if where == "mid-path":
+            values = np.random.default_rng(9).normal(size=10_000)
+            values[5_000:5_000 + len(bad)] = bad
+        with pytest.raises(InvalidSeriesError, match="non-finite"):
+            as_series(values)
 
     def test_rejects_matrix(self):
         with pytest.raises(InvalidSeriesError):
@@ -98,6 +119,18 @@ class TestBootstrap:
     def test_tuple_seed_is_seed_sequence_entropy(self):
         ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((7, 3))))
         assert make_rng((7, 3)).random(5).tobytes() == ref.random(5).tobytes()
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 2.5, "3", (), (7, -1), (7, None),
+                                      (np.True_, 3), [7, 3]])
+    def test_seed_is_checked(self, seed):
+        # None would seed from OS entropy, and SeedSequence reads () as seed 0
+        with pytest.raises(InvalidConfigError, match="seed"):
+            make_rng(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), 2**70, (np.int64(7), 3)])
+    def test_numpy_and_large_integer_seeds(self, seed):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert make_rng(seed).random(5).tobytes() == ref.random(5).tobytes()
 
 
 class TestDrawCount:
