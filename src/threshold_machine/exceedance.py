@@ -37,9 +37,9 @@ class ExceedanceSet:
     """Samples strictly above a cutoff, with their 1-based indices.
 
     A set that :func:`extract` cut from a series keeps that validated series
-    as ``path``, without a copy, so that :func:`extract` can gather bootstrap
-    replicates from it; a set made through a draw, or built directly, keeps
-    none.
+    as ``path``, without a copy, and its hit table ``path > cutoff`` as
+    ``mask``, so that :func:`extract` can gather bootstrap replicates from
+    them; a set made through a draw, or built directly, keeps neither.
     """
 
     cutoff: float
@@ -47,6 +47,7 @@ class ExceedanceSet:
     heights: np.ndarray  # float, each > cutoff
     source_len: int
     path: np.ndarray | None = field(default=None, compare=False, repr=False)
+    mask: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.indices) != len(self.heights):
@@ -103,12 +104,12 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
     the series is validated and thresholded only when it is given itself.
     With ``draw``, a one-dimensional integer index array, the result is the
     exceedance set of ``series[draw]``, gathered from the series' own
-    exceedance set without that array: a hit table scattered from the set's
-    indices is gathered through ``draw``, and heights are read from the
-    series only at the hits.  :func:`~threshold_machine.resample.bootstrap`
-    gathers each replicate this way, so no replicate re-validates or
-    re-thresholds the series.  The result may be empty; downstream fitters
-    are the ones that reject too-small sets.
+    exceedance set without that array: the set's hit table ``mask`` is
+    gathered through ``draw``, and heights are read from the series only at
+    the hits.  :func:`~threshold_machine.resample.bootstrap` gathers each
+    replicate this way, so no replicate re-validates or re-thresholds the
+    series.  The result may be empty; downstream fitters are the ones that
+    reject too-small sets.
     """
     if isinstance(values, ExceedanceSet):
         exc = values
@@ -116,31 +117,31 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
             raise ValueError(f"u={u} differs from the set's cutoff {exc.cutoff}")
     else:
         arr = as_series(values)
-        pos = (arr > u).nonzero()[0]
+        mask = arr > u
+        pos = mask.nonzero()[0]
         exc = ExceedanceSet(
             cutoff=float(u),
             indices=pos + 1,  # 1-based
             heights=arr[pos],
             source_len=arr.size,
             path=arr,
+            mask=mask,
         )
     if draw is None:
         return exc
     path = exc.path
-    if path is None:
+    if path is None or exc.mask is None:
         raise ValueError(
             "a draw applies only to a set that extract cut from a series; "
             "this set keeps no series, as it was made through a draw or built directly"
         )
-    hits = np.zeros(path.size, dtype=bool)
-    hits[exc.indices - 1] = True
-    mask = hits.take(draw)  # the hits of series[draw]; take outpaces hits[draw]
-    pos = mask.nonzero()[0]
+    hit = exc.mask.take(draw)  # the hits of series[draw]; take outpaces mask[draw]
+    pos = hit.nonzero()[0]
     return ExceedanceSet(
         cutoff=exc.cutoff,
         indices=pos + 1,
         heights=path[draw[pos]],
-        source_len=mask.size,
+        source_len=hit.size,
     )
 
 

@@ -17,6 +17,17 @@ Supported kinds:
 
 Everything draws from the package PRNG (PCG64), so a spec is reproducible
 bit-for-bit and two specs differing only in seed are independent streams.
+
+:func:`maxima` returns the maxima of L paths of one spec, path j drawn from
+seed ``seed + j``, as the Monte Carlo oracle needs them, bit-identical to
+:func:`generate` on each path's spec but with no spec built per path and the
+L seeds checked once and hashed together (:func:`resample.make_rngs`).  AR(1)
+paths are drawn in chunks: the innovations of as many paths as fit in
+``_CHUNK`` = 2**18 draws (2 MB, and one path if a path is longer) go into one
+reused buffer, and one scan runs over the chunk, so the scan's fixed cost is
+paid once per chunk and the buffer never holds more than one chunk, whatever
+n and L are.  :func:`generate` runs the same scan on a chunk of one path.
+The other kinds draw path by path.
 """
 
 from __future__ import annotations
@@ -27,15 +38,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidSpecError, check_count, check_real
-from .resample import make_rng
+from .resample import make_rng, make_rngs
 
-__all__ = ["GeneratorSpec", "generate"]
+__all__ = ["GeneratorSpec", "generate", "maxima"]
 
 _KINDS = ("beta", "chi_square", "student_t", "pareto", "gaussian_ar1", "moving_average")
 # The AR(1) scan's rows of at most _ROW steps bound the rounding of each
-# row's cumulative sum; it works _CHUNK elements at a time, so that the passes
-# over one chunk find it in cache.
-_ROW, _CHUNK = 64, 1 << 15
+# row's cumulative sum; it works _BLOCK elements at a time, so that the passes
+# over one block find it in cache.  maxima draws AR(1) paths in chunks of at
+# most _CHUNK draws, so that its buffer stays bounded whatever n and L are.
+_ROW, _BLOCK, _CHUNK = 64, 1 << 15, 1 << 18
 
 
 @dataclass(frozen=True)
@@ -148,64 +160,112 @@ def _draw_iid(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarra
     raise InvalidSpecError(f"{kind} is not an iid kind")  # pragma: no cover
 
 
+def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One path of any kind but AR(1) with m > 0, which :func:`_ar1_paths` draws."""
+    if kind == "gaussian_ar1":  # m = 0: iid standard normal
+        return rng.standard_normal(n)
+    if kind == "moving_average":
+        base: GeneratorSpec = p["base"]
+        w = int(p["window"])
+        raw = _draw_iid(base.kind, base.params, n + w - 1, rng)
+        if w == 1:
+            return raw
+        csum = np.concatenate(([0.0], np.cumsum(raw)))
+        return (csum[w:] - csum[:-w]) / w
+    return _draw_iid(kind, p, n, rng)
+
+
 def _ar1_scan(rows: np.ndarray, m: float) -> None:
-    """Replace the path laid out as ``rows`` by S_t = phi S_{t-1} + x_t,
-    S_1 = x_1, in place, with phi = exp(-1/m)."""
+    """Replace each path of the batch laid out as ``rows`` (paths, rows, steps)
+    by S_t = phi S_{t-1} + x_t, S_1 = x_1, in place, with phi = exp(-1/m)."""
     # Row r from its carry-in c_r = phi T_{r-1} is, at step j,
     # phi**j * (c_r + cumsum(x_j phi**-j)).  The row ends follow
     # T_r = E_r + phi**b T_{r-1}, with E_r the row's end from a zero start,
     # run as a doubling scan (Blelloch 1990) over the ends only: after the
     # pass with offset k, T_r holds sum_{i<2k} phi**(b i) E_{r-i}; later terms
-    # are exactly 0 once k covers the rows or the weight underflows.
-    b = rows.shape[1]
+    # are exactly 0 once k covers the rows or the weight underflows.  Each
+    # path's ends are its own gemv (the stacked matmul), and every other step
+    # is elementwise or runs along one row, so a path's bits do not depend on
+    # the batch it is scanned in.
+    _, n_rows, b = rows.shape
     j = np.arange(b)
     up, down = np.exp(j / m), np.exp(-j / m)
     ends = rows @ down[::-1]  # E_r = sum_j x_j phi**(b-1-j)
     k, a = 1, math.exp(-b / m)
-    while k < ends.size and a > 0:
-        ends[k:] += a * ends[:-k]
+    while k < n_rows and a > 0:
+        ends[:, k:] += a * ends[:, :-k]
         k, a = 2 * k, a * a
-    carry = np.concatenate(([0.0], math.exp(-1.0 / m) * ends[:-1]))
-    step = _CHUNK // b
-    for i in range(0, len(rows), step):
-        blk = rows[i:i + step]
+    carry = np.empty_like(ends)
+    carry[:, 0] = 0.0
+    np.multiply(math.exp(-1.0 / m), ends[:, :-1], out=carry[:, 1:])
+    flat, carry = rows.reshape(-1, b), carry.reshape(-1)
+    step = _BLOCK // b
+    for i in range(0, len(flat), step):
+        blk = flat[i:i + step]
         blk *= up
         blk[:, 0] += carry[i:i + step]
         np.cumsum(blk, axis=1, out=blk)
         blk *= down
 
 
+def _ar1_layout(m: float, n: int) -> tuple[int, int, int]:
+    """(steps b per scan row, burn-in, draws per path) of an AR(1) path, m > 0.
+
+    b comes from m, not from log(phi), which is -inf once phi underflows
+    (m < 1/745); (b - 1)/m <= 200 keeps phi**-j far from overflow.  The draws
+    fill whole rows: the ones past n + burn continue the stream and are
+    dropped.
+    """
+    b = min(_ROW, 1 + int(200 * m))
+    burn = int(math.ceil(10 * m))
+    return b, burn, -(-(n + burn) // b) * b
+
+
+def _ar1_paths(out: np.ndarray, rngs, m: float, b: int) -> None:
+    """Fill each row of ``out`` with the AR(1) path drawn from the next
+    generator of ``rngs``, burn-in and padding included, scanned in rows of b
+    steps (see :func:`_ar1_layout`), all paths in one scan."""
+    for row, rng in zip(out, rngs):  # out first: zip takes len(out) generators
+        rng.standard_normal(out=row)  # the stream of a sized draw
+    # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
+    z0 = out[:, 0].copy()
+    out *= math.sqrt(1.0 - math.exp(-2.0 / m))
+    out[:, 0] = z0
+    _ar1_scan(out.reshape(len(out), -1, b), m)
+
+
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Generate the series described by ``spec``; deterministic given seed."""
-    rng = make_rng(spec.seed)
-    n = spec.n
-
-    if spec.kind == "gaussian_ar1":
+    if spec.kind == "gaussian_ar1" and spec.params["m"] > 0:
         m = spec.params["m"]
-        if m == 0:
-            return rng.standard_normal(n)
-        burn = int(math.ceil(10 * m))
-        innov_sd = math.sqrt(1.0 - math.exp(-2.0 / m))
-        # Rows of b steps.  b comes from m, not from log(phi), which is -inf
-        # once phi underflows (m < 1/745); (b - 1)/m <= 200 keeps phi**-j far
-        # from overflow.  The draws fill whole rows: the ones past n + burn
-        # continue the stream and are dropped.
-        b = min(_ROW, 1 + int(200 * m))
-        z = rng.standard_normal(-(-(n + burn) // b) * b)
-        # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
-        z0 = z[0]
-        z *= innov_sd
-        z[0] = z0
-        _ar1_scan(z.reshape(-1, b), m)
-        return z[burn:burn + n]
+        b, burn, size = _ar1_layout(m, spec.n)
+        z = np.empty((1, size))
+        _ar1_paths(z, (make_rng(spec.seed),), m, b)
+        return z[0, burn:burn + spec.n]
+    return _draw_path(spec.kind, spec.params, spec.n, make_rng(spec.seed))
 
-    if spec.kind == "moving_average":
-        base: GeneratorSpec = spec.params["base"]
-        w = int(spec.params["window"])
-        raw = _draw_iid(base.kind, base.params, n + w - 1, rng)
-        if w == 1:
-            return raw
-        csum = np.concatenate(([0.0], np.cumsum(raw)))
-        return (csum[w:] - csum[:-w]) / w
 
-    return _draw_iid(spec.kind, spec.params, n, rng)
+def maxima(spec: GeneratorSpec, L: int) -> np.ndarray:
+    """The maximum of each of L paths of ``spec``, path j drawn from seed
+    ``spec.seed + j``: equal bit for bit to
+    ``np.max(generate(spec.with_seed(spec.seed + j)))``, without a spec or a
+    ``SeedSequence`` per path.  AR(1) paths with m > 0 are drawn and scanned
+    a chunk at a time, in one buffer of at most ``_CHUNK`` draws (or one
+    path, if longer).
+    """
+    check_count("L", L, 1, InvalidSpecError)
+    kind, p, n = spec.kind, spec.params, spec.n
+    rngs = make_rngs(spec.seed, L)
+    out = np.empty(L)
+    if kind == "gaussian_ar1" and p["m"] > 0:
+        b, burn, size = _ar1_layout(p["m"], n)
+        c = min(L, max(1, _CHUNK // size))
+        buf = np.empty((c, size))
+        for i in range(0, L, c):
+            z = buf[:min(c, L - i)]
+            _ar1_paths(z, rngs, p["m"], b)
+            np.maximum.reduce(z[:, burn:burn + n], axis=1, out=out[i:i + c])
+        return out
+    for j, rng in enumerate(rngs):
+        out[j] = np.maximum.reduce(_draw_path(kind, p, n, rng))
+    return out

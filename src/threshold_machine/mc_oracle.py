@@ -3,6 +3,12 @@
 Simulates L independent series from a generator spec (replicate j drawing
 from seed + j), records each maximum, and exposes the empirical distribution:
 the expensive reference that the one-sample pipeline is meant to replace.
+
+The maxima come from :func:`generators.maxima`, which seeds the L paths in
+one call, draws AR(1) paths a chunk at a time into one buffer of at most
+2**18 draws (2 MB; one path when a path is longer) and scans each chunk
+once; every maximum equals the one of
+``generate(spec.with_seed(spec.seed + j))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -11,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidQuantileError, InvalidSpecError, check_count, check_level
+from .errors import InvalidQuantileError, check_level
 from .evt_core import TailModel, model_max_cdf
 from .exceedance import nearest_rank
-from .generators import GeneratorSpec, generate
+from .generators import GeneratorSpec, maxima
 
 __all__ = ["EmpiricalMaxDist", "empirical_max_cdf", "mc_threshold", "sup_norm_gap"]
 
@@ -36,12 +42,9 @@ class EmpiricalMaxDist:
 
 def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:
     """Empirical distribution of the max over L replicates of ``spec``."""
-    check_count("L", L, 1, InvalidSpecError)
-    maxima = np.empty(L)
-    for j in range(L):
-        maxima[j] = np.max(generate(spec.with_seed(spec.seed + j)))
-    maxima.sort()
-    return EmpiricalMaxDist(maxima)
+    drawn = maxima(spec, L)
+    drawn.sort()
+    return EmpiricalMaxDist(drawn)
 
 
 def mc_threshold(dist: EmpiricalMaxDist, alpha: float) -> float:

@@ -57,7 +57,8 @@ def test_bootstrap_lives_in_resample():
 
 
 def test_pcg64_built_only_in_resample():
-    # make_rng is the package PRNG; only bootstrap_draw seeds PCG64 itself
+    # make_rng is the package PRNG; only bootstrap_draw and make_rngs seed
+    # PCG64 from precomputed words
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     builders = [m for m, src in sources.items() if re.search(r"\bPCG64\(", src)]
     assert builders == ["resample.py"]

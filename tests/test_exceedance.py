@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from threshold_machine import (
+    ExceedanceSet,
     InvalidQuantileError,
     TooFewExceedancesError,
     bootstrap,
@@ -176,9 +177,18 @@ class TestExtractThroughDraw:
         s = np.random.default_rng(18).normal(size=100)
         draw = bootstrap_draw(s.size, 0)
         replicate = extract(s, 0.5, draw)
-        assert replicate.path is None
+        assert replicate.path is None and replicate.mask is None
         with pytest.raises(ValueError, match="made through a draw"):
             extract(replicate, 0.5, draw)
+
+    def test_set_built_directly_is_refused(self):
+        s = np.random.default_rng(18).normal(size=100)
+        exc = extract(s, 0.5)
+        assert np.array_equal(exc.mask, s > 0.5)
+        built = ExceedanceSet(exc.cutoff, exc.indices, exc.heights, exc.source_len)
+        assert built == exc
+        with pytest.raises(ValueError, match="built directly"):
+            extract(built, 0.5, bootstrap_draw(s.size, 0))
 
     def test_cutoff_must_match_the_set(self):
         s = np.random.default_rng(19).normal(size=100)

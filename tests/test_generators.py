@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.signal import lfilter
 
 from threshold_machine import GeneratorSpec, InvalidSpecError, generate, make_rng
+from threshold_machine import generators
 
 KS_SIGNIFICANCE = 0.001
 
@@ -155,3 +156,46 @@ class TestMovingAverage:
         out = generate(GeneratorSpec.moving_average(base, 1, 100, 13))
         raw = generate(GeneratorSpec.pareto(3.5, 100, 13))
         assert np.array_equal(out, raw)
+
+
+def chunk_paths(m, n):
+    """Paths per chunk of an AR(1) spec in generators.maxima."""
+    return max(1, generators._CHUNK // generators._ar1_layout(m, n)[2])
+
+
+def maxima_cases():
+    for spec in (GeneratorSpec.beta(2, 5, 200, 3), GeneratorSpec.chi_square(1, 200, 3),
+                 GeneratorSpec.student_t(4, 200, 3), GeneratorSpec.pareto(2.5, 200, 3),
+                 GeneratorSpec.gaussian_ar1(0, 200, 3),
+                 GeneratorSpec.moving_average(GeneratorSpec.pareto(3.5, 1, 0), 4, 200, 3)):
+        for L in (1, 2, 7):  # drawn path by path, no chunks
+            yield pytest.param(spec, L, id=f"{spec.kind}-L{L}")
+    # m = 0.2 scans rows of 41 steps; n = 300_000 leaves one path per chunk
+    for m, n in ((0.2, 500), (50, 500), (50, 300_000)):
+        c = chunk_paths(m, n)
+        for L in sorted({1, c, c + 1, 2 * c + 3}):
+            yield pytest.param(GeneratorSpec.gaussian_ar1(m, n, 3), L, id=f"ar1-m{m}-n{n}-L{L}")
+
+
+class TestMaxima:
+    @pytest.mark.parametrize("spec, L", maxima_cases())
+    def test_matches_one_path_at_a_time(self, spec, L):
+        got = generators.maxima(spec, L)
+        want = [np.max(generate(spec.with_seed(spec.seed + j))) for j in range(L)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_chunk_sizes(self):
+        assert chunk_paths(0.2, 500) > 1 and chunk_paths(50, 500) > 1
+        assert chunk_paths(50, 300_000) == 1
+
+    def test_peak_memory_is_one_chunk(self):
+        # a path longer than a chunk is drawn alone: the buffer holds one path
+        n, burn = 300_000, 500
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            generators.maxima(GeneratorSpec.gaussian_ar1(50, n, 13), 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (n + burn)

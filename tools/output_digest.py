@@ -17,7 +17,9 @@ The panel takes about a second on one core:
   (n = 10^4), path and config seeds 1-3, with 1 and 10 bootstrap replicates
   and a free and a pinned (0.0) shape: every field of the report;
 - one small ``change_point_run``: the stream, the stopping time and the
-  report.
+  report;
+- the Monte Carlo oracle (``empirical_max_cdf``) of the same five families
+  at n = 2000, 40 replicates each: the sorted maxima.
 
 Prints the digest, then the count of hashed values.
 """
@@ -86,6 +88,10 @@ def panel(tm):
     spec = tm.MmdStreamSpec(block_size=8, n_nodes=20, p_pre=0.3, p_post=0.6, change_time=320,
                             horizon=400, train_len=260, bootstrap_reps=3, seed=0)
     yield "change_point_run", tm.change_point_run(spec, arl=2000.0)
+
+    for name, spec in families.items():
+        oracle = tm.empirical_max_cdf(tm.GeneratorSpec(spec.kind, spec.params, 2000, 5), 40)
+        yield f"empirical_max_cdf {name}", oracle
 
 
 def main(argv: list[str]) -> int:
