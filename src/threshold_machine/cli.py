@@ -302,9 +302,10 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
 def _app_bandit(spec_dict: dict, outdir: Path) -> dict:
     total_pulls = spec_dict.pop("total_pulls", 1200)
     with _spec_errors("bandit"):
-        check_count("total_pulls", total_pulls, 1, InvalidSpecError)
         spec_dict["tail_exponents"] = tuple(spec_dict["tail_exponents"])
         spec = BanditSpec(**spec_dict)
+        # bandit_run's own floor: every arm's burn-in, then at least one round
+        check_count("total_pulls", total_pulls, spec.n_arms * spec.burn_in + 1, InvalidSpecError)
     result = bandit_run(spec, total_pulls)
     rows = []
     for rnd, (arm, bounds) in enumerate(zip(result.pulls, result.bounds_history)):

@@ -18,16 +18,16 @@ Supported kinds:
 Everything draws from the package PRNG (PCG64), so a spec is reproducible
 bit-for-bit and two specs differing only in seed are independent streams.
 
-:func:`maxima` returns the maxima of L paths of one spec, path j drawn from
-seed ``seed + j``, as the Monte Carlo oracle needs them, bit-identical to
-:func:`generate` on each path's spec but with no spec built per path and the
-L seeds checked once and hashed together (:func:`resample.make_rngs`).  AR(1)
-paths are drawn in chunks: the innovations of as many paths as fit in
-``_CHUNK`` = 2**18 draws (2 MB, and one path if a path is longer) go into one
-reused buffer, and one scan runs over the chunk, so the scan's fixed cost is
-paid once per chunk and the buffer never holds more than one chunk, whatever
-n and L are.  :func:`generate` runs the same scan on a chunk of one path.
-The other kinds draw path by path.
+One routine draws every path: :func:`generate` takes the single path of its
+spec's seed, and :func:`maxima` the maxima of L paths, path j drawn from seed
+``seed + j``, as the Monte Carlo oracle needs them, with no spec built per
+path and the L seeds checked once and hashed together
+(:func:`resample.make_rngs`).  A path drawn either way is the same bit for
+bit.  AR(1) paths with m > 0 are drawn in chunks: the innovations of as many
+paths as fit in ``_CHUNK`` = 2**18 draws (2 MB, and one path if a path is
+longer) go into one reused buffer, and one scan runs over the chunk, so the
+scan's fixed cost is paid once per chunk and the buffer never holds more
+than one chunk, whatever n and L are.  The other kinds draw path by path.
 """
 
 from __future__ import annotations
@@ -42,12 +42,21 @@ from .resample import make_rng, make_rngs
 
 __all__ = ["GeneratorSpec", "generate", "maxima"]
 
-_KINDS = ("beta", "chi_square", "student_t", "pareto", "gaussian_ar1", "moving_average")
 # The AR(1) scan's rows of at most _ROW steps bound the rounding of each
 # row's cumulative sum; it works _BLOCK elements at a time, so that the passes
-# over one block find it in cache.  maxima draws AR(1) paths in chunks of at
-# most _CHUNK draws, so that its buffer stays bounded whatever n and L are.
+# over one block find it in cache.  AR(1) paths are drawn in chunks of at most
+# _CHUNK draws, so that the buffer stays bounded whatever n and L are.
 _ROW, _BLOCK, _CHUNK = 64, 1 << 15, 1 << 18
+# Each kind's real parameters as check_real rules (name, lower end, interval
+# ends); moving_average's base and window have rules of their own.
+_PARAMS = {
+    "beta": (("a", 0, "()"), ("b", 0, "()")),
+    "chi_square": (("df", 1, "[)"),),
+    "student_t": (("df", 1, "[)"),),
+    "pareto": (("alpha_tail", 0, "()"),),
+    "gaussian_ar1": (("m", 0, "[)"),),
+    "moving_average": (),
+}
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMS:
             raise InvalidSpecError(f"unknown generator kind {self.kind!r}")
         check_count("series length n", self.n, 1, InvalidSpecError)
         check_count("seed", self.seed, 0, InvalidSpecError)
@@ -98,9 +107,8 @@ class GeneratorSpec:
     # -- (de)serialization for config files --------------------------------
 
     def to_dict(self) -> dict:
-        params = dict(self.params)
-        if self.kind == "moving_average":
-            params["base"] = params["base"].to_dict()
+        params = {k: v.to_dict() if isinstance(v, GeneratorSpec) else v
+                  for k, v in self.params.items()}
         return {"kind": self.kind, "params": params, "n": self.n, "seed": self.seed}
 
     @classmethod
@@ -122,19 +130,9 @@ def _whole(value):
 
 
 def _validate_params(kind: str, p: dict) -> None:
-    def real(name, low, ends="()"):
+    for name, low, ends in _PARAMS[kind]:
         check_real(f"{kind} {name}", p.get(name), low, InvalidSpecError, ends=ends)
-
-    if kind == "beta":
-        real("a", 0)
-        real("b", 0)
-    elif kind in ("chi_square", "student_t"):
-        real("df", 1, "[)")
-    elif kind == "pareto":
-        real("alpha_tail", 0)
-    elif kind == "gaussian_ar1":
-        real("m", 0, "[)")
-    elif kind == "moving_average":
+    if kind == "moving_average":
         base = p.get("base")
         if not isinstance(base, GeneratorSpec):
             raise InvalidSpecError("moving_average needs a base GeneratorSpec")
@@ -143,7 +141,8 @@ def _validate_params(kind: str, p: dict) -> None:
         check_count("window", p.get("window"), 1, InvalidSpecError)
 
 
-def _draw_iid(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One path of any kind but AR(1) with m > 0, which :func:`_paths` draws."""
     if kind == "beta":
         g1 = rng.gamma(shape=p["a"], scale=1.0, size=n)
         g2 = rng.gamma(shape=p["b"], scale=1.0, size=n)
@@ -155,24 +154,17 @@ def _draw_iid(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarra
         v = rng.gamma(shape=p["df"] / 2.0, scale=2.0, size=n)
         return z / np.sqrt(v / p["df"])
     if kind == "pareto":
-        u = rng.random(n)
-        return (1.0 - u) ** (-1.0 / p["alpha_tail"])
-    raise InvalidSpecError(f"{kind} is not an iid kind")  # pragma: no cover
-
-
-def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One path of any kind but AR(1) with m > 0, which :func:`_ar1_paths` draws."""
+        return (1.0 - rng.random(n)) ** (-1.0 / p["alpha_tail"])
     if kind == "gaussian_ar1":  # m = 0: iid standard normal
         return rng.standard_normal(n)
-    if kind == "moving_average":
-        base: GeneratorSpec = p["base"]
-        w = int(p["window"])
-        raw = _draw_iid(base.kind, base.params, n + w - 1, rng)
-        if w == 1:
-            return raw
-        csum = np.concatenate(([0.0], np.cumsum(raw)))
-        return (csum[w:] - csum[:-w]) / w
-    return _draw_iid(kind, p, n, rng)
+    # moving_average, over an iid base
+    base: GeneratorSpec = p["base"]
+    w = int(p["window"])
+    raw = _draw_path(base.kind, base.params, n + w - 1, rng)
+    if w == 1:
+        return raw
+    csum = np.concatenate(([0.0], np.cumsum(raw)))
+    return (csum[w:] - csum[:-w]) / w
 
 
 def _ar1_scan(rows: np.ndarray, m: float) -> None:
@@ -221,51 +213,49 @@ def _ar1_layout(m: float, n: int) -> tuple[int, int, int]:
     return b, burn, -(-(n + burn) // b) * b
 
 
-def _ar1_paths(out: np.ndarray, rngs, m: float, b: int) -> None:
-    """Fill each row of ``out`` with the AR(1) path drawn from the next
-    generator of ``rngs``, burn-in and padding included, scanned in rows of b
-    steps (see :func:`_ar1_layout`), all paths in one scan."""
-    for row, rng in zip(out, rngs):  # out first: zip takes len(out) generators
-        rng.standard_normal(out=row)  # the stream of a sized draw
-    # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
-    z0 = out[:, 0].copy()
-    out *= math.sqrt(1.0 - math.exp(-2.0 / m))
-    out[:, 0] = z0
-    _ar1_scan(out.reshape(len(out), -1, b), m)
+def _paths(spec: GeneratorSpec, rngs, count: int):
+    """Yield the paths of ``spec`` drawn from the ``count`` generators of
+    ``rngs``, in order, as the rows of 2-D blocks: AR(1) with m > 0 a chunk
+    of at most ``_CHUNK`` draws (or one path, if longer) at a time, each
+    block a view of one reused buffer; every other kind one row per path."""
+    kind, p, n = spec.kind, spec.params, spec.n
+    if kind != "gaussian_ar1" or p["m"] == 0:
+        for rng in rngs:
+            yield _draw_path(kind, p, n, rng)[None]
+        return
+    m = p["m"]
+    b, burn, size = _ar1_layout(m, n)
+    c = min(count, max(1, _CHUNK // size))
+    buf = np.empty((c, size))
+    innov_sd = math.sqrt(1.0 - math.exp(-2.0 / m))
+    for i in range(0, count, c):
+        z = buf[:min(c, count - i)]
+        for row, rng in zip(z, rngs):  # z first: zip takes len(z) generators
+            rng.standard_normal(out=row)  # the stream of a sized draw
+        # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
+        z0 = z[:, 0].copy()
+        z *= innov_sd
+        z[:, 0] = z0
+        _ar1_scan(z.reshape(len(z), -1, b), m)  # burn-in and padding included
+        yield z[:, burn:burn + n]
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Generate the series described by ``spec``; deterministic given seed."""
-    if spec.kind == "gaussian_ar1" and spec.params["m"] > 0:
-        m = spec.params["m"]
-        b, burn, size = _ar1_layout(m, spec.n)
-        z = np.empty((1, size))
-        _ar1_paths(z, (make_rng(spec.seed),), m, b)
-        return z[0, burn:burn + spec.n]
-    return _draw_path(spec.kind, spec.params, spec.n, make_rng(spec.seed))
+    return next(_paths(spec, (make_rng(spec.seed),), 1))[0]
 
 
 def maxima(spec: GeneratorSpec, L: int) -> np.ndarray:
     """The maximum of each of L paths of ``spec``, path j drawn from seed
     ``spec.seed + j``: equal bit for bit to
     ``np.max(generate(spec.with_seed(spec.seed + j)))``, without a spec or a
-    ``SeedSequence`` per path.  AR(1) paths with m > 0 are drawn and scanned
-    a chunk at a time, in one buffer of at most ``_CHUNK`` draws (or one
-    path, if longer).
+    ``SeedSequence`` per path (see the module docstring for the chunked
+    AR(1) draw).
     """
     check_count("L", L, 1, InvalidSpecError)
-    kind, p, n = spec.kind, spec.params, spec.n
-    rngs = make_rngs(spec.seed, L)
     out = np.empty(L)
-    if kind == "gaussian_ar1" and p["m"] > 0:
-        b, burn, size = _ar1_layout(p["m"], n)
-        c = min(L, max(1, _CHUNK // size))
-        buf = np.empty((c, size))
-        for i in range(0, L, c):
-            z = buf[:min(c, L - i)]
-            _ar1_paths(z, rngs, p["m"], b)
-            np.maximum.reduce(z[:, burn:burn + n], axis=1, out=out[i:i + c])
-        return out
-    for j, rng in enumerate(rngs):
-        out[j] = np.maximum.reduce(_draw_path(kind, p, n, rng))
+    i = 0
+    for block in _paths(spec, make_rngs(spec.seed, L), L):
+        np.maximum.reduce(block, axis=1, out=out[i:i + len(block)])
+        i += len(block)
     return out

@@ -5,9 +5,9 @@ from seed + j), records each maximum, and exposes the empirical distribution:
 the expensive reference that the one-sample pipeline is meant to replace.
 
 The maxima come from :func:`generators.maxima`, which seeds the L paths in
-one call, draws AR(1) paths a chunk at a time into one buffer of at most
-2**18 draws (2 MB; one path when a path is longer) and scans each chunk
-once; every maximum equals the one of
+one call and draws them through the routine behind
+:func:`generators.generate` (the ``generators`` module docstring describes
+its chunked AR(1) draw and memory bound); every maximum equals the one of
 ``generate(spec.with_seed(spec.seed + j))`` bit for bit.
 """
 

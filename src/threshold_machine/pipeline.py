@@ -74,7 +74,15 @@ class DtmConfig:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Pipeline output: the threshold plus everything needed to audit it."""
+    """Pipeline output: the threshold plus everything needed to audit it.
+
+    With several bootstrap replicates, ``gev_diag`` merges their fits'
+    diagnostics: ``converged`` if every fit converged, ``boundary`` if any
+    fit's shape sits on the boundary, ``n_u_used`` the smallest exceedance
+    count; its other fields are replicate 0's.  The warning codes
+    (``non-convergence``, ``boundary-shape``, ``few-exceedances``) are read
+    from those merged fields.
+    """
 
     threshold: float
     model: TailModel
@@ -115,25 +123,22 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
         )
 
     fits = [fit(bootstrap(exc, cfg.seed + r), cfg.fix_xi) for r in range(cfg.bootstrap_reps)]
+    # the mean of one value is that value, and its diagnostics are all there are
     params, diag = fits[0]
-    if len(fits) == 1:
-        # the mean of one value is that value, and its diagnostics are all there are
-        converged, boundary, n_u_used = diag.converged, diag.boundary, diag.n_u_used
-    else:
+    if len(fits) > 1:
         params = GevParams(
             mu=float(np.mean([p.mu for p, _ in fits])),
             sigma=float(np.mean([p.sigma for p, _ in fits])),
             xi=float(np.mean([p.xi for p, _ in fits])),
         )
-        converged = all(d.converged for _, d in fits)
-        boundary = any(d.boundary for _, d in fits)
-        n_u_used = min(d.n_u_used for _, d in fits)
-    if not converged:
+        diag = replace(diag, converged=all(d.converged for _, d in fits),
+                       boundary=any(d.boundary for _, d in fits),
+                       n_u_used=min(d.n_u_used for _, d in fits))
+    if not diag.converged:
         warn_codes.append("non-convergence")
-        diag = replace(diag, converged=False)
-    if boundary:
+    if diag.boundary:
         warn_codes.append("boundary-shape")
-    if n_u_used < WARN_EXCEEDANCES:
+    if diag.n_u_used < WARN_EXCEEDANCES:
         warn_codes.append("few-exceedances")
 
     theta_est = theta_closed_form(gaps(exc))

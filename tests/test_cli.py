@@ -305,6 +305,8 @@ class TestAppCommand:
         ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}),
         ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "total_pulls": "x"}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "total_pulls": 5}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "burn_in": 100, "total_pulls": 200}),
         ("changepoint", {"cutoff_quantile": "x"}),
         ("changepoint", {"cutoff_quantile": 1.0}),
         ("changepoint", {"fix_xi": "x"}),
@@ -330,7 +332,8 @@ class TestAppCommand:
             "changepoint-unknown", "scan-scalar-alphas", "scan-empty-alphas",
             "scan-alpha-one", "scan-text-alpha", "scan-zero-mc-reps",
             "scan-text-n-subgraphs", "scan-fractional-n-subgraphs", "scan-text-quantile",
-            "bandit-text-total-pulls", "changepoint-text-quantile", "changepoint-quantile-one",
+            "bandit-text-total-pulls", "bandit-short-total-pulls",
+            "bandit-total-pulls-at-burn-in", "changepoint-text-quantile", "changepoint-quantile-one",
             "changepoint-text-fix-xi", "changepoint-fractional-reps", "changepoint-text-arl",
             "changepoint-negative-arl", "changepoint-nan-arl", "changepoint-long-train",
             "bandit-text-quantile", "bandit-text-fix-xi", "bandit-none-delta",

@@ -50,6 +50,32 @@ class TestValidation:
         base = GeneratorSpec.pareto(3.5, 1, 0)
         spec = GeneratorSpec.moving_average(base, 10, 500, 7)
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec
+        assert spec.to_dict() == {"kind": "moving_average", "n": 500, "seed": 7, "params": {
+            "base": {"kind": "pareto", "params": {"alpha_tail": 3.5}, "n": 1, "seed": 0},
+            "window": 10}}
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("beta", {"a": 0, "b": 5}, "beta a must lie in (0, inf), got 0"),
+        ("beta", {"a": 2}, "beta b must lie in (0, inf), got None"),
+        ("chi_square", {"df": 0.5}, "chi_square df must lie in [1, inf), got 0.5"),
+        ("student_t", {"df": math.inf}, "student_t df must lie in [1, inf), got inf"),
+        ("pareto", {"alpha_tail": -1.0}, "pareto alpha_tail must lie in (0, inf), got -1.0"),
+        ("gaussian_ar1", {"m": -5}, "gaussian_ar1 m must lie in [0, inf), got -5"),
+        ("moving_average", {"window": 2}, "moving_average needs a base GeneratorSpec"),
+        ("moving_average", {"base": GeneratorSpec.gaussian_ar1(0, 1, 0), "window": 2},
+         "moving_average base must be an iid kind"),
+        ("moving_average", {"base": GeneratorSpec.beta(2, 5, 1, 0), "window": 0},
+         "window must be an integer >= 1, got 0"),
+    ])
+    def test_each_parameter_is_checked(self, kind, params, message):
+        with pytest.raises(InvalidSpecError) as exc:
+            GeneratorSpec(kind, params, 10, 0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, params", [
+        ("chi_square", {"df": 1}), ("student_t", {"df": 1.0}), ("gaussian_ar1", {"m": 0})])
+    def test_closed_lower_ends_are_admitted(self, kind, params):
+        assert GeneratorSpec(kind, params, 10, 0).params == params
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Tests for the end-to-end pipeline, ARL mapping, and confidence bounds."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -225,11 +226,26 @@ class TestRunDtm:
         assert "small-sample" in rep.warnings
 
     def test_few_exceedances_in_any_replicate(self):
-        # replicate 0 has 37 exceedances, replicate 4 only 25
+        # replicate 0 has 37 exceedances, replicate 4 only 25; the report
+        # keeps the smallest count, the one the code reads
         s = chi2_series(n=700, seed=5)
         rep = run_dtm(s, DtmConfig(alpha=0.05, seed=3, bootstrap_reps=5))
-        assert rep.gev_diag.n_u_used >= WARN_EXCEEDANCES
+        assert rep.gev_diag.n_u_used == 25 < WARN_EXCEEDANCES
         assert "few-exceedances" in rep.warnings
+
+    def test_merged_diagnostics_match_the_codes(self):
+        # replicates 0 and 1 sit inside the shape's range, 2-4 on its
+        # boundary; the smallest exceedance count (14) is replicate 0's
+        s = generate(GeneratorSpec.beta(1, 1, 2000, 3))
+        cfg = DtmConfig(alpha=0.05, cutoff_quantile=0.99, seed=3, bootstrap_reps=5)
+        rep = run_dtm(s, cfg)
+        exc = extract(s, rep.model.cutoff)
+        diags = [fit(resample.bootstrap(exc, cfg.seed + r))[1] for r in range(5)]
+        assert [d.boundary for d in diags] == [False, False, True, True, True]
+        assert rep.gev_diag == dataclasses.replace(
+            diags[0], converged=True, boundary=True, n_u_used=min(d.n_u_used for d in diags))
+        assert rep.gev_diag.n_u_used == 14
+        assert rep.warnings == ("boundary-shape", "few-exceedances")
 
     def test_boundary_shape_in_any_replicate(self):
         # uniform exceedances put every replicate's free shape on the k > -1 boundary

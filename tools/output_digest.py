@@ -19,7 +19,10 @@ The panel takes about a second on one core:
 - one small ``change_point_run``: the stream, the stopping time and the
   report;
 - the Monte Carlo oracle (``empirical_max_cdf``) of the same five families
-  at n = 2000, 40 replicates each: the sorted maxima.
+  at n = 2000, 40 replicates each: the sorted maxima;
+- ``generate`` of every generator kind at n = 1 and n = 500: beta,
+  chi_square, student_t, pareto, ``gaussian_ar1`` at m = 0, 0.2 (rows
+  shorter than 64 steps) and 50, and ``moving_average`` with window 1 and 4.
 
 Prints the digest, then the count of hashed values.
 """
@@ -92,6 +95,21 @@ def panel(tm):
     for name, spec in families.items():
         oracle = tm.empirical_max_cdf(tm.GeneratorSpec(spec.kind, spec.params, 2000, 5), 40)
         yield f"empirical_max_cdf {name}", oracle
+
+    kinds = {
+        "beta": tm.GeneratorSpec.beta(2, 5, 1, 0),
+        "chi_square": tm.GeneratorSpec.chi_square(3, 1, 0),
+        "student_t": tm.GeneratorSpec.student_t(4, 1, 0),
+        "pareto": tm.GeneratorSpec.pareto(2.5, 1, 0),
+        "ar1_m0": tm.GeneratorSpec.gaussian_ar1(0, 1, 0),
+        "ar1_m0.2": tm.GeneratorSpec.gaussian_ar1(0.2, 1, 0),
+        "ar1_m50": tm.GeneratorSpec.gaussian_ar1(50, 1, 0),
+        "ma_w1": tm.GeneratorSpec.moving_average(tm.GeneratorSpec.beta(2, 5, 1, 0), 1, 1, 0),
+        "ma_w4": tm.GeneratorSpec.moving_average(tm.GeneratorSpec.student_t(4, 1, 0), 4, 1, 0),
+    }
+    for name, spec in kinds.items():
+        for n in (1, 500):
+            yield f"generate {name} n={n}", tm.generate(tm.GeneratorSpec(spec.kind, spec.params, n, 7))
 
 
 def main(argv: list[str]) -> int:
