@@ -295,14 +295,14 @@ class BanditSpec:
 
     Arm k draws iid Pareto(tail_exponents[k]) rewards when window == 1, or a
     sliding mean over that many iid draws otherwise.  Arm streams derive from
-    (seed, arm), and the bound fits pin the shape at 0 (see :func:`bandit_run`).
+    (seed, arm).  The bound fits cut at the pipeline's 0.95 quantile, like
+    the other harnesses, and pin the shape at 0 (see :func:`bandit_run`).
     """
 
     tail_exponents: tuple[float, ...]
     delta: float = 0.005
     burn_in: int = 500
     window: int = 1
-    cutoff_quantile: float = 0.95
     seed: int = 0
 
     def __post_init__(self):
@@ -313,7 +313,6 @@ class BanditSpec:
         check_level("delta", self.delta, InvalidSpecError)
         check_count("burn_in", self.burn_in, 2, InvalidSpecError)
         check_count("window", self.window, 1, InvalidSpecError)
-        check_level("cutoff_quantile", self.cutoff_quantile, InvalidSpecError)
         check_count("seed", self.seed, 0, InvalidSpecError)
 
     @property
@@ -359,8 +358,7 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
     seeds = [_arm_seed(spec, k) for k in range(K)]
     # a burn-in history yields ~25 exceedances per arm, too few to identify
     # the shape; pin the exponential-type branch for the bound fits
-    cfgs = [DtmConfig(alpha=spec.delta, cutoff_quantile=spec.cutoff_quantile,
-                      fix_xi=0.0, seed=seeds[k]) for k in range(K)]
+    cfgs = [DtmConfig(alpha=spec.delta, fix_xi=0.0, seed=seeds[k]) for k in range(K)]
     streams = [_arm_stream(spec, k, seeds[k], total_pulls) for k in range(K)]
     counts = [spec.burn_in] * K
 

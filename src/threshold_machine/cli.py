@@ -216,6 +216,8 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # a harness's first artifact creates --outdir, so a refused spec leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -226,7 +228,6 @@ def _cmd_app(args) -> int:
     spec_dict = _load_json_arg(args.spec)
     spec_dict.setdefault("seed", args.seed)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     runner = {"scan": _app_scan, "changepoint": _app_changepoint, "bandit": _app_bandit}[args.harness]
     summary = runner(spec_dict, outdir)
     summary["manifest"] = _manifest(f"app:{args.harness}", spec_dict, args.seed)

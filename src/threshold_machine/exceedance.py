@@ -36,10 +36,10 @@ def as_series(values) -> np.ndarray:
 class ExceedanceSet:
     """Samples strictly above a cutoff, with their 1-based indices.
 
-    A set that :func:`extract` cut from a series keeps that validated series
-    as ``path``, without a copy, and its hit table ``path > cutoff`` as
-    ``mask``, so that :func:`extract` can gather bootstrap replicates from
-    them; a set made through a draw, or built directly, keeps neither.
+    A set that ``extract(series, u)`` cut keeps that validated series as
+    ``path``, without a copy, and its hit table ``path > cutoff`` as
+    ``mask``; ``extract(exc, u, draw)`` gathers a bootstrap replicate from
+    them.  A replicate, or a set built directly, keeps neither.
     """
 
     cutoff: float
@@ -100,26 +100,22 @@ def quantile_cutoff(values, q: float) -> float:
 def extract(values, u: float, draw=None) -> ExceedanceSet:
     """All (index, value) pairs with value strictly above u, in index order.
 
-    ``values`` is a series, or the set that ``extract(series, u)`` returned:
-    the series is validated and thresholded only when it is given itself.
-    With ``draw``, a one-dimensional integer index array, the result is the
-    exceedance set of ``series[draw]``, gathered from the series' own
-    exceedance set without that array: the set's hit table ``mask`` is
-    gathered through ``draw``, and heights are read from the series only at
-    the hits.  :func:`~threshold_machine.resample.bootstrap` gathers each
-    replicate this way, so no replicate re-validates or re-thresholds the
-    series.  The result may be empty; downstream fitters are the ones that
-    reject too-small sets.
+    ``extract(series, u)`` validates the series and cuts it at u.
+    ``extract(exc, u, draw)``, with ``exc`` the set that ``extract(series,
+    u)`` returned and ``draw`` a one-dimensional integer index array, is the
+    exceedance set of ``series[draw]``: the set's hit table ``mask`` is
+    gathered through ``draw`` and heights are read from the series at the
+    hits, so a bootstrap replicate re-validates and re-thresholds nothing.
+    Any other form, a set cut at another u, or one keeping no series raises
+    ``ValueError``.  The result may be empty; fitters reject too-small sets.
     """
-    if isinstance(values, ExceedanceSet):
-        exc = values
-        if float(u) != exc.cutoff:
-            raise ValueError(f"u={u} differs from the set's cutoff {exc.cutoff}")
-    else:
+    if (draw is None) == isinstance(values, ExceedanceSet):
+        raise ValueError("extract takes a series, or a set it cut from one with a draw")
+    if draw is None:
         arr = as_series(values)
         mask = arr > u
         pos = mask.nonzero()[0]
-        exc = ExceedanceSet(
+        return ExceedanceSet(
             cutoff=float(u),
             indices=pos + 1,  # 1-based
             heights=arr[pos],
@@ -127,14 +123,12 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
             path=arr,
             mask=mask,
         )
-    if draw is None:
-        return exc
+    exc = values
+    if float(u) != exc.cutoff:
+        raise ValueError(f"u={u} differs from the set's cutoff {exc.cutoff}")
     path = exc.path
     if path is None or exc.mask is None:
-        raise ValueError(
-            "a draw applies only to a set that extract cut from a series; "
-            "this set keeps no series, as it was made through a draw or built directly"
-        )
+        raise ValueError("this set keeps no series: it was made through a draw or built directly")
     hit = exc.mask.take(draw)  # the hits of series[draw]; take outpaces mask[draw]
     pos = hit.nonzero()[0]
     return ExceedanceSet(

@@ -20,7 +20,7 @@ cutoff from it and ``extract`` cuts its exceedance set.  Replicate r is
 draw, so no replicate re-validates, re-thresholds or copies the series.
 
 Fewer than ``exceedance.MIN_EXCEEDANCES`` exceedances above u on the
-original series fail the run.
+original series fail the run, and so does a replicate's failed fit.
 
 Also provides the ARL <-> alpha mapping used by sequential detection and
 upper/lower confidence bounds, both at the config's alpha, for the maximum of
@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfigError, TooFewExceedancesError, check_count, check_level, check_real
+from .errors import (DtmError, InvalidConfigError, TooFewExceedancesError, check_count,
+                     check_level, check_real)
 from .evt_core import GevParams, TailModel
 from .exceedance import MIN_EXCEEDANCES, WARN_EXCEEDANCES, extract, gaps, quantile_cutoff
 from .extremal_index import ThetaEstimate, theta_closed_form
@@ -122,7 +123,12 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
             f"need {MIN_EXCEEDANCES}"
         )
 
-    fits = [fit(bootstrap(exc, cfg.seed + r), cfg.fix_xi) for r in range(cfg.bootstrap_reps)]
+    fits = []
+    for r in range(cfg.bootstrap_reps):
+        try:
+            fits.append(fit(bootstrap(exc, cfg.seed + r), cfg.fix_xi))
+        except DtmError as e:  # same class, so the CLI's exit code stays
+            raise type(e)(f"bootstrap replicate {r} (seed {cfg.seed + r}): {e}") from e
     # the mean of one value is that value, and its diagnostics are all there are
     params, diag = fits[0]
     if len(fits) > 1:

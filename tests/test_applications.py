@@ -113,8 +113,6 @@ class TestScanSeries:
     (MmdStreamSpec, "bootstrap_reps", 2.5),
     (MmdStreamSpec, "bootstrap_reps", 0),
     (MmdStreamSpec, "bootstrap_reps", True),
-    (BanditSpec, "cutoff_quantile", None),
-    (BanditSpec, "cutoff_quantile", 0.0),
     (BanditSpec, "delta", "x"),
 ])
 def test_spec_counts_are_integers(cls, field, value):
@@ -279,8 +277,7 @@ class TestBanditRun:
     def test_symmetric_arms_tie_break_to_lowest(self, monkeypatch):
         # both arms draw the same stream and bootstrap with the same seed
         monkeypatch.setattr(applications, "_arm_seed", lambda spec, arm: 123)
-        spec = BanditSpec(tail_exponents=(3.5, 3.5), delta=0.01, burn_in=300,
-                          cutoff_quantile=0.9, seed=0)
+        spec = BanditSpec(tail_exponents=(3.5, 3.5), delta=0.01, burn_in=300, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = bandit_run(spec, total_pulls=620)
@@ -288,8 +285,7 @@ class TestBanditRun:
         assert res.pulls[0] == 0
 
     def test_bounds_ordered_each_round(self):
-        spec = BanditSpec(tail_exponents=(3.5, 4.0), delta=0.01, burn_in=300,
-                          cutoff_quantile=0.9, seed=1)
+        spec = BanditSpec(tail_exponents=(3.5, 4.0), delta=0.01, burn_in=300, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = bandit_run(spec, total_pulls=650)
@@ -300,7 +296,7 @@ class TestBanditRun:
 
     def test_dependent_rewards_run(self):
         spec = BanditSpec(tail_exponents=(3.5, 4.0), delta=0.01, burn_in=300,
-                          cutoff_quantile=0.9, window=10, seed=2)
+                          window=10, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = bandit_run(spec, total_pulls=640)
@@ -341,7 +337,7 @@ def arm_bounds(spec, arm, total_pulls):
     ``confidence_bounds`` with the config bandit_run documents."""
     seed = _arm_seed(spec, arm)
     stream = _arm_stream(spec, arm, seed, total_pulls)
-    cfg = DtmConfig(alpha=spec.delta, cutoff_quantile=spec.cutoff_quantile, fix_xi=0.0, seed=seed)
+    cfg = DtmConfig(alpha=spec.delta, fix_xi=0.0, seed=seed)
     return lambda m: confidence_bounds(stream[:m], cfg)
 
 

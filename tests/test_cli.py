@@ -271,7 +271,7 @@ class TestValidateCommand:
 class TestAppCommand:
     def test_bandit_artifacts(self, tmp_path):
         spec = {"tail_exponents": [3.5, 4.0], "delta": 0.01, "burn_in": 300,
-                "cutoff_quantile": 0.9, "total_pulls": 650}
+                "total_pulls": 650}
         spec_path = tmp_path / "bandit.json"
         spec_path.write_text(json.dumps(spec))
         outdir = tmp_path / "run"
@@ -327,6 +327,7 @@ class TestAppCommand:
         ("changepoint", {"cutoff_quantile": 0.9}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": 0.0}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "arm_seeds": [1, 2]}),
+        ("bandit", {"tail_exponents": [3.5, 4.0], "cutoff_quantile": 0.9}),
         ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": 0.9}),
     ], ids=["bandit-missing", "bandit-unknown", "scan-missing", "scan-unknown",
             "changepoint-unknown", "scan-scalar-alphas", "scan-empty-alphas",
@@ -340,7 +341,7 @@ class TestAppCommand:
             "scan-bool-n-subgraphs", "changepoint-bool-reps", "bandit-bool-seed",
             "changepoint-fixed-shape", "changepoint-fixed-bandwidth",
             "changepoint-fixed-quantile", "bandit-fixed-shape", "bandit-fixed-arm-seeds",
-            "scan-fixed-quantile"])
+            "bandit-fixed-quantile", "scan-fixed-quantile"])
     def test_malformed_spec_is_input_error(self, harness, spec, tmp_path, monkeypatch):
         ran = []
         for name in ("scan_series", "change_point_run", "bandit_run"):
@@ -353,6 +354,7 @@ class TestAppCommand:
         assert error["code"] == "invalid-spec"
         assert error["message"].startswith(f"malformed {harness} spec")
         assert ran == []  # refused before any harness draws data
+        assert not (tmp_path / "x").exists()  # nor creates --outdir
 
     def test_pipeline_flags_rejected(self, tmp_path):
         # the harnesses read their settings from the spec, not from pipeline flags

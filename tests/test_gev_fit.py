@@ -69,8 +69,9 @@ def search_weights(spec_or_series, q, draw_seed=None):
     s = spec_or_series
     if isinstance(s, GeneratorSpec):
         s = generate(s)
-    draw = None if draw_seed is None else bootstrap_draw(s.size, draw_seed)
-    e = extract(s, quantile_cutoff(s, q), draw)
+    e = extract(s, quantile_cutoff(s, q))
+    if draw_seed is not None:
+        e = extract(e, e.cutoff, bootstrap_draw(s.size, draw_seed))
     y = e.heights - e.cutoff
     if y.size == 0 or y.min() == y.max():
         return None

@@ -124,7 +124,7 @@ class TestRunDtm:
     def test_single_replicate_is_its_fit(self, fix_xi):
         s = chi2_series(seed=21)
         u = quantile_cutoff(s, 0.95)
-        want = fit(extract(s, u, bootstrap_draw(s.size, 22)), fix_xi)[0]
+        want = fit(extract(s[bootstrap_draw(s.size, 22)], u), fix_xi)[0]
         rep = run_dtm(s, DtmConfig(alpha=0.05, seed=22, fix_xi=fix_xi))
         assert rep.model.params == want  # bit-identical
 
@@ -219,6 +219,15 @@ class TestRunDtm:
         for series, cfg in cases:
             with pytest.raises(TooFewExceedancesError, match="original series"):
                 run_dtm(series, cfg)
+
+    def test_failed_replicate_is_named(self):
+        # the original set has 20 exceedances, replicates 0-4 have
+        # 15 / 21 / 18 / 15 / 9; the fit refuses replicate 4
+        s = generate(GeneratorSpec.beta(1, 1, 2000, 104))
+        cfg = DtmConfig(alpha=0.05, cutoff_quantile=0.99, seed=104, bootstrap_reps=5)
+        with pytest.raises(TooFewExceedancesError, match=r"^bootstrap replicate 4 \(seed 108\): "
+                           r"fit needs at least 10 exceedances, got 9$"):
+            run_dtm(s, cfg)
 
     def test_small_sample_warning_code(self):
         # alpha = 0.01 needs n of order 1e4 by the heuristic bound

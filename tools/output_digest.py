@@ -16,6 +16,9 @@ The panel takes about a second on one core:
 - ``run_dtm`` and ``confidence_bounds`` on the five criterion-5 families
   (n = 10^4), path and config seeds 1-3, with 1 and 10 bootstrap replicates
   and a free and a pinned (0.0) shape: every field of the report;
+- the bootstrap replicate sets behind those runs, ``bootstrap(extract(s,
+  u), seed + r)`` for r = 0-9 at the 0.95 cutoff: their indices, heights
+  and source length;
 - one small ``change_point_run``: the stream, the stopping time and the
   report;
 - the Monte Carlo oracle (``empirical_max_cdf``) of the same five families
@@ -87,6 +90,11 @@ def panel(tm):
                     label = f"{name} seed={seed} reps={reps} fix_xi={fix_xi}"
                     yield f"run_dtm {label}", tm.run_dtm(series, cfg)
                     yield f"confidence_bounds {label}", tm.confidence_bounds(series, cfg)
+            exc = tm.extract(series, tm.quantile_cutoff(series, 0.95))
+            for r in range(10):
+                rep = tm.bootstrap(exc, seed + r)
+                yield (f"bootstrap {name} path={seed} seed={seed + r}",
+                       (rep.indices, rep.heights, rep.source_len))
 
     spec = tm.MmdStreamSpec(block_size=8, n_nodes=20, p_pre=0.3, p_post=0.6, change_time=320,
                             horizon=400, train_len=260, bootstrap_reps=3, seed=0)
