@@ -27,7 +27,7 @@ from .errors import (
 )
 from .generators import GeneratorSpec, generate
 from .pipeline import DtmConfig, ThresholdReport, arl_to_alpha, confidence_bounds, run_dtm
-from .resample import make_rng
+from .resample import make_rng, stream_seed
 
 __all__ = [
     "ErGraphSpec",
@@ -331,11 +331,6 @@ class BanditResult:
         return [self.pulls.count(k) for k in range(n_arms)]
 
 
-def _arm_seed(spec: BanditSpec, arm: int) -> int:
-    # tuple entropy keeps arm streams independent across spec seeds
-    return int(np.random.SeedSequence((spec.seed, arm)).generate_state(1)[0])
-
-
 def _arm_stream(spec: BanditSpec, arm: int, seed: int, length: int) -> np.ndarray:
     # a window of 1 draws the iid Pareto stream of the same seed
     base = GeneratorSpec.pareto(spec.tail_exponents[arm], n=1, seed=0)
@@ -355,7 +350,7 @@ def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:
     """
     K = spec.n_arms
     check_count("total_pulls", total_pulls, K * spec.burn_in + 1, InvalidSpecError)
-    seeds = [_arm_seed(spec, k) for k in range(K)]
+    seeds = [stream_seed(spec.seed, k) for k in range(K)]
     # a burn-in history yields ~25 exceedances per arm, too few to identify
     # the shape; pin the exponential-type branch for the bound fits
     cfgs = [DtmConfig(alpha=spec.delta, fix_xi=0.0, seed=seeds[k]) for k in range(K)]

@@ -172,9 +172,8 @@ def _cmd_validate(args) -> int:
     spec_dict.setdefault("n", args.n)
     spec_dict.setdefault("seed", args.seed)
     spec = GeneratorSpec.from_dict(spec_dict)
-    series = generate(spec)
     cfg = _dtm_config(args)
-    report = run_dtm(series, cfg)
+    report = run_dtm(generate(spec), cfg)
     # oracle replicates derive from a shifted seed so they are independent of
     # the fitted path
     dist = empirical_max_cdf(spec.with_seed(spec.seed + 10_000), args.mc_reps)
@@ -190,7 +189,7 @@ def _cmd_validate(args) -> int:
         "manifest": _manifest(
             "validate",
             {"spec": spec.to_dict(), "L": args.mc_reps, "alpha": args.alpha,
-             "gap_tolerance": args.gap_tolerance},
+             "gap_tolerance": args.gap_tolerance, "dtm": dataclasses.asdict(cfg)},
             args.seed,
         ),
     }

@@ -20,6 +20,14 @@ from numbers import Integral
 
 import numpy as np
 
+__all__ = [
+    "DtmError", "InvalidParamsError", "OutOfSupportError", "InvalidTargetError",
+    "InvalidQuantileError", "InvalidSeriesError", "TooFewExceedancesError",
+    "DegenerateHeightsError", "InvalidThetaError", "NoClustersError", "InvalidSpecError",
+    "InvalidConfigError", "SizeMismatchError", "InvalidBandwidthError", "ParseError",
+    "FitWarning",
+]
+
 # check_real refuses these by type; numpy's bool is not a numbers.Integral,
 # so check_count refuses it without them
 _BOOLS = (bool, np.bool_)

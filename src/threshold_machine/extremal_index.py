@@ -18,15 +18,17 @@ with the convention 0*log 0 = 0 at the boundaries.  Its exact maximizer over
     c*theta^2 - (a + b + c)*theta + b = 0,
 
 computed here in the cancellation-free form 2b / (s + sqrt(s^2 - 4bc)) with
-s = a + b + c.  (The discriminant equals (a + b - c)^2 + 4ac >= 0, and the
-smaller root always lies in (0, 1]: the quadratic is positive at 0 and
-non-positive at 1.)
+s = a + b + c (Suveges 2007, Extremes 10:41-55).  The discriminant equals
+(a + b - c)^2 + 4ac >= 0, and the smaller root always lies in (0, 1]: the
+quadratic is b > 0 at 0 and -a <= 0 at 1.  With no gap of 1 (a = 0) and
+b >= c the root is exactly 1: the discriminant is (b - c)^2 and the root
+2b / (b + c + |b - c|).  Rounding puts the computed root there within about
+1e-12 of 1, on either side, so the estimate is the computed root capped at 1.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,6 @@ class ThetaEstimate:
     theta: float  # in (0, 1]
     n_u: int
     n_c: int  # gaps with T - 1 != 0
-    clamped: bool
 
 
 def _gap_stats(g: GapSet) -> tuple[int, int, int, float]:
@@ -86,7 +87,6 @@ def theta_closed_form(g: GapSet) -> ThetaEstimate:
         )
     b = 2 * n_c
     s = a + b + c
-    raw = 2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c))
-    clamped = not (0.0 < raw <= 1.0)
-    theta = min(max(raw, sys.float_info.min), 1.0)
-    return ThetaEstimate(theta=float(theta), n_u=n_u, n_c=n_c, clamped=clamped)
+    # the root is >= b / s > 0; only rounding can lift it above 1
+    theta = min(2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c)), 1.0)
+    return ThetaEstimate(theta=theta, n_u=n_u, n_c=n_c)

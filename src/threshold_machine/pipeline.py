@@ -105,8 +105,8 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
 
     A single cutoff computed from the original series is reused for both the
     bootstrap fit and the extremal index stage.  Non-fatal issues (few
-    exceedances, non-convergence, a boundary shape, clamped theta, small
-    sample) are reported only as warning codes; hard failures raise.
+    exceedances, non-convergence, a boundary shape, small sample) are
+    reported only as warning codes; hard failures raise.
     """
     warn_codes: list[str] = []
     # quantile_cutoff and extract validate the series where it enters them
@@ -148,9 +148,6 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
         warn_codes.append("few-exceedances")
 
     theta_est = theta_closed_form(gaps(exc))
-    if theta_est.clamped:
-        warn_codes.append("theta-clamped")
-
     model = TailModel(params=params, theta=theta_est.theta, cutoff=float(u), horizon=n)
     return ThresholdReport(
         threshold=model.upper(cfg.alpha),

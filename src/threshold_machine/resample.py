@@ -5,8 +5,8 @@ generator seeded explicitly, so for a given numpy version any (input, seed)
 pair reproduces the same index draws bit-for-bit across runs and platforms.
 Floating-point results can differ in the last bits between machines, since
 numpy picks its vectorized loops by CPU.  Derived streams (bootstrap
-replicates, oracle replicates, harness arms) offset the base seed by a
-documented integer.
+replicates, oracle replicates) offset the base seed by a documented integer;
+a bandit arm's stream takes :func:`stream_seed` of its run seed and index.
 
 A bootstrap replicate is defined by its index draw alone
 (:func:`bootstrap_draw`), and only its exceedances reach the fit, so
@@ -67,6 +67,13 @@ def make_rng(seed: int | tuple[int, ...]) -> np.random.Generator:
     for entry in entries:
         check_count("seed", entry, 0, InvalidConfigError)
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def stream_seed(seed: int, stream: int) -> int:
+    """The seed of stream ``stream`` of a run seeded ``seed``: the first
+    32-bit word of ``SeedSequence((seed, stream))``, whose tuple entropy
+    keeps the streams of different run seeds apart, unlike ``seed + stream``."""
+    return int(np.random.SeedSequence((seed, stream)).generate_state(1)[0])
 
 
 @functools.cache

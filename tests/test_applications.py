@@ -30,7 +30,8 @@ from threshold_machine import (
     scan_series,
 )
 from threshold_machine import applications
-from threshold_machine.applications import _arm_seed, _arm_stream, _median_heuristic, _snapshot
+from threshold_machine.applications import _arm_stream, _median_heuristic, _snapshot
+from threshold_machine.resample import stream_seed
 
 
 class TestScanSeries:
@@ -276,7 +277,7 @@ class TestBanditRun:
 
     def test_symmetric_arms_tie_break_to_lowest(self, monkeypatch):
         # both arms draw the same stream and bootstrap with the same seed
-        monkeypatch.setattr(applications, "_arm_seed", lambda spec, arm: 123)
+        monkeypatch.setattr(applications, "stream_seed", lambda seed, arm: 123)
         spec = BanditSpec(tail_exponents=(3.5, 3.5), delta=0.01, burn_in=300, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -335,7 +336,7 @@ def criterion_9_spec(seed):
 def arm_bounds(spec, arm, total_pulls):
     """The arm's bounds on the first m rewards of its stream, as a function of m:
     ``confidence_bounds`` with the config bandit_run documents."""
-    seed = _arm_seed(spec, arm)
+    seed = stream_seed(spec.seed, arm)
     stream = _arm_stream(spec, arm, seed, total_pulls)
     cfg = DtmConfig(alpha=spec.delta, fix_xi=0.0, seed=seed)
     return lambda m: confidence_bounds(stream[:m], cfg)
@@ -399,7 +400,7 @@ class TestBanditRoundRule:
         # arm 0's first recomputation after burn-in raises: the arm keeps its
         # burn-in bounds for that round and the run warns once
         spec = criterion_9_spec(seed)
-        seed0 = _arm_seed(spec, 0)
+        seed0 = stream_seed(spec.seed, 0)
 
         def flaky(series, cfg):
             if cfg.seed == seed0 and len(series) == spec.burn_in + 1:
@@ -421,7 +422,7 @@ class TestBanditRoundRule:
         # arm 1 never gets bounds: every round pulls arm 0, and with no other
         # arm to beat the run never stops early
         spec = criterion_9_spec(seed)
-        seed1 = _arm_seed(spec, 1)
+        seed1 = stream_seed(spec.seed, 1)
 
         def failing_arm_1(series, cfg):
             if cfg.seed == seed1:
@@ -446,7 +447,7 @@ class TestBanditRoundRule:
             1: {10: (2.0, 6.0), 11: (1.5, 5.5)},
             2: {10: (0.0, 6.0), 11: (3.0, 7.0), 12: (6.5, 9.0)},
         }
-        arm_of = {_arm_seed(spec, k): k for k in range(spec.n_arms)}
+        arm_of = {stream_seed(spec.seed, k): k for k in range(spec.n_arms)}
 
         def scripted(series, cfg):
             arm = arm_of[cfg.seed]

@@ -192,6 +192,17 @@ class TestThresholdCommand:
         assert code == 1
         assert json.loads(out.read_text())["warnings"] == ["boundary-shape"]
 
+    def test_boundary_extremal_index_exits_ok(self, tmp_path):
+        # the series whose extremal index root rounds one ulp above 1
+        p = tmp_path / "ar1.csv"
+        write_series(p, generate(GeneratorSpec.gaussian_ar1(0, 10_000, 7)))
+        out = tmp_path / "r.json"
+        code = main(["threshold", "--input", str(p), "--alpha", "0.05", "--quantile", "0.99",
+                     "--seed", "0", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["theta"] == 1.0 and payload["warnings"] == []
+
     def test_warning_codes_are_logged(self, tmp_path, caplog):
         # the log, and so stderr at the default level, names each code once
         p = tmp_path / "uniform.csv"
@@ -245,6 +256,32 @@ class TestValidateCommand:
         err = json.loads(capsys.readouterr().out)  # valid JSON: no NaN written
         assert err["error"]["code"] == "invalid-config"
         assert drawn == []  # refused before any path or oracle is drawn
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0"], ["--alpha", "0.05", "--quantile", "1.5"],
+        ["--alpha", "0.05", "--cutoff", "nan"], ["--alpha", "0.05", "--bootstrap-reps", "0"],
+    ])
+    def test_invalid_pipeline_flag_is_input_error(self, flags, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "generate", lambda spec: drawn.append(spec))
+        monkeypatch.setattr(cli, "empirical_max_cdf", lambda spec, L: drawn.append(spec))
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
+        assert main(["validate", "--spec", spec, "--seed", "1", *flags]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-config"
+        assert drawn == []  # refused before any path or oracle is drawn
+
+    def test_manifest_reproduces_the_run(self, tmp_path):
+        # the manifest alone rebuilds the path and the pipeline run
+        out = tmp_path / "v.json"
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
+        main(["validate", "--spec", spec, "--n", "3000", "--mc-reps", "20", "--alpha", "0.05",
+              "--quantile", "0.9", "--bootstrap-reps", "3", "--seed", "5", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        config = payload["manifest"]["config"]
+        series = generate(GeneratorSpec.from_dict(config["spec"]))
+        report = run_dtm(series, DtmConfig(**config["dtm"]))
+        assert report.threshold == payload["dtm_threshold"]
+        assert config["dtm"]["cutoff_quantile"] == 0.9 and config["dtm"]["bootstrap_reps"] == 3
 
     @pytest.mark.parametrize("mc_reps", ["0", "-1"])
     def test_invalid_mc_reps_is_input_error(self, mc_reps, capsys, monkeypatch):

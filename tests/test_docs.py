@@ -1,9 +1,11 @@
 """The README's python examples and the demo scripts compile; nothing is run.
 The library sets no warning filter, checks input values only through the
-rules in ``errors.py``, draws bootstrap replicates and builds PCG64 only in
-``resample.py``, validates series only in ``exceedance.py``, and importing it
-loads no scipy or ``numpy.random`` module."""
+rules in ``errors.py``, draws bootstrap replicates, derives seeds and builds
+PCG64 only in ``resample.py``, validates series only in ``exceedance.py``,
+exports exactly its modules' ``__all__`` names, and importing it loads no
+scipy or ``numpy.random`` module."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import threshold_machine
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threshold_machine"
@@ -51,17 +55,57 @@ def test_bootstrap_lives_in_resample():
     # and a series enters the package only through exceedance.as_series
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     draws = [m for m, src in sources.items() if re.search(r"\bbootstrap_draw\b", src)]
-    assert sorted(draws) == ["__init__.py", "resample.py"]
+    assert draws == ["resample.py"]
     validators = [m for m, src in sources.items() if re.search(r"^def as_series\b", src, re.M)]
     assert validators == ["exceedance.py"]
 
 
 def test_pcg64_built_only_in_resample():
     # make_rng is the package PRNG; only bootstrap_draw and make_rngs seed
-    # PCG64 from precomputed words
+    # PCG64 from precomputed words, and stream_seed derives a stream's seed,
+    # so every seeding rule lives in one module
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     builders = [m for m, src in sources.items() if re.search(r"\bPCG64\(", src)]
     assert builders == ["resample.py"]
+    seeders = [m for m, src in sources.items() if re.search(r"\bSeedSequence\(", src)]
+    assert seeders == ["resample.py"]
+
+
+# the package's exports when each module's __all__ became the one list of
+# its public names; an export may be added, none dropped
+EXPORTED = {
+    "__version__",
+    "GevParams", "TailModel", "gev_cdf", "tail_fn", "invert_tail", "model_max_cdf",
+    "bootstrap", "bootstrap_draw", "make_rng",
+    "as_series", "ExceedanceSet", "GapSet", "quantile_cutoff", "extract", "gaps",
+    "FitDiagnostics", "neg_log_likelihood", "fit",
+    "ThetaEstimate", "theta_log_likelihood", "theta_closed_form",
+    "DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidence_bounds",
+    "GeneratorSpec", "generate",
+    "EmpiricalMaxDist", "empirical_max_cdf", "mc_threshold", "sup_norm_gap",
+    "ErGraphSpec", "scan_series", "mmd_stat", "MmdStreamSpec", "ChangePointResult",
+    "change_point_run", "BanditSpec", "BanditResult", "bandit_run",
+    "DtmError", "InvalidParamsError", "OutOfSupportError", "InvalidTargetError",
+    "InvalidQuantileError", "InvalidSeriesError", "TooFewExceedancesError",
+    "DegenerateHeightsError", "InvalidThetaError", "NoClustersError", "InvalidSpecError",
+    "InvalidConfigError", "SizeMismatchError", "InvalidBandwidthError", "ParseError",
+    "FitWarning",
+}
+
+
+def test_exports_are_the_modules_public_names():
+    # a public name is declared once, in its module's __all__; the package
+    # re-exports their union and adds only its version.  cli is the command
+    # line's entry point and exports nothing
+    modules = [importlib.import_module(f"threshold_machine.{p.stem}")
+               for p in sorted(PACKAGE.glob("*.py")) if p.stem not in ("__init__", "cli")]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared)), "a name is declared in two modules"
+    assert sorted(threshold_machine.__all__) == sorted(["__version__", *declared])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(threshold_machine, name) is getattr(module, name)
+    assert EXPORTED <= set(threshold_machine.__all__)
 
 
 def loaded_by_import(package):

@@ -12,6 +12,7 @@ from threshold_machine import (
     gaps,
     generate,
     GeneratorSpec,
+    ThetaEstimate,
     quantile_cutoff,
     theta_closed_form,
     theta_log_likelihood,
@@ -65,8 +66,28 @@ class TestThetaClosedForm:
         g = gapset([3, 4, 6, 2, 5], rate=0.05)
         est = theta_closed_form(g)
         assert est.theta == 1.0
-        assert not est.clamped
         assert est.n_c == 5
+
+    @pytest.mark.parametrize("gap_list, rate", [([2, 2], 0.01), ([2, 3], 0.2), ([2, 6], 0.1)])
+    def test_boundary_root_above_one_is_capped(self, gap_list, rate):
+        # no gap of 1 (a = 0) and b >= c put the root at 1; on these sets the
+        # computed root rounds one ulp above it
+        assert theta_closed_form(gapset(gap_list, rate)) == ThetaEstimate(theta=1.0, n_u=3, n_c=2)
+
+    def test_estimate_in_unit_interval(self):
+        # half the sets have no gap of 1 (a = 0), where b >= c puts the root
+        # at exactly 1 and rounding lands within about 1e-12 of it
+        rng = np.random.default_rng(23)
+        for i in range(2000):
+            gap_list = rng.integers(2 if i % 2 else 1, 30, size=int(rng.integers(1, 60)))
+            if np.all(gap_list == 1):
+                continue
+            g = gapset(gap_list, float(rng.uniform(0.005, 0.5)))
+            theta = theta_closed_form(g).theta
+            assert 0.0 < theta <= 1.0
+            b, c = 2 * np.sum(gap_list > 1), g.rate * float(np.sum(gap_list - 1))
+            if np.all(gap_list > 1) and b >= c:
+                assert theta == pytest.approx(1.0, rel=0, abs=1e-11)
 
     def test_small_example_matches_grid_oracle(self):
         # indices [3, 4, 10] in n = 20: gaps [1, 6], rate 0.15.  The grid

@@ -19,6 +19,10 @@ The panel takes about a second on one core:
 - the bootstrap replicate sets behind those runs, ``bootstrap(extract(s,
   u), seed + r)`` for r = 0-9 at the 0.95 cutoff: their indices, heights
   and source length;
+- the extremal index at its boundary, where no gap equals 1 and the
+  likelihood's root is exactly 1 but computes one ulp above it: ``run_dtm``
+  on the iid Gaussian path of seed 7 (n = 10^4) at the 0.99 cutoff, and
+  ``theta_closed_form`` on three such gap sets;
 - one small ``change_point_run``: the stream, the stopping time and the
   report;
 - the Monte Carlo oracle (``empirical_max_cdf``) of the same five families
@@ -95,6 +99,13 @@ def panel(tm):
                 rep = tm.bootstrap(exc, seed + r)
                 yield (f"bootstrap {name} path={seed} seed={seed + r}",
                        (rep.indices, rep.heights, rep.source_len))
+
+    series = tm.generate(tm.GeneratorSpec.gaussian_ar1(0, 10_000, 7))
+    cfg = tm.DtmConfig(alpha=0.05, cutoff_quantile=0.99, seed=0)
+    yield "run_dtm ar1_m0 path=7 q=0.99", tm.run_dtm(series, cfg)
+    for gap_list, rate in (([2, 2], 0.01), ([2, 3], 0.2), ([2, 6], 0.1)):
+        yield (f"theta_closed_form {gap_list} rate={rate}",
+               tm.theta_closed_form(tm.GapSet(np.array(gap_list), rate)))
 
     spec = tm.MmdStreamSpec(block_size=8, n_nodes=20, p_pre=0.3, p_post=0.6, change_time=320,
                             horizon=400, train_len=260, bootstrap_reps=3, seed=0)
