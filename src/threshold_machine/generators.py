@@ -19,15 +19,14 @@ Everything draws from the package PRNG (PCG64), so a spec is reproducible
 bit-for-bit and two specs differing only in seed are independent streams.
 
 One routine draws every path: :func:`generate` takes the single path of its
-spec's seed, and :func:`maxima` the maxima of L paths, path j drawn from seed
-``seed + j``, as the Monte Carlo oracle needs them, with no spec built per
-path and the L seeds checked once and hashed together
-(:func:`resample.make_rngs`).  A path drawn either way is the same bit for
-bit.  AR(1) paths with m > 0 are drawn in chunks: the innovations of as many
-paths as fit in ``_CHUNK`` = 2**18 draws (2 MB, and one path if a path is
-longer) go into one reused buffer, and one scan runs over the chunk, so the
-scan's fixed cost is paid once per chunk and the buffer never holds more
-than one chunk, whatever n and L are.  The other kinds draw path by path.
+spec's seed, and :func:`maxima` the maxima of L paths, path j drawn from
+``make_rng(seed + j)``, as the Monte Carlo oracle needs them, with no spec
+built per path.  A path drawn either way is the same bit for bit.  AR(1)
+paths with m > 0 are drawn in chunks: the innovations of as many paths as
+fit in ``_CHUNK`` = 2**18 draws (2 MB, and one path if a path is longer) go
+into one reused buffer, and one scan runs over the chunk, so the scan's
+fixed cost is paid once per chunk and the buffer never holds more than one
+chunk, whatever n and L are.  The other kinds draw path by path.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidSpecError, check_count, check_real
-from .resample import make_rng, make_rngs
+from .resample import make_rng
 
 __all__ = ["GeneratorSpec", "generate", "maxima"]
 
@@ -246,16 +245,17 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
 
 
 def maxima(spec: GeneratorSpec, L: int) -> np.ndarray:
-    """The maximum of each of L paths of ``spec``, path j drawn from seed
-    ``spec.seed + j``: equal bit for bit to
-    ``np.max(generate(spec.with_seed(spec.seed + j)))``, without a spec or a
-    ``SeedSequence`` per path (see the module docstring for the chunked
-    AR(1) draw).
+    """The maximum of each of L paths of ``spec``, path j drawn from
+    ``make_rng(spec.seed + j)``: equal bit for bit to
+    ``np.max(generate(spec.with_seed(spec.seed + j)))``, without a spec per
+    path (see the module docstring for the chunked AR(1) draw).
     """
     check_count("L", L, 1, InvalidSpecError)
+    # int() first: a numpy-integer seed near 2**63 would wrap when j is added
+    rngs = (make_rng(int(spec.seed) + j) for j in range(L))
     out = np.empty(L)
     i = 0
-    for block in _paths(spec, make_rngs(spec.seed, L), L):
+    for block in _paths(spec, rngs, L):
         np.maximum.reduce(block, axis=1, out=out[i:i + len(block)])
         i += len(block)
     return out

@@ -61,9 +61,10 @@ def test_bootstrap_lives_in_resample():
 
 
 def test_pcg64_built_only_in_resample():
-    # make_rng is the package PRNG; only bootstrap_draw and make_rngs seed
-    # PCG64 from precomputed words, and stream_seed derives a stream's seed,
-    # so every seeding rule lives in one module
+    # make_rng is the package PRNG, and generators.maxima seeds path j with
+    # make_rng(seed + j); only bootstrap_draw seeds PCG64 from precomputed
+    # words, and stream_seed derives a stream's seed, so every seeding rule
+    # lives in one module
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     builders = [m for m, src in sources.items() if re.search(r"\bPCG64\(", src)]
     assert builders == ["resample.py"]

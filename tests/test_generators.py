@@ -201,13 +201,19 @@ def maxima_cases():
         c = chunk_paths(m, n)
         for L in sorted({1, c, c + 1, 2 * c + 3}):
             yield pytest.param(GeneratorSpec.gaussian_ar1(m, n, 3), L, id=f"ar1-m{m}-n{n}-L{L}")
+    # seeds whose 32-bit word count grows within the range, and a numpy seed
+    # that wraps negative if j is added to it before it is made an int
+    for label, seed, L in (("2**32-3", 2**32 - 3, 6), ("2**64-2", 2**64 - 2, 4),
+                           ("2**128-2", 2**128 - 2, 4), ("int64(2**63-2)", np.int64(2**63 - 2), 4)):
+        for spec in (GeneratorSpec.chi_square(1, 200, seed), GeneratorSpec.gaussian_ar1(50, 200, seed)):
+            yield pytest.param(spec, L, id=f"{spec.kind}-seed{label}-L{L}")
 
 
 class TestMaxima:
     @pytest.mark.parametrize("spec, L", maxima_cases())
     def test_matches_one_path_at_a_time(self, spec, L):
         got = generators.maxima(spec, L)
-        want = [np.max(generate(spec.with_seed(spec.seed + j))) for j in range(L)]
+        want = [np.max(generate(spec.with_seed(int(spec.seed) + j))) for j in range(L)]
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_chunk_sizes(self):

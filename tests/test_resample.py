@@ -133,30 +133,6 @@ class TestBootstrap:
         assert make_rng(seed).random(5).tobytes() == ref.random(5).tobytes()
 
 
-class TestMakeRngs:
-    # the ranges cross a seed's 32-bit word counts, the edge of a hashed block
-    # and 2**128, from where make_rng itself seeds
-    @pytest.mark.parametrize("first, count", [
-        (0, 5), (2**32 - 3, 6), (2**64 - 2, 4), (2**128 - 2, 4),
-        (7, resample._SEED_BLOCK + 1), (np.int64(9), np.int64(3))])
-    def test_matches_make_rng(self, first, count):
-        got = list(resample.make_rngs(first, count))
-        assert len(got) == count
-        for j, rng in enumerate(got):
-            ref = make_rng(int(first) + j)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.random(3).tobytes() == ref.random(3).tobytes()
-
-    def test_no_seeds(self):
-        assert list(resample.make_rngs(5, 0)) == []
-
-    @pytest.mark.parametrize("first, count", [(-1, 3), (2.5, 3), (None, 3), (True, 3),
-                                              (0, -1), (0, 2.5), (0, "3"), (0, True)])
-    def test_seed_and_count_are_checked_at_the_call(self, first, count):
-        with pytest.raises(InvalidConfigError):
-            resample.make_rngs(first, count)
-
-
 class TestDrawCount:
     @pytest.mark.parametrize("n", [-1, 0, 2.5, "3", True, None])
     def test_count_is_a_positive_integer(self, n):

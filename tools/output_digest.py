@@ -26,7 +26,11 @@ The panel takes about a second on one core:
 - one small ``change_point_run``: the stream, the stopping time and the
   report;
 - the Monte Carlo oracle (``empirical_max_cdf``) of the same five families
-  at n = 2000, 40 replicates each: the sorted maxima;
+  at n = 2000, 40 replicates each: the sorted maxima; and ``maxima`` of
+  ``chi_square(1)`` and ``gaussian_ar1(50)`` at n = 200 from seeds whose
+  32-bit word count grows within the range (2**32 - 3 with L = 6, 2**64 - 2
+  and 2**128 - 2 with L = 4) and from the numpy seed ``np.int64(2**63 - 2)``
+  with L = 4;
 - ``generate`` of every generator kind at n = 1 and n = 500: beta,
   chi_square, student_t, pareto, ``gaussian_ar1`` at m = 0, 0.2 (rows
   shorter than 64 steps) and 50, and ``moving_average`` with window 1 and 4.
@@ -114,6 +118,9 @@ def panel(tm):
     for name, spec in families.items():
         oracle = tm.empirical_max_cdf(tm.GeneratorSpec(spec.kind, spec.params, 2000, 5), 40)
         yield f"empirical_max_cdf {name}", oracle
+    for seed, L in ((2**32 - 3, 6), (2**64 - 2, 4), (2**128 - 2, 4), (np.int64(2**63 - 2), 4)):
+        for spec in (tm.GeneratorSpec.chi_square(1, 200, seed), tm.GeneratorSpec.gaussian_ar1(50, 200, seed)):
+            yield f"maxima {spec.kind} seed={seed} L={L}", tm.maxima(spec, L)
 
     kinds = {
         "beta": tm.GeneratorSpec.beta(2, 5, 1, 0),
