@@ -21,7 +21,7 @@ from threshold_machine import (DtmConfig, EmpiricalMaxDist, ErGraphSpec, mc_thre
                                run_dtm, scan_series)
 
 ALPHAS = (0.1, 0.05, 0.03, 0.01)
-spec = ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0)
+spec = ErGraphSpec(N=100, p0=0.1, k=10, seed=0)
 
 series = scan_series(spec, n_subgraphs=5000)
 print(f"scan series: 5000 subgraph edge counts, range [{series.min():.0f}, "

@@ -49,52 +49,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ErGraphSpec:
-    """Null/alternative random graph for the subgraph scan.
-
-    Under the null every edge is Bernoulli(p0); the alternative plants a
-    k-node community whose internal edges are Bernoulli(p1).
-    """
+    """Null random graph G(N, p0) for the subgraph scan: every edge is
+    Bernoulli(p0), and each scanned subgraph has k nodes."""
 
     N: int
     p0: float
-    p1: float
     k: int
     seed: int = 0
 
     def __post_init__(self):
         check_real("p0", self.p0, 0, InvalidSpecError, 1, "[]")
-        check_real("p1", self.p1, 0, InvalidSpecError, 1, "[]")
-        if self.p1 < self.p0:
-            raise InvalidSpecError("community probability p1 must be >= p0")
         check_count("N", self.N, 1, InvalidSpecError)
         check_count("k", self.k, 1, InvalidSpecError)
         if self.k > self.N:
-            raise InvalidSpecError(f"community size k must lie in [1, N], got {self.k}")
+            raise InvalidSpecError(f"subgraph size k must lie in [1, N], got {self.k}")
         check_count("seed", self.seed, 0, InvalidSpecError)
 
 
-def _sample_adjacency(spec: ErGraphSpec, rng: np.random.Generator, planted: bool) -> np.ndarray:
-    N = spec.N
-    W = np.triu((rng.random((N, N)) < spec.p0).astype(np.int64), 1)
-    W = W + W.T
-    if planted and spec.p1 > spec.p0:
-        # the community's own draw replaces every null edge among its nodes
-        nodes = rng.choice(N, size=spec.k, replace=False)
-        sub = np.triu((rng.random((spec.k, spec.k)) < spec.p1).astype(np.int64), 1)
-        W[np.ix_(nodes, nodes)] = sub + sub.T
-    return W
+def scan_series(spec: ErGraphSpec, n_subgraphs: int) -> np.ndarray:
+    """Edge-count scan statistics of uniformly random k-node subgraphs of
+    one null graph.
 
-
-def scan_series(spec: ErGraphSpec, n_subgraphs: int, planted: bool = False) -> np.ndarray:
-    """Edge-count scan statistics of uniformly random k-node subgraphs.
-
-    One adjacency realization is drawn, then each of the n_subgraphs draws
-    picks k nodes uniformly without replacement and counts the edges among
-    them.  Values are integers in [0, k*(k-1)/2].
+    One G(N, p0) adjacency realization is drawn, then each of the
+    n_subgraphs draws picks k nodes uniformly without replacement and counts
+    the edges among them.  Values are integers in [0, k*(k-1)/2].
     """
     check_count("n_subgraphs", n_subgraphs, 1, InvalidSpecError)
     rng = make_rng(spec.seed)
-    W = _sample_adjacency(spec, rng, planted)
+    W = np.triu((rng.random((spec.N, spec.N)) < spec.p0).astype(np.int64), 1)
+    W = W + W.T
     out = np.empty(n_subgraphs)
     for i in range(n_subgraphs):
         nodes = rng.choice(spec.N, size=spec.k, replace=False)

@@ -225,11 +225,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _cmd_app(args) -> int:
     spec_dict = _load_json_arg(args.spec)
-    spec_dict.setdefault("seed", args.seed)
+    seed = spec_dict.setdefault("seed", args.seed)  # a spec seed wins over --seed
     outdir = Path(args.outdir)
     runner = {"scan": _app_scan, "changepoint": _app_changepoint, "bandit": _app_bandit}[args.harness]
     summary = runner(spec_dict, outdir)
-    summary["manifest"] = _manifest(f"app:{args.harness}", spec_dict, args.seed)
+    summary["manifest"] = _manifest(f"app:{args.harness}", spec_dict, seed)
     _emit(summary, str(outdir / "summary.json"))
     print(f"wrote {outdir}/summary.json")
     # bandit_run keeps no reports, so its summary has no warnings

@@ -106,8 +106,9 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
     exceedance set of ``series[draw]``: the set's hit table ``mask`` is
     gathered through ``draw`` and heights are read from the series at the
     hits, so a bootstrap replicate re-validates and re-thresholds nothing.
-    Any other form, a set cut at another u, or one keeping no series raises
-    ``ValueError``.  The result may be empty; fitters reject too-small sets.
+    Any other form, a draw of another type or shape, a set cut at another
+    u, or one keeping no series raises ``ValueError``.  The result may be
+    empty; fitters reject too-small sets.
     """
     if (draw is None) == isinstance(values, ExceedanceSet):
         raise ValueError("extract takes a series, or a set it cut from one with a draw")
@@ -123,6 +124,8 @@ def extract(values, u: float, draw=None) -> ExceedanceSet:
             path=arr,
             mask=mask,
         )
+    if not (isinstance(draw, np.ndarray) and draw.ndim == 1 and draw.dtype.kind in "iu"):
+        raise ValueError("draw must be a one-dimensional integer index array")
     exc = values
     if float(u) != exc.cutoff:
         raise ValueError(f"u={u} differs from the set's cutoff {exc.cutoff}")

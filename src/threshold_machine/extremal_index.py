@@ -22,8 +22,9 @@ s = a + b + c (Suveges 2007, Extremes 10:41-55).  The discriminant equals
 (a + b - c)^2 + 4ac >= 0, and the smaller root always lies in (0, 1]: the
 quadratic is b > 0 at 0 and -a <= 0 at 1.  With no gap of 1 (a = 0) and
 b >= c the root is exactly 1: the discriminant is (b - c)^2 and the root
-2b / (b + c + |b - c|).  Rounding puts the computed root there within about
-1e-12 of 1, on either side, so the estimate is the computed root capped at 1.
+2b / (b + c + |b - c|).  The formula computes it only to within about 1e-12
+of 1, on either side, so that case returns 1 exactly; elsewhere the computed
+root is capped at 1.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ def theta_closed_form(g: GapSet) -> ThetaEstimate:
             "every inter-exceedance gap equals 1; extremal index degenerates at 0"
         )
     b = 2 * n_c
+    if a == 0 and b >= c:
+        return ThetaEstimate(theta=1.0, n_u=n_u, n_c=n_c)
     s = a + b + c
     # the root is >= b / s > 0; only rounding can lift it above 1
     theta = min(2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c)), 1.0)

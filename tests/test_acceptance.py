@@ -214,7 +214,7 @@ class TestCriterion7:
         t0 = time.time()
         alphas = (0.1, 0.05, 0.03, 0.01)
         reference = (13.71, 14.50, 14.64, 14.55)
-        spec = ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0)
+        spec = ErGraphSpec(N=100, p0=0.1, k=10, seed=0)
         series = scan_series(spec, 5000)
         row = [run_dtm(series, DtmConfig(alpha=a, cutoff_quantile=0.95,
                                          bootstrap_reps=10, seed=1)).threshold

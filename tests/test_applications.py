@@ -24,7 +24,6 @@ from threshold_machine import (
     change_point_run,
     confidence_bounds,
     generate,
-    make_rng,
     mmd_stat,
     run_dtm,
     scan_series,
@@ -36,53 +35,30 @@ from threshold_machine.resample import stream_seed
 
 class TestScanSeries:
     def test_empty_graph(self):
-        spec = ErGraphSpec(N=30, p0=0.0, p1=0.0, k=5, seed=1)
+        spec = ErGraphSpec(N=30, p0=0.0, k=5, seed=1)
         assert np.all(scan_series(spec, 100) == 0)
 
     def test_complete_graph(self):
-        spec = ErGraphSpec(N=30, p0=1.0 - 1e-15, p1=1.0, k=10, seed=2)
+        spec = ErGraphSpec(N=30, p0=1.0 - 1e-15, k=10, seed=2)
         s = scan_series(spec, 50)
         assert np.all(s == 45)
 
     def test_integer_range(self):
-        spec = ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=3)
+        spec = ErGraphSpec(N=100, p0=0.1, k=10, seed=3)
         s = scan_series(spec, 2000)
         assert np.all(s == np.round(s))
         assert np.all((s >= 0) & (s <= 45))
 
-    def test_planted_community_raises_statistics(self):
-        # each of the 45 pairs of a 10-node subgraph is a community pair with
-        # probability 45/4950 and then gains p1 - p0 = 0.8 in edge rate, so
-        # the planted mean exceeds the null mean by 0.8*45*45/4950 = 0.327
-        gaps = []
-        for seed in range(10):
-            spec = ErGraphSpec(N=100, p0=0.1, p1=0.9, k=10, seed=seed)
-            s0 = scan_series(spec, 3000, planted=False)
-            s1 = scan_series(spec, 3000, planted=True)
-            assert s1.mean() > s0.mean()
-            assert s1.max() >= s0.max()
-            gaps.append(s1.mean() - s0.mean())
-        assert np.mean(gaps) == pytest.approx(0.33, abs=0.1)
-
-    def test_planted_community_edges_are_bernoulli_p1(self):
-        # 590 null pairs at p0 and 190 community pairs at p1: 409 edges on
-        # average, with a standard error of 0.7 over 400 graphs; a community
-        # pair that kept its null edge would read p0 + p1 - p0*p1 = 0.8
-        spec = ErGraphSpec(N=40, p0=0.5, p1=0.6, k=20)
-        edges = [applications._sample_adjacency(spec, make_rng(seed), True).sum() // 2
-                 for seed in range(400)]
-        assert np.mean(edges) == pytest.approx(0.5 * 590 + 0.6 * 190, abs=3)
-
     def test_spec_validation(self):
         with pytest.raises(InvalidSpecError):
-            ErGraphSpec(N=10, p0=0.5, p1=0.1, k=3, seed=0)  # p1 < p0
-        with pytest.raises(InvalidSpecError):
-            ErGraphSpec(N=10, p0=0.1, p1=0.2, k=11, seed=0)  # k > N
+            ErGraphSpec(N=10, p0=0.1, k=11, seed=0)  # k > N
+        with pytest.raises(TypeError):
+            ErGraphSpec(N=10, p0=0.1, p1=0.2, k=3, seed=0)  # the scan draws only the null
 
     def test_one_fit_answers_every_level(self):
         # the criterion-7 series: a run at any level returns the threshold
         # that the model fitted at another level reads off for it
-        series = scan_series(ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0), 5000)
+        series = scan_series(ErGraphSpec(N=100, p0=0.1, k=10, seed=0), 5000)
 
         def cfg(alpha):
             return DtmConfig(alpha=alpha, cutoff_quantile=0.95, bootstrap_reps=10, seed=1)
@@ -117,7 +93,7 @@ class TestScanSeries:
     (BanditSpec, "delta", "x"),
 ])
 def test_spec_counts_are_integers(cls, field, value):
-    base = {ErGraphSpec: dict(N=30, p0=0.1, p1=0.1, k=5),
+    base = {ErGraphSpec: dict(N=30, p0=0.1, k=5),
             BanditSpec: dict(tail_exponents=(3.5, 4.0))}.get(cls, {})
     cls(**base)  # the defaults are valid
     with pytest.raises(InvalidSpecError, match=field):

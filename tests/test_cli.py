@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from threshold_machine import DtmConfig, GeneratorSpec, generate, make_rng, run_dtm
+from threshold_machine import (BanditSpec, DtmConfig, GeneratorSpec, bandit_run, generate,
+                               make_rng, run_dtm)
 from threshold_machine import applications, cli
 from threshold_machine.cli import main
 
@@ -96,27 +97,27 @@ class TestThresholdCommand:
          "--seed", "1"],
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}, "seed": 2.5}',
          "--seed", "1"],
-        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5}', "--seed", "-1"],
-        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "seed": -3}',
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "k": 5}', "--seed", "-1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "k": 5, "seed": -3}',
          "--seed", "1"],
         ["app", "changepoint", "--spec", "{}", "--seed", "-1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0]}', "--seed", "-1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "arm_seeds": [1, -2]}',
          "--seed", "1"],
-        ["app", "scan", "--spec", '{"N": 30.5, "p0": 0.1, "p1": 0.1, "k": 5}', "--seed", "1"],
-        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5.5}', "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30.5, "p0": 0.1, "k": 5}', "--seed", "1"],
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "k": 5.5}', "--seed", "1"],
         ["app", "changepoint", "--spec", '{"block_size": 8.5}', "--seed", "1"],
         ["app", "changepoint", "--spec", '{"change_time": 300.5}', "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "burn_in": 50.5}',
          "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "window": 2.5}',
          "--seed", "1"],
-        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": 0.05}',
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "k": 5, "alphas": 0.05}',
          "--seed", "1"],
-        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "mc_reps": 0}',
+        ["app", "scan", "--spec", '{"N": 30, "p0": 0.1, "k": 5, "mc_reps": 0}',
          "--seed", "1"],
         ["app", "scan", "--spec",
-         '{"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}', "--seed", "1"],
+         '{"N": 30, "p0": 0.1, "k": 5, "n_subgraphs": 100.5}', "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0], "total_pulls": "x"}',
          "--seed", "1"],
         ["app", "changepoint", "--spec", '{"cutoff_quantile": "x"}', "--seed", "1"],
@@ -131,7 +132,7 @@ class TestThresholdCommand:
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": "x"}}', "--seed", "1"],
         ["validate", "--spec", '{"kind": "student_t", "params": {"df": Infinity}}',
          "--seed", "1"],
-        ["app", "scan", "--spec", '{"N": 30, "p0": 1.0000000000001, "p1": 1.0, "k": 5}',
+        ["app", "scan", "--spec", '{"N": 30, "p0": 1.0000000000001, "k": 5}',
          "--seed", "1"],
         ["app", "changepoint", "--spec", '{"p_pre": "x"}', "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": ["x", 4.0]}', "--seed", "1"],
@@ -320,6 +321,19 @@ class TestAppCommand:
         assert (outdir / "bandit_rounds.csv").exists()
         assert summary["manifest"]["command"] == "app:bandit"
 
+    def test_manifest_records_the_seed_the_run_used(self, tmp_path):
+        # a spec seed wins over --seed, and the manifest says so
+        spec = {"tail_exponents": [3.5, 4.0], "seed": 3, "total_pulls": 1010}
+        outdir = tmp_path / "run"
+        code = main(["app", "bandit", "--spec", json.dumps(spec),
+                     "--outdir", str(outdir), "--seed", "5"])
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["manifest"]["seed"] == 3
+        assert summary["manifest"]["config"]["seed"] == 3
+        ran = bandit_run(BanditSpec(tail_exponents=(3.5, 4.0), seed=3), 1010)
+        assert summary["initial_bounds"] == [list(b) for b in ran.initial_bounds]
+
     def test_bandit_single_arm_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"tail_exponents": [3.5]}))
@@ -331,16 +345,16 @@ class TestAppCommand:
         ("bandit", {}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "no_such_key": 1}),
         ("scan", {}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "no_such_key": 1}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "no_such_key": 1}),
         ("changepoint", {"no_such_key": 1}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": 0.05}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": []}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": [0.05, 1.0]}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "alphas": ["0.05"]}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "mc_reps": 0}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": "x"}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": 100.5}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": "x"}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "alphas": 0.05}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "alphas": []}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "alphas": [0.05, 1.0]}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "alphas": ["0.05"]}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "mc_reps": 0}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "n_subgraphs": "x"}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "n_subgraphs": 100.5}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "cutoff_quantile": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "total_pulls": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "total_pulls": 5}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "burn_in": 100, "total_pulls": 200}),
@@ -355,7 +369,7 @@ class TestAppCommand:
         ("bandit", {"tail_exponents": [3.5, 4.0], "cutoff_quantile": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": "x"}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "delta": None}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "n_subgraphs": True, "mc_reps": 2}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "n_subgraphs": True, "mc_reps": 2}),
         ("changepoint", {"bootstrap_reps": True}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "seed": False}),
         # settings the harnesses fix: a valid value is refused, not ignored
@@ -365,7 +379,9 @@ class TestAppCommand:
         ("bandit", {"tail_exponents": [3.5, 4.0], "fix_xi": 0.0}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "arm_seeds": [1, 2]}),
         ("bandit", {"tail_exponents": [3.5, 4.0], "cutoff_quantile": 0.9}),
-        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5, "cutoff_quantile": 0.9}),
+        ("scan", {"N": 30, "p0": 0.1, "k": 5, "cutoff_quantile": 0.9}),
+        # the scan draws only the null graph: a community probability is unknown
+        ("scan", {"N": 30, "p0": 0.1, "p1": 0.1, "k": 5}),
     ], ids=["bandit-missing", "bandit-unknown", "scan-missing", "scan-unknown",
             "changepoint-unknown", "scan-scalar-alphas", "scan-empty-alphas",
             "scan-alpha-one", "scan-text-alpha", "scan-zero-mc-reps",
@@ -378,7 +394,8 @@ class TestAppCommand:
             "scan-bool-n-subgraphs", "changepoint-bool-reps", "bandit-bool-seed",
             "changepoint-fixed-shape", "changepoint-fixed-bandwidth",
             "changepoint-fixed-quantile", "bandit-fixed-shape", "bandit-fixed-arm-seeds",
-            "bandit-fixed-quantile", "scan-fixed-quantile"])
+            "bandit-fixed-quantile", "scan-fixed-quantile",
+            "scan-community-probability"])
     def test_malformed_spec_is_input_error(self, harness, spec, tmp_path, monkeypatch):
         ran = []
         for name in ("scan_series", "change_point_run", "bandit_run"):
@@ -402,7 +419,7 @@ class TestAppCommand:
         assert exc.value.code == 2
 
     def test_scan_artifacts(self, tmp_path):
-        spec = {"N": 40, "p0": 0.1, "p1": 0.1, "k": 6, "n_subgraphs": 800,
+        spec = {"N": 40, "p0": 0.1, "k": 6, "n_subgraphs": 800,
                 "mc_reps": 10, "alphas": [0.1, 0.05]}
         spec_path = tmp_path / "scan.json"
         spec_path.write_text(json.dumps(spec))
@@ -419,7 +436,7 @@ class TestAppCommand:
         # distinct maxima 799 + seed/1e5 per replicate, so each rank has its own value
         monkeypatch.setattr(cli, "scan_series", lambda spec, n: (
             make_rng(spec.seed).permutation(n) + spec.seed / 1e5))
-        spec = {"N": 40, "p0": 0.1, "p1": 0.1, "k": 6, "n_subgraphs": 800,
+        spec = {"N": 40, "p0": 0.1, "k": 6, "n_subgraphs": 800,
                 "mc_reps": 100, "alphas": [0.41]}
         spec_path = tmp_path / "scan.json"
         spec_path.write_text(json.dumps(spec))
@@ -447,12 +464,12 @@ class TestAppCommand:
         monkeypatch.setattr(cli, "scan_series", scan)
         monkeypatch.setattr(cli, "run_dtm", counting_run_dtm)
         alphas = [0.1, 0.05, 0.03, 0.01]
-        spec = {"N": 40, "p0": 0.1, "p1": 0.1, "k": 6, "n_subgraphs": 800,
+        spec = {"N": 40, "p0": 0.1, "k": 6, "n_subgraphs": 800,
                 "mc_reps": 10, "alphas": alphas}
         outdir = tmp_path / "scanrun"
         main(["app", "scan", "--spec", json.dumps(spec), "--outdir", str(outdir), "--seed", "6"])
         summary = json.loads((outdir / "summary.json").read_text())
-        series = scan(cli.ErGraphSpec(N=40, p0=0.1, p1=0.1, k=6, seed=6), 800)
+        series = scan(cli.ErGraphSpec(N=40, p0=0.1, k=6, seed=6), 800)
         assert runs == [0.01]
         assert summary["dtm_thresholds"] == {
             str(a): run_dtm(series, DtmConfig(alpha=a, cutoff_quantile=0.95, seed=7)).threshold

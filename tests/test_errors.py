@@ -52,7 +52,7 @@ REFUSED = {
                           InvalidSpecError, "student_t df"),
     "ar1-text-m": (lambda: GeneratorSpec("gaussian_ar1", {"m": "x"}, 10, 0),
                    InvalidSpecError, "gaussian_ar1 m"),
-    "graph-text-p0": (lambda: ErGraphSpec(N=30, p0="x", p1=0.1, k=5), InvalidSpecError, "p0"),
+    "graph-text-p0": (lambda: ErGraphSpec(N=30, p0="x", k=5), InvalidSpecError, "p0"),
     "stream-text-p-pre": (lambda: MmdStreamSpec(p_pre="x"), InvalidSpecError, "p_pre"),
     "bandit-text-exponent": (lambda: BanditSpec(tail_exponents=("x", 4.0)),
                              InvalidSpecError, "tail_exponents"),
@@ -64,9 +64,9 @@ REFUSED = {
                               InvalidSpecError, "student_t df"),
     "bandit-infinite-exponent": (lambda: BanditSpec(tail_exponents=(math.inf, 4.0)),
                                  InvalidSpecError, "tail_exponents"),
-    "graph-p0-above-one": (lambda: ErGraphSpec(N=30, p0=1 + 1e-13, p1=1.0, k=5),
+    "graph-p0-above-one": (lambda: ErGraphSpec(N=30, p0=1 + 1e-13, k=5),
                            InvalidSpecError, "p0"),
-    "graph-bool-p0": (lambda: ErGraphSpec(N=30, p0=True, p1=True, k=5), InvalidSpecError, "p0"),
+    "graph-bool-p0": (lambda: ErGraphSpec(N=30, p0=True, k=5), InvalidSpecError, "p0"),
 }
 
 

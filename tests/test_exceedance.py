@@ -195,6 +195,18 @@ class TestExtractThroughDraw:
         with pytest.raises(ValueError, match="cutoff"):
             extract(exc, 0.25, bootstrap_draw(s.size, 0))
 
+    # a 2-D draw made a set with 2-D heights, a bool draw read as the indices
+    # 0 and 1, and a float draw or a list failed inside numpy
+    @pytest.mark.parametrize("draw", [
+        np.array([[0, 9], [5, 1]]),
+        np.array([True, False, True]),
+        np.array([0.0, 9.0, 5.0]),
+        [0, 9, 5],
+    ], ids=["2-d", "bool", "float", "list"])
+    def test_draw_must_be_a_1d_integer_array(self, draw):
+        with pytest.raises(ValueError, match="one-dimensional integer"):
+            extract(extract(np.arange(10.0), 4.0), 4.0, draw)
+
 
 class TestGaps:
     def test_subtraction(self):

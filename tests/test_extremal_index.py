@@ -74,9 +74,14 @@ class TestThetaClosedForm:
         # computed root rounds one ulp above it
         assert theta_closed_form(gapset(gap_list, rate)) == ThetaEstimate(theta=1.0, n_u=3, n_c=2)
 
+    def test_boundary_root_below_one_is_exact(self):
+        # a = 0 and b = 6 >= c = 2.3: the formula computes this root of 1 one
+        # ulp below it, which no cap catches
+        assert theta_closed_form(gapset([4, 11, 11], 0.1)).theta == 1.0
+
     def test_estimate_in_unit_interval(self):
         # half the sets have no gap of 1 (a = 0), where b >= c puts the root
-        # at exactly 1 and rounding lands within about 1e-12 of it
+        # at exactly 1
         rng = np.random.default_rng(23)
         for i in range(2000):
             gap_list = rng.integers(2 if i % 2 else 1, 30, size=int(rng.integers(1, 60)))
@@ -87,7 +92,7 @@ class TestThetaClosedForm:
             assert 0.0 < theta <= 1.0
             b, c = 2 * np.sum(gap_list > 1), g.rate * float(np.sum(gap_list - 1))
             if np.all(gap_list > 1) and b >= c:
-                assert theta == pytest.approx(1.0, rel=0, abs=1e-11)
+                assert theta == 1.0
 
     def test_small_example_matches_grid_oracle(self):
         # indices [3, 4, 10] in n = 20: gaps [1, 6], rate 0.15.  The grid

@@ -57,7 +57,7 @@ HARD_SERIES = {
     "rounded-gaussian": lambda: np.round(make_rng(5).standard_normal(10_000), 1),
     "pareto0.8": lambda: generate(GeneratorSpec.pareto(0.8, 10_000, 6)),
     "t1": lambda: generate(GeneratorSpec.student_t(1, 10_000, 7)),
-    "scan": lambda: scan_series(ErGraphSpec(N=100, p0=0.1, p1=0.1, k=10, seed=0), 5000),
+    "scan": lambda: scan_series(ErGraphSpec(N=100, p0=0.1, k=10, seed=0), 5000),
 }
 SEARCH_SHAPES = (None, -0.9, -0.2, -1e-6, 1e-6, 0.2, 1.5)
 

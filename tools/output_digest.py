@@ -1,41 +1,49 @@
-"""One SHA-256 over a fixed panel of threshold-machine outputs.
+"""SHA-256 digests of a fixed panel of threshold-machine outputs.
 
     python tools/output_digest.py            # digests this checkout's src/
     python tools/output_digest.py OTHER/src  # digests another checkout's package
 
 A change that claims bit-identical outputs runs this once on each checkout
-and compares the two printed digests.  Every float enters the hash as
-``float.hex``, so one differing last bit changes the digest.  A digest
-compares two checkouts on one machine and one numpy version only: numpy
-picks its vectorized loops by CPU, and its releases may move the draws.
+and compares the printed digests.  Each section of the panel has its own
+digest, so a change that moves one section on purpose can show that the
+others did not move.  Every float enters the hash as ``float.hex``, so one
+differing last bit changes the digest.  A digest compares two checkouts on
+one machine and one numpy version only: numpy picks its vectorized loops by
+CPU, and its releases may move the draws.
 
-The panel takes about a second on one core:
+The panel takes about a second on one core.  Its sections:
 
-- ``bandit_run`` on the acceptance-criterion-9 spec, seeds 0-9: the initial
-  bounds, the pulls, every round's bounds, the stop flag and the warnings;
-- ``run_dtm`` and ``confidence_bounds`` on the five criterion-5 families
-  (n = 10^4), path and config seeds 1-3, with 1 and 10 bootstrap replicates
-  and a free and a pinned (0.0) shape: every field of the report;
-- the bootstrap replicate sets behind those runs, ``bootstrap(extract(s,
-  u), seed + r)`` for r = 0-9 at the 0.95 cutoff: their indices, heights
-  and source length;
-- the extremal index at its boundary, where no gap equals 1 and the
-  likelihood's root is exactly 1 but computes one ulp above it: ``run_dtm``
-  on the iid Gaussian path of seed 7 (n = 10^4) at the 0.99 cutoff, and
+- ``bandit``: ``bandit_run`` on the acceptance-criterion-9 spec, seeds 0-9:
+  the initial bounds, the pulls, every round's bounds, the stop flag and
+  the warnings;
+- ``pipeline``: ``run_dtm`` and ``confidence_bounds`` on the five
+  criterion-5 families (n = 10^4), path and config seeds 1-3, with 1 and 10
+  bootstrap replicates and a free and a pinned (0.0) shape: every field of
+  the report;
+- ``bootstrap``: the bootstrap replicate sets behind those runs,
+  ``bootstrap(extract(s, u), seed + r)`` for r = 0-9 at the 0.95 cutoff:
+  their indices, heights and source length;
+- ``theta_boundary``: the extremal index at its boundary, where no gap
+  equals 1 and the likelihood's root is exactly 1: ``run_dtm`` on the iid
+  Gaussian path of seed 7 (n = 10^4) at the 0.99 cutoff, and
   ``theta_closed_form`` on three such gap sets;
-- one small ``change_point_run``: the stream, the stopping time and the
-  report;
-- the Monte Carlo oracle (``empirical_max_cdf``) of the same five families
-  at n = 2000, 40 replicates each: the sorted maxima; and ``maxima`` of
-  ``chi_square(1)`` and ``gaussian_ar1(50)`` at n = 200 from seeds whose
-  32-bit word count grows within the range (2**32 - 3 with L = 6, 2**64 - 2
-  and 2**128 - 2 with L = 4) and from the numpy seed ``np.int64(2**63 - 2)``
-  with L = 4;
-- ``generate`` of every generator kind at n = 1 and n = 500: beta,
-  chi_square, student_t, pareto, ``gaussian_ar1`` at m = 0, 0.2 (rows
-  shorter than 64 steps) and 50, and ``moving_average`` with window 1 and 4.
+- ``change_point``: one small ``change_point_run``: the stream, the
+  stopping time and the report;
+- ``oracle``: the Monte Carlo oracle (``empirical_max_cdf``) of the same
+  five families at n = 2000, 40 replicates each: the sorted maxima; and
+  ``maxima`` of ``chi_square(1)`` and ``gaussian_ar1(50)`` at n = 200 from
+  seeds whose 32-bit word count grows within the range (2**32 - 3 with
+  L = 6, 2**64 - 2 and 2**128 - 2 with L = 4) and from the numpy seed
+  ``np.int64(2**63 - 2)`` with L = 4;
+- ``generate``: ``generate`` of every generator kind at n = 1 and n = 500:
+  beta, chi_square, student_t, pareto, ``gaussian_ar1`` at m = 0, 0.2 (rows
+  shorter than 64 steps) and 50, and ``moving_average`` with window 1 and 4;
+- ``scan``: ``scan_series(ErGraphSpec(N=100, p0=0.1, k=10, seed=s), 5000)``
+  for s = 0-2, each spec built from the fields that the digested package's
+  ``ErGraphSpec`` declares.
 
-Prints the digest, then the count of hashed values.
+Prints one digest per section, then the digest of the whole panel, then the
+count of hashed values.
 """
 
 from __future__ import annotations
@@ -73,8 +81,7 @@ def tokens(value):
         raise TypeError(f"no digest rule for {type(value).__name__}")
 
 
-def panel(tm):
-    """(label, output) pairs of the fixed panel, computed with package ``tm``."""
+def bandit(tm):
     for seed in range(10):
         spec = tm.BanditSpec(tail_exponents=(3.5, 4.0), delta=0.005, burn_in=500, seed=seed)
         with warnings.catch_warnings(record=True) as caught:
@@ -82,14 +89,19 @@ def panel(tm):
             res = tm.bandit_run(spec, total_pulls=1100)
         yield f"bandit seed={seed}", (res, [str(w.message) for w in caught])
 
-    families = {
+
+def families(tm):
+    return {
         "beta25": tm.GeneratorSpec.beta(2, 5, 10_000, 0),
         "chi2": tm.GeneratorSpec.chi_square(1, 10_000, 0),
         "t4": tm.GeneratorSpec.student_t(4, 10_000, 0),
         "ar1_m0": tm.GeneratorSpec.gaussian_ar1(0, 10_000, 0),
         "ar1_m50": tm.GeneratorSpec.gaussian_ar1(50, 10_000, 0),
     }
-    for name, spec in families.items():
+
+
+def pipeline(tm):
+    for name, spec in families(tm).items():
         for seed in (1, 2, 3):
             series = tm.generate(spec.with_seed(seed))
             for reps in (1, 10):
@@ -98,12 +110,20 @@ def panel(tm):
                     label = f"{name} seed={seed} reps={reps} fix_xi={fix_xi}"
                     yield f"run_dtm {label}", tm.run_dtm(series, cfg)
                     yield f"confidence_bounds {label}", tm.confidence_bounds(series, cfg)
+
+
+def bootstrap(tm):
+    for name, spec in families(tm).items():
+        for seed in (1, 2, 3):
+            series = tm.generate(spec.with_seed(seed))
             exc = tm.extract(series, tm.quantile_cutoff(series, 0.95))
             for r in range(10):
                 rep = tm.bootstrap(exc, seed + r)
                 yield (f"bootstrap {name} path={seed} seed={seed + r}",
                        (rep.indices, rep.heights, rep.source_len))
 
+
+def theta_boundary(tm):
     series = tm.generate(tm.GeneratorSpec.gaussian_ar1(0, 10_000, 7))
     cfg = tm.DtmConfig(alpha=0.05, cutoff_quantile=0.99, seed=0)
     yield "run_dtm ar1_m0 path=7 q=0.99", tm.run_dtm(series, cfg)
@@ -111,17 +131,24 @@ def panel(tm):
         yield (f"theta_closed_form {gap_list} rate={rate}",
                tm.theta_closed_form(tm.GapSet(np.array(gap_list), rate)))
 
+
+def change_point(tm):
     spec = tm.MmdStreamSpec(block_size=8, n_nodes=20, p_pre=0.3, p_post=0.6, change_time=320,
                             horizon=400, train_len=260, bootstrap_reps=3, seed=0)
     yield "change_point_run", tm.change_point_run(spec, arl=2000.0)
 
-    for name, spec in families.items():
+
+def oracle(tm):
+    for name, spec in families(tm).items():
         oracle = tm.empirical_max_cdf(tm.GeneratorSpec(spec.kind, spec.params, 2000, 5), 40)
         yield f"empirical_max_cdf {name}", oracle
     for seed, L in ((2**32 - 3, 6), (2**64 - 2, 4), (2**128 - 2, 4), (np.int64(2**63 - 2), 4)):
-        for spec in (tm.GeneratorSpec.chi_square(1, 200, seed), tm.GeneratorSpec.gaussian_ar1(50, 200, seed)):
+        for spec in (tm.GeneratorSpec.chi_square(1, 200, seed),
+                     tm.GeneratorSpec.gaussian_ar1(50, 200, seed)):
             yield f"maxima {spec.kind} seed={seed} L={L}", tm.maxima(spec, L)
 
+
+def generate(tm):
     kinds = {
         "beta": tm.GeneratorSpec.beta(2, 5, 1, 0),
         "chi_square": tm.GeneratorSpec.chi_square(3, 1, 0),
@@ -135,7 +162,21 @@ def panel(tm):
     }
     for name, spec in kinds.items():
         for n in (1, 500):
-            yield f"generate {name} n={n}", tm.generate(tm.GeneratorSpec(spec.kind, spec.params, n, 7))
+            sized = tm.GeneratorSpec(spec.kind, spec.params, n, 7)
+            yield f"generate {name} n={n}", tm.generate(sized)
+
+
+def scan(tm):
+    # a checkout whose ErGraphSpec still declares the community probability
+    # p1 gets p1 = p0, which its null draw never reads
+    declared = {f.name for f in dataclasses.fields(tm.ErGraphSpec)}
+    for seed in range(3):
+        fields = dict(N=100, p0=0.1, p1=0.1, k=10, seed=seed)
+        spec = tm.ErGraphSpec(**{k: v for k, v in fields.items() if k in declared})
+        yield f"scan_series seed={seed}", tm.scan_series(spec, 5000)
+
+
+SECTIONS = (bandit, pipeline, bootstrap, theta_boundary, change_point, oracle, generate, scan)
 
 
 def main(argv: list[str]) -> int:
@@ -146,14 +187,19 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(src))
     import threshold_machine as tm
 
-    digest = hashlib.sha256()
+    total = hashlib.sha256()
     count = 0
-    for label, output in panel(tm):
-        digest.update(label.encode() + b"\n")
-        for token in tokens(output):
-            digest.update(token.encode() + b"\n")
-            count += 1
-    print(digest.hexdigest())
+    for section in SECTIONS:
+        digest = hashlib.sha256()
+        for label, output in section(tm):
+            values = list(tokens(output))
+            count += len(values)
+            for token in (label, *values):
+                line = token.encode() + b"\n"
+                digest.update(line)
+                total.update(line)
+        print(f"{section.__name__:<15} {digest.hexdigest()}")
+    print(f"{'total':<15} {total.hexdigest()}")
     print(f"{count} values")
     return 0
 
