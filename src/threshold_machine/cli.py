@@ -140,12 +140,8 @@ def _read_series(path: str) -> np.ndarray:
 
 
 def _dtm_config(args) -> DtmConfig:
-    kwargs = dict(alpha=args.alpha, seed=args.seed, bootstrap_reps=args.bootstrap_reps)
-    if args.cutoff is not None:
-        kwargs["cutoff"] = args.cutoff
-    if args.quantile is not None:
-        kwargs["cutoff_quantile"] = args.quantile
-    return DtmConfig(**kwargs)
+    return DtmConfig(alpha=args.alpha, cutoff_quantile=args.quantile, cutoff=args.cutoff,
+                     seed=args.seed, bootstrap_reps=args.bootstrap_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if not pipeline:  # the harnesses take their settings from the spec
             return
         p.add_argument("--alpha", type=float, required=True, help="tail probability level")
-        p.add_argument("--quantile", type=float, default=None,
-                       help="cutoff quantile in (0,1), default 0.95")
+        p.add_argument("--quantile", type=float, default=DtmConfig.cutoff_quantile,
+                       help="cutoff quantile in (0,1), default %(default)s")
         p.add_argument("--cutoff", type=float, default=None,
                        help="explicit cutoff value (overrides --quantile)")
         p.add_argument("--bootstrap-reps", type=int, default=1, dest="bootstrap_reps")

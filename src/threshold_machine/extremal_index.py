@@ -13,18 +13,18 @@ the log likelihood is
     log L(theta) = a*log(1 - theta) + b*log(theta) - theta*c
 
 with the convention 0*log 0 = 0 at the boundaries.  Its exact maximizer over
-(0, 1] is the smaller root of the stationarity quadratic
+(0, 1] is the smaller root of the stationarity quadratic (Suveges 2007,
+Extremes 10:41-55)
 
-    c*theta^2 - (a + b + c)*theta + b = 0,
+    c*theta^2 - (a + b + c)*theta + b = 0.
 
-computed here in the cancellation-free form 2b / (s + sqrt(s^2 - 4bc)) with
-s = a + b + c (Suveges 2007, Extremes 10:41-55).  The discriminant equals
-(a + b - c)^2 + 4ac >= 0, and the smaller root always lies in (0, 1]: the
-quadratic is b > 0 at 0 and -a <= 0 at 1.  With no gap of 1 (a = 0) and
-b >= c the root is exactly 1: the discriminant is (b - c)^2 and the root
-2b / (b + c + |b - c|).  The formula computes it only to within about 1e-12
-of 1, on either side, so that case returns 1 exactly; elsewhere the computed
-root is capped at 1.
+That root always lies in (0, 1]: the quadratic is b > 0 at 0 and -a <= 0
+at 1.  With no gap of 1 (a = 0) it factors as (c*theta - b)(theta - 1), so
+the root is exactly 1 if b >= c and b / c otherwise.  With a > 0 the root
+lies below 1 and is computed in the cancellation-free form
+2b / (s + sqrt(s^2 - 4bc)) with s = a + b + c, whose discriminant equals
+(a + b - c)^2 + 4ac > 0; only rounding can lift it above 1, so it is capped
+there.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def theta_closed_form(g: GapSet) -> ThetaEstimate:
             "every inter-exceedance gap equals 1; extremal index degenerates at 0"
         )
     b = 2 * n_c
-    if a == 0 and b >= c:
-        return ThetaEstimate(theta=1.0, n_u=n_u, n_c=n_c)
-    s = a + b + c
-    # the root is >= b / s > 0; only rounding can lift it above 1
-    theta = min(2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c)), 1.0)
+    if a == 0:  # the exact root of (c*theta - b)(theta - 1)
+        theta = 1.0 if b >= c else b / c
+    else:
+        s = a + b + c
+        theta = min(2.0 * b / (s + math.sqrt(s * s - 4.0 * b * c)), 1.0)
     return ThetaEstimate(theta=theta, n_u=n_u, n_c=n_c)

@@ -71,13 +71,47 @@ class TestThetaClosedForm:
     @pytest.mark.parametrize("gap_list, rate", [([2, 2], 0.01), ([2, 3], 0.2), ([2, 6], 0.1)])
     def test_boundary_root_above_one_is_capped(self, gap_list, rate):
         # no gap of 1 (a = 0) and b >= c put the root at 1; on these sets the
-        # computed root rounds one ulp above it
+        # square-root form would compute it one ulp above 1
         assert theta_closed_form(gapset(gap_list, rate)) == ThetaEstimate(theta=1.0, n_u=3, n_c=2)
 
     def test_boundary_root_below_one_is_exact(self):
         # a = 0 and b = 6 >= c = 2.3: the formula computes this root of 1 one
         # ulp below it, which no cap catches
         assert theta_closed_form(gapset([4, 11, 11], 0.1)).theta == 1.0
+
+    @pytest.mark.parametrize("T", range(3, 400))
+    def test_single_gap_root_is_exact_on_both_sides_of_b_equals_c(self, T):
+        # a = 0, b = 2 and c = rate * (T - 1): with the rate 2 / (T - 1)
+        # nudged 1-3 ulps up, c is just above b and the root is b / c, where
+        # the square root's discriminant (b - c)^2 used to round negative
+        up = down = 2 / (T - 1)
+        for _ in range(3):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            assert theta_closed_form(gapset([T], up)).theta == 2 / (up * (T - 1))
+            assert theta_closed_form(gapset([T], down)).theta == 1.0
+
+    def test_zero_rate_root_is_one(self):
+        assert theta_closed_form(gapset([2, 5], 0.0)) == ThetaEstimate(theta=1.0, n_u=3, n_c=2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GeneratorSpec.gaussian_ar1(0, 10_000, 0), GeneratorSpec.chi_square(1, 10_000, 0)],
+        ids=["gaussian", "chi2"],
+    )
+    def test_series_gaps_with_no_gap_of_one_have_root_one(self, spec):
+        # with a = 0, c <= n_u (n - n_u) / n < n_u <= 2 (n_u - 1) = b, so the
+        # b / c branch is reached only by a directly built gap set
+        boundary = 0
+        for seed in range(200):
+            s = generate(spec.with_seed(seed))
+            g = gaps(extract(s, quantile_cutoff(s, 0.99)))
+            if np.any(g.gaps == 1):
+                continue
+            boundary += 1
+            b, c = 2 * g.gaps.size, g.rate * float(np.sum(g.gaps - 1))
+            assert c < b
+            assert theta_closed_form(g).theta == 1.0
+        assert boundary > 0
 
     def test_estimate_in_unit_interval(self):
         # half the sets have no gap of 1 (a = 0), where b >= c puts the root

@@ -205,7 +205,7 @@ class TestRunDtm:
 
     def test_boundary_extremal_index_raises_no_code(self):
         # no gap of 1 and b >= c put the index's root at exactly 1; the
-        # computed root rounds one ulp above it, which the cap absorbs
+        # square-root form would compute it one ulp above 1 on this path
         series = generate(GeneratorSpec.gaussian_ar1(0, 10_000, 7))
         report = run_dtm(series, DtmConfig(alpha=0.05, cutoff_quantile=0.99, seed=0))
         assert report.model.theta == 1.0

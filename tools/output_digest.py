@@ -23,10 +23,12 @@ The panel takes about a second on one core.  Its sections:
 - ``bootstrap``: the bootstrap replicate sets behind those runs,
   ``bootstrap(extract(s, u), seed + r)`` for r = 0-9 at the 0.95 cutoff:
   their indices, heights and source length;
-- ``theta_boundary``: the extremal index at its boundary, where no gap
-  equals 1 and the likelihood's root is exactly 1: ``run_dtm`` on the iid
-  Gaussian path of seed 7 (n = 10^4) at the 0.99 cutoff, and
-  ``theta_closed_form`` on three such gap sets;
+- ``theta_boundary``: the extremal index where no gap equals 1, so that
+  the likelihood's root is exactly 1 when b >= c and b / c otherwise:
+  ``run_dtm`` on the iid Gaussian path of seed 7 (n = 10^4) at the 0.99
+  cutoff, ``theta_closed_form`` on three gap sets with b >= c, and on the
+  single gaps T = 3, 50 and 399 at the rate 2 / (T - 1) nudged one ulp up,
+  where b < c;
 - ``change_point``: one small ``change_point_run``: the stream, the
   stopping time and the report;
 - ``oracle``: the Monte Carlo oracle (``empirical_max_cdf``) of the same
@@ -42,14 +44,16 @@ The panel takes about a second on one core.  Its sections:
   for s = 0-2, each spec built from the fields that the digested package's
   ``ErGraphSpec`` declares.
 
-Prints one digest per section, then the digest of the whole panel, then the
-count of hashed values.
+A call that raises is hashed as its exception's class name.  Prints one
+digest per section, then the digest of the whole panel, then the count of
+hashed values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -79,6 +83,14 @@ def tokens(value):
             yield from tokens(v)
     else:
         raise TypeError(f"no digest rule for {type(value).__name__}")
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the class name of the exception that it raises."""
+    try:
+        return call(*args)
+    except Exception as e:
+        return type(e).__name__
 
 
 def bandit(tm):
@@ -127,9 +139,11 @@ def theta_boundary(tm):
     series = tm.generate(tm.GeneratorSpec.gaussian_ar1(0, 10_000, 7))
     cfg = tm.DtmConfig(alpha=0.05, cutoff_quantile=0.99, seed=0)
     yield "run_dtm ar1_m0 path=7 q=0.99", tm.run_dtm(series, cfg)
-    for gap_list, rate in (([2, 2], 0.01), ([2, 3], 0.2), ([2, 6], 0.1)):
+    sets = [([2, 2], 0.01), ([2, 3], 0.2), ([2, 6], 0.1)]
+    sets += [([T], math.nextafter(2 / (T - 1), math.inf)) for T in (3, 50, 399)]
+    for gap_list, rate in sets:
         yield (f"theta_closed_form {gap_list} rate={rate}",
-               tm.theta_closed_form(tm.GapSet(np.array(gap_list), rate)))
+               outcome(tm.theta_closed_form, tm.GapSet(np.array(gap_list), rate)))
 
 
 def change_point(tm):
