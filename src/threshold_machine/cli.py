@@ -42,7 +42,6 @@ from .applications import (
 from .errors import (
     DegenerateHeightsError,
     DtmError,
-    InvalidConfigError,
     InvalidSpecError,
     NoClustersError,
     ParseError,
@@ -55,7 +54,8 @@ from .generators import GeneratorSpec, generate
 from .mc_oracle import EmpiricalMaxDist, empirical_max_cdf, mc_threshold, sup_norm_gap
 from .pipeline import DtmConfig, ThresholdReport, run_dtm
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+GAP_TOLERANCE = 0.1  # validate's pass bar on the sup-norm gap: criterion 5's bound
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -140,8 +140,8 @@ def _read_series(path: str) -> np.ndarray:
 
 
 def _dtm_config(args) -> DtmConfig:
-    return DtmConfig(alpha=args.alpha, cutoff_quantile=args.quantile, cutoff=args.cutoff,
-                     seed=args.seed, bootstrap_reps=args.bootstrap_reps)
+    return DtmConfig(alpha=args.alpha, cutoff_quantile=args.quantile, seed=args.seed,
+                     bootstrap_reps=args.bootstrap_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,13 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    check_real("--gap-tolerance", args.gap_tolerance, 0, InvalidConfigError)
+    # flags before the spec, so a bad --seed is invalid-config, as in threshold
+    cfg = _dtm_config(args)
     check_count("--mc-reps", args.mc_reps, 1, InvalidSpecError)
     spec_dict = _load_json_arg(args.spec)
-    spec_dict.setdefault("n", args.n)
+    spec_dict.setdefault("n", 10_000)
     spec_dict.setdefault("seed", args.seed)
     spec = GeneratorSpec.from_dict(spec_dict)
-    cfg = _dtm_config(args)
     report = run_dtm(generate(spec), cfg)
     # oracle replicates derive from a shifted seed so they are independent of
     # the fitted path
@@ -179,13 +179,13 @@ def _cmd_validate(args) -> int:
         "dtm_threshold": report.threshold,
         "mc_threshold": mc_x,
         "sup_norm_gap": gap,
-        "gap_tolerance": args.gap_tolerance,
-        "passed": bool(gap <= args.gap_tolerance),
+        "gap_tolerance": GAP_TOLERANCE,
+        "passed": bool(gap <= GAP_TOLERANCE),
         "fit": _report_payload(report),
         "manifest": _manifest(
             "validate",
             {"spec": spec.to_dict(), "L": args.mc_reps, "alpha": args.alpha,
-             "gap_tolerance": args.gap_tolerance, "dtm": dataclasses.asdict(cfg)},
+             "dtm": dataclasses.asdict(cfg)},
             args.seed,
         ),
     }
@@ -224,7 +224,8 @@ def _cmd_app(args) -> int:
     seed = spec_dict.setdefault("seed", args.seed)  # a spec seed wins over --seed
     outdir = Path(args.outdir)
     runner = {"scan": _app_scan, "changepoint": _app_changepoint, "bandit": _app_bandit}[args.harness]
-    summary = runner(spec_dict, outdir)
+    # the runner pops its run keys from a copy, so the manifest keeps them
+    summary = runner(dict(spec_dict), outdir)
     summary["manifest"] = _manifest(f"app:{args.harness}", spec_dict, seed)
     _emit(summary, str(outdir / "summary.json"))
     print(f"wrote {outdir}/summary.json")
@@ -341,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, required=True, help="tail probability level")
         p.add_argument("--quantile", type=float, default=DtmConfig.cutoff_quantile,
                        help="cutoff quantile in (0,1), default %(default)s")
-        p.add_argument("--cutoff", type=float, default=None,
-                       help="explicit cutoff value (overrides --quantile)")
         p.add_argument("--bootstrap-reps", type=int, default=1, dest="bootstrap_reps")
 
     t = sub.add_parser("threshold", help="threshold for a series read from CSV")
@@ -351,9 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="compare the pipeline against the Monte Carlo oracle")
     v.add_argument("--spec", required=True, help="generator spec JSON (inline or file path)")
-    v.add_argument("--n", type=int, default=10_000, help="series length")
     v.add_argument("--mc-reps", type=int, default=2000, dest="mc_reps", help="oracle replicates L")
-    v.add_argument("--gap-tolerance", type=float, default=0.1, dest="gap_tolerance")
     common(v)
 
     a = sub.add_parser("app", help="run an application harness")

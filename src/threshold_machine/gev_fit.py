@@ -84,10 +84,8 @@ class FitDiagnostics:
 
 
 def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
-    """Negative log likelihood of the marked Poisson model.
-
-    Returns the +inf sentinel when the support constraint is violated, so
-    optimizers see the constraint as a barrier rather than an exception.
+    """Negative log likelihood of the marked Poisson model: the reference NLL
+    that the tests check :func:`fit` against, +inf off the model's support.
     """
     if exc.n_u < 1:
         raise TooFewExceedancesError("likelihood needs at least one exceedance")

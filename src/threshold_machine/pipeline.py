@@ -49,15 +49,14 @@ __all__ = ["DtmConfig", "ThresholdReport", "run_dtm", "arl_to_alpha", "confidenc
 class DtmConfig:
     """Configuration of one pipeline run.
 
-    The cutoff is the ``cutoff_quantile`` empirical quantile of the input
-    unless an explicit ``cutoff`` overrides it.  With ``bootstrap_reps > 1``
-    the tail parameters are averaged over that many bootstrap fits, replicate
-    r drawing from seed + r.
+    The cutoff is the nearest-rank ``cutoff_quantile`` quantile of the input,
+    an observed value.  With ``bootstrap_reps > 1`` the tail parameters are
+    averaged over that many bootstrap fits, replicate r drawing from
+    seed + r.  ``fix_xi`` pins the tail shape.
     """
 
     alpha: float
     cutoff_quantile: float = 0.95
-    cutoff: float | None = None
     seed: int = 0
     bootstrap_reps: int = 1
     fix_xi: float | None = None
@@ -65,8 +64,6 @@ class DtmConfig:
     def __post_init__(self):
         check_level("alpha", self.alpha, InvalidConfigError)
         check_level("cutoff_quantile", self.cutoff_quantile, InvalidConfigError)
-        if self.cutoff is not None:
-            check_real("cutoff", self.cutoff, -math.inf, InvalidConfigError)
         check_count("seed", self.seed, 0, InvalidConfigError)
         check_count("bootstrap_reps", self.bootstrap_reps, 1, InvalidConfigError)
         if self.fix_xi is not None:
@@ -110,7 +107,7 @@ def run_dtm(series, cfg: DtmConfig) -> ThresholdReport:
     """
     warn_codes: list[str] = []
     # quantile_cutoff and extract validate the series where it enters them
-    u = cfg.cutoff if cfg.cutoff is not None else quantile_cutoff(series, cfg.cutoff_quantile)
+    u = quantile_cutoff(series, cfg.cutoff_quantile)
     # checked before the replicates, so that too few exceedances name the
     # original series; extract draws no random numbers
     exc = extract(series, u)

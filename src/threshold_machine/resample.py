@@ -4,10 +4,16 @@ Every stochastic component in the package draws from numpy's PCG64 bit
 generator seeded explicitly, so for a given numpy version any (input, seed)
 pair reproduces the same index draws bit-for-bit across runs and platforms.
 Floating-point results can differ in the last bits between machines, since
-numpy picks its vectorized loops by CPU.  Derived streams offset the base
-seed by a documented integer: bootstrap replicate r draws from seed
-``seed + r``, and the Monte Carlo oracle's path j from ``make_rng(seed + j)``.
-A bandit arm's stream takes :func:`stream_seed` of its run seed and index.
+numpy picks its vectorized loops by CPU.  The derived streams:
+
+- bootstrap replicate r draws from seed ``seed + r``;
+- the Monte Carlo oracle's path j from ``make_rng(seed + j)``;
+- a bandit arm's stream and bounds from :func:`stream_seed` of its run seed
+  and index;
+- change-point snapshot t from ``make_rng((seed, t))``;
+- the command line's ``validate`` oracle from its spec seed + 10 000, and
+  ``app scan``'s fit from seed + 1 and its Monte Carlo graph j from
+  seed + 20 000 + j.
 
 A bootstrap replicate is defined by its index draw alone
 (:func:`bootstrap_draw`), and only its exceedances reach the fit, so

@@ -48,7 +48,7 @@ class TestThresholdCommand:
             assert key in report
         assert report["n"] == 10_000
         assert abs(report["xi"]) <= 0.15
-        assert report["manifest"]["schema_version"] == 1
+        assert report["manifest"]["schema_version"] == 2
         assert report["manifest"]["config"]["alpha"] == 0.05
 
     def test_header_autodetect(self, tmp_path):
@@ -84,15 +84,13 @@ class TestThresholdCommand:
         assert err["error"] == {"code": "parse-error",
                                 "message": "threshold requires --seed for reproducibility"}
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "1", "--cutoff", "nan"]])
-    def test_invalid_config_is_input_error(self, chi2_csv, capsys, flags):
-        code = main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05", *flags])
+    def test_invalid_config_is_input_error(self, chi2_csv, capsys):
+        code = main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05", "--seed", "-1"])
         assert code == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["code"] == "invalid-config"
 
     @pytest.mark.parametrize("argv", [
-        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}', "--seed", "-1"],
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}, "n": 1000.5}',
          "--seed", "1"],
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}, "seed": 2.5}',
@@ -137,7 +135,7 @@ class TestThresholdCommand:
         ["app", "changepoint", "--spec", '{"p_pre": "x"}', "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": ["x", 4.0]}', "--seed", "1"],
         ["app", "bandit", "--spec", '{"tail_exponents": [Infinity, 4.0]}', "--seed", "1"],
-    ], ids=["validate-flag", "validate-fractional-n", "validate-fractional-seed", "scan-flag",
+    ], ids=["validate-fractional-n", "validate-fractional-seed", "scan-flag",
             "scan-spec", "changepoint-flag", "bandit-flag", "bandit-arm-seeds",
             "scan-fractional-N", "scan-fractional-k", "changepoint-fractional-block-size",
             "changepoint-fractional-change-time", "bandit-fractional-burn-in",
@@ -216,22 +214,35 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize("command, own_flags", [
         ("threshold", {"--input"}),
-        ("validate", {"--spec", "--n", "--mc-reps", "--gap-tolerance"}),
+        ("validate", {"--spec", "--mc-reps"}),
     ])
     def test_pipeline_flags(self, command, own_flags, capsys):
-        # JSON is the only output format, and the exceedance floor is a constant
+        # JSON is the only output format, and the exceedance floor, the
+        # cutoff rule and validate's pass bar are constants; the spec sets n
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == own_flags | {
-            "--help", "--seed", "--out", "--alpha", "--quantile", "--cutoff", "--bootstrap-reps"}
+            "--help", "--seed", "--out", "--alpha", "--quantile", "--bootstrap-reps"}
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--input", "series.csv", "--cutoff", "4"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}', "--n", "100"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}',
+         "--gap-tolerance", "0.2"],
+    ], ids=["threshold-cutoff", "validate-n", "validate-gap-tolerance"])
+    def test_removed_flags_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alpha", "0.05", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestValidateCommand:
     def test_validate_chi2(self, tmp_path):
         out = tmp_path / "v.json"
-        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
-        code = main(["validate", "--spec", spec, "--n", "4000", "--mc-reps", "200",
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}, "n": 4000})
+        code = main(["validate", "--spec", spec, "--mc-reps", "200",
                      "--alpha", "0.05", "--seed", "11", "--out", str(out)])
         payload = json.loads(out.read_text())
         assert set(payload) >= {"dtm_threshold", "mc_threshold", "sup_norm_gap", "passed"}
@@ -241,26 +252,26 @@ class TestValidateCommand:
         spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
         assert main(["validate", "--spec", spec, "--alpha", "0.05"]) == 2
 
+    def test_spec_sets_the_length(self, tmp_path):
+        # n comes from the spec alone, 10 000 when the spec omits it
+        out = tmp_path / "v.json"
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
+        main(["validate", "--spec", spec, "--mc-reps", "5", "--alpha", "0.05", "--seed", "2",
+              "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["manifest"]["config"]["spec"]["n"] == payload["fit"]["n"] == 10_000
+        assert payload["gap_tolerance"] == cli.GAP_TOLERANCE == 0.1
+        assert "gap_tolerance" not in payload["manifest"]["config"]
+
     def test_malformed_spec(self, capsys):
         assert main(["validate", "--spec", "{not json", "--alpha", "0.05",
                      "--seed", "1"]) == 2
 
-    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
-    def test_invalid_gap_tolerance_is_input_error(self, tolerance, capsys, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(cli, "generate", lambda spec: drawn.append(spec))
-        monkeypatch.setattr(cli, "empirical_max_cdf", lambda spec, L: drawn.append(spec))
-        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
-        code = main(["validate", "--spec", spec, "--alpha", "0.05", "--seed", "1",
-                     "--gap-tolerance", tolerance])
-        assert code == 2
-        err = json.loads(capsys.readouterr().out)  # valid JSON: no NaN written
-        assert err["error"]["code"] == "invalid-config"
-        assert drawn == []  # refused before any path or oracle is drawn
-
     @pytest.mark.parametrize("flags", [
         ["--alpha", "0"], ["--alpha", "0.05", "--quantile", "1.5"],
-        ["--alpha", "0.05", "--cutoff", "nan"], ["--alpha", "0.05", "--bootstrap-reps", "0"],
+        ["--alpha", "0.05", "--bootstrap-reps", "0"],
+        # a bad seed reads as in threshold, though validate also takes a spec seed
+        ["--alpha", "0.05", "--seed", "-1"],
     ])
     def test_invalid_pipeline_flag_is_input_error(self, flags, capsys, monkeypatch):
         drawn = []
@@ -274,8 +285,8 @@ class TestValidateCommand:
     def test_manifest_reproduces_the_run(self, tmp_path):
         # the manifest alone rebuilds the path and the pipeline run
         out = tmp_path / "v.json"
-        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
-        main(["validate", "--spec", spec, "--n", "3000", "--mc-reps", "20", "--alpha", "0.05",
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}, "n": 3000})
+        main(["validate", "--spec", spec, "--mc-reps", "20", "--alpha", "0.05",
               "--quantile", "0.9", "--bootstrap-reps", "3", "--seed", "5", "--out", str(out)])
         payload = json.loads(out.read_text())
         config = payload["manifest"]["config"]
@@ -298,8 +309,8 @@ class TestValidateCommand:
 
         for name in calls:
             monkeypatch.setattr(cli, name, counting(name))
-        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}})
-        code = main(["validate", "--spec", spec, "--n", "2000", "--alpha", "0.05",
+        spec = json.dumps({"kind": "chi_square", "params": {"df": 1}, "n": 2000})
+        code = main(["validate", "--spec", spec, "--alpha", "0.05",
                      "--seed", "1", "--mc-reps", mc_reps])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-spec"
@@ -330,7 +341,7 @@ class TestAppCommand:
         assert code == 0
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["manifest"]["seed"] == 3
-        assert summary["manifest"]["config"]["seed"] == 3
+        assert summary["manifest"]["config"] == spec  # total_pulls included
         ran = bandit_run(BanditSpec(tail_exponents=(3.5, 4.0), seed=3), 1010)
         assert summary["initial_bounds"] == [list(b) for b in ran.initial_bounds]
 
@@ -431,6 +442,22 @@ class TestAppCommand:
         assert set(summary["dtm_thresholds"]) == {"0.1", "0.05"}
         assert summary["warnings"] == ["few-exceedances"]
         assert (outdir / "scan_series.csv").exists()
+
+    def test_scan_manifest_replays_the_run(self, tmp_path):
+        # the manifest records the spec as given, run keys included, so it
+        # alone reruns the harness; its seed wins over another --seed
+        spec = {"N": 40, "p0": 0.1, "k": 6, "n_subgraphs": 800, "mc_reps": 4,
+                "alphas": [0.1, 0.02]}
+        summaries = []
+        for source, seed in ((spec, "6"), (None, "9")):
+            outdir = tmp_path / f"run{seed}"
+            source = source or summaries[0]["manifest"]["config"]
+            assert main(["app", "scan", "--spec", json.dumps(source), "--outdir", str(outdir),
+                         "--seed", seed]) in (0, 1)
+            summaries.append(json.loads((outdir / "summary.json").read_text()))
+        assert summaries[0]["manifest"]["config"] == {**spec, "seed": 6}
+        first, second = ({k: v for k, v in s.items() if k != "manifest"} for s in summaries)
+        assert first == second
 
     def test_scan_mc_threshold_nearest_rank(self, tmp_path, monkeypatch):
         # distinct maxima 799 + seed/1e5 per replicate, so each rank has its own value

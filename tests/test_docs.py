@@ -3,8 +3,10 @@ The library sets no warning filter, checks input values only through the
 rules in ``errors.py``, draws bootstrap replicates, derives seeds and builds
 PCG64 only in ``resample.py``, validates series only in ``exceedance.py``,
 exports exactly its modules' ``__all__`` names, and importing it loads no
-scipy or ``numpy.random`` module."""
+scipy or ``numpy.random`` module.  The README names exactly the flags that
+the command line accepts."""
 
+import argparse
 import importlib
 import os
 import re
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import threshold_machine
+from threshold_machine import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threshold_machine"
@@ -107,6 +110,18 @@ def test_exports_are_the_modules_public_names():
         for name in module.__all__:
             assert getattr(threshold_machine, name) is getattr(module, name)
     assert EXPORTED <= set(threshold_machine.__all__)
+
+
+def test_readme_names_the_command_line_flags():
+    # the README's "Command line" section names every flag that threshold,
+    # validate and app accept, and no other
+    section = re.search(r"^## Command line\n(.*?)^## ", (ROOT / "README.md").read_text(),
+                        re.S | re.M).group(1)
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for parser in subparsers.choices.values()
+                for flag in re.findall(r"--[a-z][a-z-]*", parser.format_help())}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == accepted - {"--help"}
 
 
 def loaded_by_import(package):

@@ -58,20 +58,28 @@ class TestDtmConfig:
     @pytest.mark.parametrize("field, bad", [
         ("seed", -1), ("seed", 1.5), ("seed", np.nan), ("seed", "3"),
         ("bootstrap_reps", 2.5), ("bootstrap_reps", np.nan), ("bootstrap_reps", "3"),
-        ("cutoff", np.nan), ("cutoff", np.inf), ("cutoff", -np.inf),
         ("fix_xi", np.nan), ("fix_xi", np.inf), ("fix_xi", -np.inf), ("fix_xi", -1.0),
         ("fix_xi", -1.5),
-        # mistyped values; None is a valid cutoff and fix_xi
+        # mistyped values; None is a valid fix_xi
         ("alpha", "x"), ("alpha", None), ("cutoff_quantile", "x"), ("cutoff_quantile", None),
-        ("cutoff", "x"), ("fix_xi", "x"),
+        ("fix_xi", "x"),
         # bools, which Python compares as 0 and 1
-        ("seed", False), ("bootstrap_reps", True), ("cutoff", True), ("fix_xi", False),
-        ("seed", np.False_), ("bootstrap_reps", np.True_), ("cutoff", np.True_),
+        ("seed", False), ("bootstrap_reps", True), ("fix_xi", False),
+        ("seed", np.False_), ("bootstrap_reps", np.True_),
         ("fix_xi", np.True_), ("fix_xi", np.False_),
     ])
     def test_every_field_validated(self, field, bad):
         with pytest.raises(InvalidConfigError, match=field):
             DtmConfig(**{"alpha": 0.05, field: bad})
+
+    def test_explicit_cutoff_refused(self):
+        # the cutoff is always the cutoff_quantile quantile of the series
+        with pytest.raises(TypeError, match="cutoff"):
+            DtmConfig(alpha=0.05, cutoff=4.0)
+        # nor does a version-1 manifest config, which holds cutoff: None
+        with pytest.raises(TypeError, match="cutoff"):
+            DtmConfig(alpha=0.05, cutoff_quantile=0.95, cutoff=None, seed=0, bootstrap_reps=1,
+                      fix_xi=None)
 
     def test_numpy_integers_accepted(self):
         cfg = DtmConfig(alpha=0.05, seed=np.int64(3), bootstrap_reps=np.int32(2), fix_xi=-0.5)
@@ -88,11 +96,6 @@ class TestRunDtm:
         x_strict = run_dtm(s, DtmConfig(alpha=0.01, seed=3)).threshold
         x_loose = run_dtm(s, DtmConfig(alpha=0.05, seed=3)).threshold
         assert x_strict > x_loose
-
-    def test_explicit_cutoff_respected(self):
-        s = chi2_series(seed=4)
-        rep = run_dtm(s, DtmConfig(alpha=0.05, cutoff=4.0, seed=5))
-        assert rep.model.cutoff == 4.0
 
     def test_affine_equivariance(self):
         s = chi2_series(n=2000, seed=6)
@@ -168,11 +171,11 @@ class TestRunDtm:
             monkeypatch.setattr(mod, "as_series", counting, raising=False)
         s = chi2_series(seed=25)
         counts = []
-        for reps, cutoff in ((1, None), (10, None), (1, 4.0), (10, 4.0)):
+        for reps in (1, 10):
             calls.clear()
-            run_dtm(s, DtmConfig(alpha=0.05, seed=26, bootstrap_reps=reps, cutoff=cutoff))
+            run_dtm(s, DtmConfig(alpha=0.05, seed=26, bootstrap_reps=reps))
             counts.append(len(calls))
-        assert counts == [2, 2, 1, 1]
+        assert counts == [2, 2]
 
     def test_replicate_warnings_reach_the_caller(self, monkeypatch):
         # the pipeline filters no warning
@@ -220,9 +223,9 @@ class TestRunDtm:
         normals = generate(GeneratorSpec.gaussian_ar1(0, 2000, 12))
         cases = [
             (chi2_series(n=50, seed=12), DtmConfig(alpha=0.05)),
-            # 5 values above the cutoff; the original series is checked first
-            (normals, DtmConfig(alpha=0.05, cutoff=float(np.sort(normals)[-6]),
-                                bootstrap_reps=3)),
+            # the cutoff is the 1995th of 2000 values, so 5 lie above it; the
+            # original series is checked first
+            (normals, DtmConfig(alpha=0.05, cutoff_quantile=0.9975, bootstrap_reps=3)),
         ]
         for series, cfg in cases:
             with pytest.raises(TooFewExceedancesError, match="original series"):
