@@ -84,8 +84,13 @@ class TestThresholdCommand:
         assert err["error"] == {"code": "parse-error",
                                 "message": "threshold requires --seed for reproducibility"}
 
-    def test_invalid_config_is_input_error(self, chi2_csv, capsys):
-        code = main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05", "--seed", "-1"])
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0.05", "--seed", "-1"], ["--alpha", "0", "--seed", "1"],
+        ["--alpha", "0.05", "--quantile", "1.5", "--seed", "1"],
+        ["--alpha", "0.05", "--bootstrap-reps", "0", "--seed", "1"],
+    ])
+    def test_invalid_config_is_input_error(self, chi2_csv, capsys, flags):
+        code = main(["threshold", "--input", str(chi2_csv), *flags])
         assert code == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["code"] == "invalid-config"
@@ -227,10 +232,11 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize("argv", [
         ["threshold", "--input", "series.csv", "--cutoff", "4"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}', "--cutoff", "4"],
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}', "--n", "100"],
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}}',
          "--gap-tolerance", "0.2"],
-    ], ids=["threshold-cutoff", "validate-n", "validate-gap-tolerance"])
+    ], ids=["threshold-cutoff", "validate-cutoff", "validate-n", "validate-gap-tolerance"])
     def test_removed_flags_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--alpha", "0.05", "--seed", "1"])
@@ -516,3 +522,4 @@ class TestAppCommand:
         assert "stopping_time" in summary and "threshold" in summary
         assert summary["warnings"] == ["few-exceedances"]
         assert (outdir / "changepoint_stream.csv").exists()
+        assert summary["manifest"]["config"] == {**spec, "seed": 7}  # arl included

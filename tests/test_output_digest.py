@@ -2,6 +2,7 @@
 digest per section in ``SECTIONS`` order, then the whole panel's digest and
 the value count, and it refuses a path that holds no package."""
 
+import dataclasses
 import importlib.util
 import re
 import subprocess
@@ -16,10 +17,15 @@ def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
 
 
-def test_digests_every_section_in_order():
+def load_tool():
     spec = importlib.util.spec_from_file_location("output_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_digests_every_section_in_order():
+    tool = load_tool()
     done = run_tool()
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -35,3 +41,24 @@ def test_path_without_package_refused(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "no threshold_machine package" in done.stderr
+
+
+def test_unset_explicit_cutoff_hashes_as_absent():
+    # a DtmConfig that still declares cutoff hashes as one without it while
+    # the field holds None; a set cutoff is hashed
+    tool = load_tool()
+
+    @dataclasses.dataclass
+    class DtmConfig:
+        alpha: float
+        cutoff: float | None = None
+
+    @dataclasses.dataclass
+    class Other:
+        alpha: float
+        cutoff: float | None = None
+
+    bare = list(tool.tokens(DtmConfig(0.05)))
+    assert bare == ["alpha", (0.05).hex()]
+    assert list(tool.tokens(DtmConfig(0.05, 4.0))) == [*bare, "cutoff", (4.0).hex()]
+    assert list(tool.tokens(Other(0.05))) == [*bare, "cutoff", "None"]

@@ -81,6 +81,11 @@ class TestDtmConfig:
             DtmConfig(alpha=0.05, cutoff_quantile=0.95, cutoff=None, seed=0, bootstrap_reps=1,
                       fix_xi=None)
 
+    def test_fields(self):
+        # the cutoff has one rule, so no field sets it
+        assert [f.name for f in dataclasses.fields(DtmConfig)] == [
+            "alpha", "cutoff_quantile", "seed", "bootstrap_reps", "fix_xi"]
+
     def test_numpy_integers_accepted(self):
         cfg = DtmConfig(alpha=0.05, seed=np.int64(3), bootstrap_reps=np.int32(2), fix_xi=-0.5)
         assert (cfg.seed, cfg.bootstrap_reps) == (3, 2)
