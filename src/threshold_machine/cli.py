@@ -263,9 +263,9 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
         # code any does
         cfg = DtmConfig(alpha=min(alphas), seed=spec.seed + 1)
     series = scan_series(spec, n_subgraphs)
+    report = run_dtm(series, cfg)
     _write_csv(outdir / "scan_series.csv", ["index", "statistic"],
                enumerate(series, start=1))
-    report = run_dtm(series, cfg)
 
     reps = (dataclasses.replace(spec, seed=spec.seed + 20_000 + j) for j in range(mc_reps))
     mc = EmpiricalMaxDist(np.sort([np.max(scan_series(rep, n_subgraphs)) for rep in reps]))

@@ -56,10 +56,6 @@ class GevParams:
         check_real("sigma", self.sigma, 0, InvalidParamsError)
         check_real("xi", self.xi, -math.inf, InvalidParamsError)
 
-    @property
-    def is_gumbel(self) -> bool:
-        return _is_gumbel(self.xi)
-
 
 @dataclass(frozen=True)
 class TailModel:
@@ -112,7 +108,7 @@ def _log_tail(params: GevParams, x):
     inverse of :func:`_box_cox` at ``z``; ``-z`` on the Gumbel branch and nan
     outside the support ``1 + xi*z > 0``."""
     z = (np.asarray(x, dtype=float) - params.mu) / params.sigma
-    if params.is_gumbel:
+    if _is_gumbel(params.xi):
         return -z
     b = params.xi * z
     return -np.log1p(np.where(b > -1, b, np.nan)) / params.xi

@@ -28,7 +28,8 @@ point's grid neighbours.  A free shape that ends on the ``k > -1``
 boundary pins the fitted upper endpoint near the largest exceedance and sets
 ``FitDiagnostics.boundary``; the fit raises no warning, and the pipeline
 reports the flag.  A pinned Gumbel shape is the closed form
-``sigma_u = mean(y)``.  Then ``sigma = sigma_u * n_u**xi`` and
+``sigma_u = mean(y)``, which a free shape's grid holds as its point
+``t = 0``.  Then ``sigma = sigma_u * n_u**xi`` and
 ``mu = u + sigma_u * (n_u**xi - 1)/xi``.
 
 The search runs on ``y / max(y)``, so the fit is affine-equivariant up to
@@ -71,14 +72,13 @@ class FitDiagnostics:
     both of its passes together, plus one per Newton step, a bisection
     included.  A pinned shape runs the same search as a free one, so its
     count includes the grid search too; the closed form counts none.
-    ``init`` is the closed-form Gumbel fit.  ``n_u_used`` is the exceedance
-    count of the fit.  ``boundary`` marks a free shape on the ``k > -1``
-    boundary, whose fitted endpoint sits near the largest exceedance."""
+    ``n_u_used`` is the exceedance count of the fit.  ``boundary`` marks a
+    free shape on the ``k > -1`` boundary, whose fitted endpoint sits near
+    the largest exceedance."""
 
     neg_log_lik: float
     iterations: int
     converged: bool
-    init: GevParams
     n_u_used: int
     boundary: bool
 
@@ -229,8 +229,8 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
     shape must be finite and exceed -1, where the likelihood has an interior
     maximum.
 
-    The fit with a free shape includes the Gumbel point ``t = 0`` it reports
-    as ``init``, so the returned NLL never exceeds the NLL at ``init``.
+    A free shape's grid includes the Gumbel point ``t = 0``, so the returned
+    NLL never exceeds that of the closed-form Gumbel fit ``fix_xi=0.0``.
     """
     n_u = exc.n_u
     if n_u < MIN_EXCEEDANCES:
@@ -239,18 +239,17 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
         )
     u = exc.cutoff
     y = exc.heights - u
-    # the ufunc reductions behind y.max(), y.min() and y.sum(), without the
-    # method wrappers
+    # the ufunc reductions behind y.max() and y.min(), without the method
+    # wrappers
     y_max = float(np.maximum.reduce(y))
     if y_max == float(np.minimum.reduce(y)):
         raise DegenerateHeightsError("all exceedance heights are equal")
     if fix_xi is not None:
         check_real("fix_xi", fix_xi, -1, InvalidConfigError)
 
-    y_mean = float(np.add.reduce(y)) / n_u  # np.mean's own arithmetic
-    init = _gev(y_mean, 0.0, u, n_u)
     if fix_xi is not None and _is_gumbel(fix_xi):
-        params, evaluations, converged, boundary = init, 0, True, False
+        y_mean = float(np.add.reduce(y)) / n_u  # np.mean's own arithmetic
+        params, evaluations, converged, boundary = _gev(y_mean, 0.0, u, n_u), 0, True, False
         profile = math.log(y_mean / y_max) + 1
     else:
         profile, xi, scale, evaluations, converged = _search(y / y_max, fix_xi)
@@ -260,7 +259,6 @@ def fit(exc: ExceedanceSet, fix_xi: float | None = None) -> tuple[GevParams, Fit
         neg_log_lik=n_u * (1 - math.log(n_u) + math.log(y_max) + profile),
         iterations=evaluations,
         converged=converged,
-        init=init,
         n_u_used=n_u,
         boundary=boundary,
     )

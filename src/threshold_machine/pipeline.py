@@ -77,7 +77,8 @@ class ThresholdReport:
     With several bootstrap replicates, ``gev_diag`` merges their fits'
     diagnostics: ``converged`` if every fit converged, ``boundary`` if any
     fit's shape sits on the boundary, ``n_u_used`` the smallest exceedance
-    count; its other fields are replicate 0's.  The warning codes
+    count; its other fields, ``neg_log_lik`` and ``iterations``, are
+    replicate 0's.  The warning codes
     (``non-convergence``, ``boundary-shape``, ``few-exceedances``) are read
     from those merged fields.
     """

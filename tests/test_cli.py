@@ -449,6 +449,19 @@ class TestAppCommand:
         assert summary["warnings"] == ["few-exceedances"]
         assert (outdir / "scan_series.csv").exists()
 
+    def test_failed_scan_fit_leaves_no_artifact(self, tmp_path):
+        # the series has 5 exceedances above its cutoff, so the fit refuses
+        # it; like changepoint and bandit, a failed run writes no file
+        spec = {"N": 30, "p0": 0.1, "k": 5, "n_subgraphs": 400, "mc_reps": 4,
+                "alphas": [0.1, 0.02]}
+        out = tmp_path / "error.json"
+        outdir = tmp_path / "scanrun"
+        code = main(["app", "scan", "--spec", json.dumps(spec), "--outdir", str(outdir),
+                     "--seed", "6", "--out", str(out)])
+        assert code == 3
+        assert json.loads(out.read_text())["error"]["code"] == "too-few-exceedances"
+        assert not outdir.exists()
+
     def test_scan_manifest_replays_the_run(self, tmp_path):
         # the manifest records the spec as given, run keys included, so it
         # alone reruns the harness; its seed wins over another --seed

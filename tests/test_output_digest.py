@@ -43,22 +43,23 @@ def test_path_without_package_refused(tmp_path):
     assert "no threshold_machine package" in done.stderr
 
 
-def test_unset_explicit_cutoff_hashes_as_absent():
-    # a DtmConfig that still declares cutoff hashes as one without it while
-    # the field holds None; a set cutoff is hashed
+def test_retired_fields_are_skipped():
+    # a retired field is skipped whatever it holds; the same field name on
+    # another class, and the class's other fields, are hashed
     tool = load_tool()
+    assert ("FitDiagnostics", "init") in tool.RETIRED
 
     @dataclasses.dataclass
-    class DtmConfig:
-        alpha: float
-        cutoff: float | None = None
+    class FitDiagnostics:
+        iterations: int
+        init: object = None
 
     @dataclasses.dataclass
     class Other:
-        alpha: float
-        cutoff: float | None = None
+        iterations: int
+        init: object = None
 
-    bare = list(tool.tokens(DtmConfig(0.05)))
-    assert bare == ["alpha", (0.05).hex()]
-    assert list(tool.tokens(DtmConfig(0.05, 4.0))) == [*bare, "cutoff", (4.0).hex()]
-    assert list(tool.tokens(Other(0.05))) == [*bare, "cutoff", "None"]
+    bare = list(tool.tokens(FitDiagnostics(3)))
+    assert bare == ["iterations", "3"]
+    assert list(tool.tokens(FitDiagnostics(3, 4.0))) == bare
+    assert list(tool.tokens(Other(3))) == [*bare, "init", "None"]
