@@ -90,16 +90,10 @@ def scan_series(spec: ErGraphSpec, n_subgraphs: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists(aa, bb, ab) -> np.ndarray:
-    """|a - b|^2 = |a|^2 + |b|^2 - 2 a.b from squared norms and inner
-    products, clipped at 0 against cancellation."""
-    return np.maximum(aa + bb - 2.0 * ab, 0.0)
-
-
-def _pairwise_sq_dists(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms of the rows of Z and their pairwise squared distances."""
+def _pairwise_sq_dists(Z: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances of the rows of Z, clipped at 0 against cancellation."""
     zz = np.einsum("ij,ij->i", Z, Z)
-    return zz, _sq_dists(zz[:, None], zz, Z @ Z.T)
+    return np.maximum(zz[:, None] + zz - 2.0 * (Z @ Z.T), 0.0)
 
 
 def _gaussian(sq: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -146,7 +140,7 @@ def mmd_stat(X, Y, bandwidth: float) -> float:
     B = Xb.shape[0]
     if B < 2:
         raise SizeMismatchError(f"blocks must hold at least 2 vectors, got {B}")
-    _, sq = _pairwise_sq_dists(np.vstack([Xb, Yb]))
+    sq = _pairwise_sq_dists(np.vstack([Xb, Yb]))
     return _block_mmd(_gaussian(sq, bandwidth), np.arange(B))
 
 
@@ -209,7 +203,7 @@ def _snapshot(spec: MmdStreamSpec, t: int) -> np.ndarray:
 
 
 def _median_heuristic(ref: np.ndarray) -> float:
-    _, sq = _pairwise_sq_dists(ref)
+    sq = _pairwise_sq_dists(ref)
     return float(np.sqrt(np.median(sq[np.triu_indices(ref.shape[0], k=1)])))
 
 
@@ -237,18 +231,19 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
     bandwidth = _median_heuristic(ref)
     check_real("median-heuristic bandwidth", bandwidth, 0, InvalidBandwidthError)
 
-    # Z = [window; ref] with the window a ring buffer, slot(t) = t % B; at
-    # t = B the window is the reference block itself
-    Z = np.concatenate([np.roll(ref, 1, axis=0), ref])
-    sqn, sq = _pairwise_sq_dists(Z)
-    K = _gaussian(sq, bandwidth)
+    # 0/1 snapshots: a squared distance is a Hamming count h <= d, which the
+    # float route also forms exactly (integers < 2**53), so the kernel is table[h]
+    table = _gaussian(np.arange(ref.shape[1] + 1.0), bandwidth)
+    # P = [window; ref] as packed bits; window slot(t) = t % B, at t = B the ref block
+    P = np.packbits(np.concatenate([np.roll(ref, 1, axis=0), ref]) > 0, axis=1)
+    def kernel(rows):  # table[Hamming count] of rows against every row of P
+        return table[np.bitwise_count(P ^ rows).sum(axis=-1)]
+    K = np.array([kernel(row) for row in P])  # row by row, temporaries the size of P
     stream = np.empty(n_stream)
     for t in range(B + 1, spec.horizon + 1):
         slot = t % B
-        snap = _snapshot(spec, t)
-        Z[slot] = snap
-        sqn[slot] = snap @ snap
-        K[slot, :] = K[:, slot] = _gaussian(_sq_dists(sqn[slot], sqn, Z @ snap), bandwidth)
+        P[slot] = np.packbits(_snapshot(spec, t) > 0)
+        K[slot, :] = K[:, slot] = kernel(P[slot])
         if t >= stream_start:
             # chronological rank i (0-based) of the window pairs with ref row i
             stream[t - stream_start] = _block_mmd(K, np.arange(t - B + 1, t + 1) % B)

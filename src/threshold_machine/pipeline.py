@@ -165,7 +165,10 @@ def arl_to_alpha(n: int, arl: float) -> float:
     """
     check_count("window length n", n, 1, InvalidConfigError)
     check_real("arl", arl, 0, InvalidConfigError)
-    return -math.expm1(-n / arl)
+    alpha = -math.expm1(-n / arl)
+    if alpha == 1.0:
+        raise InvalidConfigError(f"arl={arl!r} is too short for n={n}: 1 - exp(-n / arl) rounds to 1")
+    return alpha
 
 
 def confidence_bounds(series, cfg: DtmConfig) -> tuple[float, float]:

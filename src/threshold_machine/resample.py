@@ -8,12 +8,13 @@ numpy picks its vectorized loops by CPU.  The derived streams:
 
 - bootstrap replicate r draws from seed ``seed + r``;
 - the Monte Carlo oracle's path j from ``make_rng(seed + j)``;
-- a bandit arm's stream and bounds from :func:`stream_seed` of its run seed
-  and index;
+- a bandit arm's rewards and bounds from :func:`stream_seed` of its run seed
+  and index, so rewards and replicate 0 read one PCG64 stream: the
+  replicate's odd-slot indices are ``floor(n * U_j)`` of the rewards' U_j;
 - change-point snapshot t from ``make_rng((seed, t))``;
-- the command line's ``validate`` oracle from its spec seed + 10 000, and
-  ``app scan``'s fit from seed + 1 and its Monte Carlo graph j from
-  seed + 20 000 + j.
+- ``validate``'s path from its spec seed, by default ``--seed``, which seeds
+  replicate 0 too; its oracle from spec seed + 10 000; ``app scan``'s fit
+  from seed + 1 and its Monte Carlo graph j from seed + 20 000 + j.
 
 A bootstrap replicate is defined by its index draw alone
 (:func:`bootstrap_draw`), and only its exceedances reach the fit, so

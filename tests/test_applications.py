@@ -170,16 +170,22 @@ class TestChangePointRun:
     @pytest.mark.parametrize("geometry, times", [
         (dict(horizon=300), (16, 19, 100, 300)),
         (dict(block_size=50, n_nodes=100, horizon=400), (100, 103, 250, 400)),
-    ], ids=["8x190", "50x4950"])
+        (dict(n_nodes=3, p_pre=0.5, horizon=300, seed=1), (16, 19, 100, 300)),
+    ], ids=["8x190", "50x4950", "8x3-extremes"])
     def test_stream_matches_direct_mmd(self, geometry, times):
         # ring-buffer bookkeeping must reproduce the blockwise statistic, also
-        # at the default geometry of 50 snapshots of 4950 edges
+        # at the default geometry of 50 snapshots of 4950 edges, and with 3
+        # edges, where the reference block holds an all-zero and an all-one
+        # snapshot, so every statistic reads the kernel at the largest
+        # distance d, the last entry of the stream's kernel table
         spec = small_stream_spec(train_len=260, **geometry)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = change_point_run(spec, arl=500.0)
         B = spec.block_size
         ref = np.stack([_snapshot(spec, t) for t in range(1, B + 1)])
+        if spec.n_nodes == 3:
+            assert {0.0, 3.0} <= set(ref.sum(axis=1))
         bw = _median_heuristic(ref)
         for t in times:
             X = np.stack([_snapshot(spec, s) for s in range(t - B + 1, t + 1)])
@@ -210,7 +216,8 @@ class TestChangePointRun:
         with pytest.raises(InvalidSpecError):
             MmdStreamSpec(block_size=50, horizon=90)
 
-    @pytest.mark.parametrize("arl", ["x", None, -5.0, 0.0, np.nan, np.inf])
+    # arl = 5 is too short for train_len = 260: 1 - exp(-52) rounds to 1
+    @pytest.mark.parametrize("arl", ["x", None, -5.0, 0.0, np.nan, np.inf, 5.0])
     def test_arl_refused_before_any_snapshot(self, monkeypatch, arl):
         drawn = []
         monkeypatch.setattr(applications, "_snapshot", lambda spec, t: drawn.append(t))

@@ -159,6 +159,18 @@ class TestThresholdCommand:
         assert json.loads(out.read_text())["error"]["code"] == "invalid-spec"
         assert snapshots == []  # refused before the change-point stream is drawn
 
+    def test_changepoint_arl_too_short_names_arl(self, tmp_path, monkeypatch):
+        # the spec's default train_len is 2000, and 1 - exp(-2000 / 50) rounds to 1
+        snapshots = count_snapshots(monkeypatch)
+        out = tmp_path / "error.json"
+        code = main(["app", "changepoint", "--spec", '{"arl": 50}', "--seed", "0",
+                     "--outdir", str(tmp_path / "x"), "--out", str(out)])
+        assert code == 2
+        assert json.loads(out.read_text())["error"] == {
+            "code": "invalid-config",
+            "message": "arl=50 is too short for n=2000: 1 - exp(-n / arl) rounds to 1"}
+        assert snapshots == []
+
     def test_non_numeric_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1.0\nbanana\n2.0\n")

@@ -293,6 +293,14 @@ class TestArlToAlpha:
     def test_equal_window_and_arl(self):
         assert arl_to_alpha(1000, 1000.0) == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
+    def test_arl_too_short_for_window(self):
+        # 1 - exp(-40) rounds to 1.0, which no level may be; the refusal
+        # names the arguments, not the level they map to
+        assert arl_to_alpha(2000, 54.0) < 1.0
+        with pytest.raises(InvalidConfigError) as exc:
+            arl_to_alpha(2000, 50.0)
+        assert str(exc.value) == "arl=50.0 is too short for n=2000: 1 - exp(-n / arl) rounds to 1"
+
     def test_invalid_arl(self):
         for n, arl in [(100, 0.0), (0, 100.0), (100, -5.0), (100, np.nan), (100, np.inf),
                        (100, "x"), (100, None), (2.5, 100.0), ("100", 100.0)]:

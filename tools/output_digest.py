@@ -29,8 +29,10 @@ The panel takes about a second on one core.  Its sections:
   cutoff, ``theta_closed_form`` on three gap sets with b >= c, and on the
   single gaps T = 3, 50 and 399 at the rate 2 / (T - 1) nudged one ulp up,
   where b < c;
-- ``change_point``: one small ``change_point_run``: the stream, the
-  stopping time and the report;
+- ``change_point``: two ``change_point_run`` calls, one small (blocks of 8
+  snapshots of 190 edges) and one at the default geometry (blocks of 50
+  snapshots of 4950 edges) with a change at 360 and a 440-snapshot horizon:
+  the stream, the stopping time and the report;
 - ``oracle``: the Monte Carlo oracle (``empirical_max_cdf``) of the same
   five families at n = 2000, 40 replicates each: the sorted maxima; and
   ``maxima`` of ``chi_square(1)`` and ``gaussian_ar1(50)`` at n = 200 from
@@ -154,6 +156,9 @@ def change_point(tm):
     spec = tm.MmdStreamSpec(block_size=8, n_nodes=20, p_pre=0.3, p_post=0.6, change_time=320,
                             horizon=400, train_len=260, bootstrap_reps=3, seed=0)
     yield "change_point_run", tm.change_point_run(spec, arl=2000.0)
+    spec = tm.MmdStreamSpec(block_size=50, n_nodes=100, change_time=360, horizon=440,
+                            train_len=260, bootstrap_reps=3, seed=0)
+    yield "change_point_run 50x4950", tm.change_point_run(spec, arl=2000.0)
 
 
 def oracle(tm):
