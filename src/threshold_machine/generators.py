@@ -129,6 +129,12 @@ def _whole(value):
 
 
 def _validate_params(kind: str, p: dict) -> None:
+    # a parameter the kind does not read would ride along in to_dict, so a
+    # misspelt name would run another experiment under its name
+    known = {"base", "window"} if kind == "moving_average" else {r[0] for r in _PARAMS[kind]}
+    for name in p:
+        if name not in known:
+            raise InvalidSpecError(f"unknown {kind} parameter {name!r}")
     for name, low, ends in _PARAMS[kind]:
         check_real(f"{kind} {name}", p.get(name), low, InvalidSpecError, ends=ends)
     if kind == "moving_average":

@@ -95,12 +95,16 @@ def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
     return float(nll) if np.isfinite(nll) else math.inf
 
 
-def _profile(t, w: np.ndarray, shape: float | None) -> np.ndarray:
+def _profile(t: np.ndarray, w: np.ndarray, shape: float | None) -> np.ndarray:
     """Pareto profile NLL per exceedance at each ``t = theta * max(y)``, with
     ``w = y / max(y)``.  A free shape is ``k`` and needs ``k > -1``; a pinned
     one needs a positive scale ``sigma_u / max(y) = shape / t``.  The NLL is
     +inf where these fail."""
-    tw = np.multiply.outer(t, w)
+    # a rank-1 product: with an inner dimension of 1 each entry is the one
+    # rounded product t_i * w_j, so a row's bits depend neither on the other
+    # rows nor on the BLAS, which forms the grid about twice as fast as a
+    # broadcast multiply
+    tw = np.dot(t.reshape(-1, 1), w.reshape(1, -1))
     k = np.log1p(tw, out=tw).sum(axis=-1) / w.size  # np.mean's own arithmetic
     with np.errstate(divide="ignore", invalid="ignore"):
         if shape is None:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidQuantileError, check_level
+from .errors import InvalidQuantileError, InvalidSeriesError, check_level
 from .evt_core import TailModel, model_max_cdf
-from .exceedance import nearest_rank
+from .exceedance import as_series, nearest_rank
 from .generators import GeneratorSpec, maxima
 
 __all__ = ["EmpiricalMaxDist", "empirical_max_cdf", "mc_threshold", "sup_norm_gap"]
@@ -27,9 +27,17 @@ __all__ = ["EmpiricalMaxDist", "empirical_max_cdf", "mc_threshold", "sup_norm_ga
 
 @dataclass(frozen=True)
 class EmpiricalMaxDist:
-    """Sorted maxima of L independently generated series."""
+    """Sorted maxima of L independently generated series: a 1-D, non-empty,
+    finite and nondecreasing array, or :class:`InvalidSeriesError`."""
 
-    maxima: np.ndarray  # sorted nondecreasing
+    maxima: np.ndarray
+
+    def __post_init__(self):
+        maxima = as_series(self.maxima)
+        # the nearest-rank quantile and the CDF's searchsorted read the order
+        if (maxima[1:] < maxima[:-1]).any():
+            raise InvalidSeriesError("maxima must be sorted nondecreasing")
+        object.__setattr__(self, "maxima", maxima)
 
     @property
     def L(self) -> int:

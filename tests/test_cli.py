@@ -135,6 +135,8 @@ class TestThresholdCommand:
         ["validate", "--spec", '{"kind": "chi_square", "params": {"df": "x"}}', "--seed", "1"],
         ["validate", "--spec", '{"kind": "student_t", "params": {"df": Infinity}}',
          "--seed", "1"],
+        ["validate", "--spec", '{"kind": "gaussian_ar1", "params": {"m": 50, "phi": 0.9}}',
+         "--seed", "1"],
         ["app", "scan", "--spec", '{"N": 30, "p0": 1.0000000000001, "k": 5}',
          "--seed", "1"],
         ["app", "changepoint", "--spec", '{"p_pre": "x"}', "--seed", "1"],
@@ -149,8 +151,8 @@ class TestThresholdCommand:
             "changepoint-text-quantile", "changepoint-text-fix-xi", "changepoint-text-arl",
             "changepoint-negative-arl", "changepoint-nan-arl", "bandit-text-quantile",
             "bandit-text-fix-xi", "validate-text-df", "validate-infinite-df",
-            "scan-p0-above-one", "changepoint-text-p-pre", "bandit-text-exponent",
-            "bandit-infinite-exponent"])
+            "validate-unknown-param", "scan-p0-above-one", "changepoint-text-p-pre",
+            "bandit-text-exponent", "bandit-infinite-exponent"])
     def test_invalid_spec_is_input_error(self, argv, tmp_path, monkeypatch):
         snapshots = count_snapshots(monkeypatch)
         out = tmp_path / "error.json"

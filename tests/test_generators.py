@@ -66,6 +66,11 @@ class TestValidation:
          "moving_average base must be an iid kind"),
         ("moving_average", {"base": GeneratorSpec.beta(2, 5, 1, 0), "window": 0},
          "window must be an integer >= 1, got 0"),
+        # a parameter the kind does not read is refused, not carried along
+        ("gaussian_ar1", {"m": 50, "phi": 0.9}, "unknown gaussian_ar1 parameter 'phi'"),
+        ("chi_square", {"df": 1, "dof": 2}, "unknown chi_square parameter 'dof'"),
+        ("moving_average", {"base": GeneratorSpec.beta(2, 5, 1, 0), "window": 2, "m": 1},
+         "unknown moving_average parameter 'm'"),
     ])
     def test_each_parameter_is_checked(self, kind, params, message):
         with pytest.raises(InvalidSpecError) as exc:

@@ -24,6 +24,7 @@ from threshold_machine import (
     tail_fn,
 )
 from threshold_machine import gev_fit
+from threshold_machine.exceedance import MIN_EXCEEDANCES
 from threshold_machine.resample import bootstrap_draw, make_rng
 
 
@@ -90,6 +91,17 @@ def full_grid_search(w, shape):
     polish from the best point of the whole grid, infeasible points included."""
     grid = gev_fit._profile(np.expm1(gev_fit._LOG1P_T_GRID), w, shape)
     return gev_fit._polish(w, shape, int(np.argmin(grid)))
+
+
+def scalar_profile(t, w, shape):
+    """``gev_fit._profile`` with each row's mean formed on its own from the
+    products ``t_i * w``, ``np.log1p(t_i * w).sum() / w.size``, and no grid."""
+    k = np.array([np.log1p(ti * w).sum() / w.size for ti in t])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if shape is None:
+            scale = np.where(t == 0, w.sum() / w.size, k / t)
+            return np.where(k > -1, np.log(scale) + 1 + k, np.inf)
+        return np.where(shape / t > 0, np.log(shape / t) + k + k / shape, np.inf)
 
 
 def profile_score(t, w, shape):
@@ -308,16 +320,20 @@ class TestFit:
     @pytest.mark.parametrize("shape", SEARCH_SHAPES)
     def test_profile_rows_do_not_depend_on_the_batch(self, shape):
         # the two-level search relies on each grid row's bits being the same
-        # whichever rows one _profile call evaluates
+        # whichever rows one _profile call evaluates; and each row's bits are
+        # those of its scalar products t_i * w, whatever BLAS forms the grid
         t = gev_fit._T_GRID
         rng = make_rng(8)
         for name, spec in CRITERION5_FAMILIES.items():
-            w = search_weights(spec, 0.95)
-            full = gev_fit._profile(t, w, shape)
-            for size in (1, 2, 7, 27, 50):
-                rows = np.sort(rng.choice(t.size, size, replace=False))
-                part = gev_fit._profile(t[rows], w, shape)
-                assert part.tobytes() == full[rows].tobytes(), (name, rows)
+            weights = search_weights(spec, 0.95)
+            for n_u in (MIN_EXCEEDANCES, 17, 64, 129, 300, weights.size):
+                w = weights[:n_u] / weights[:n_u].max()
+                full = gev_fit._profile(t, w, shape)
+                assert full.tobytes() == scalar_profile(t, w, shape).tobytes(), (name, n_u)
+                for size in (1, 2, 7, 27, 50):
+                    rows = np.sort(rng.choice(t.size, size, replace=False))
+                    part = gev_fit._profile(t[rows], w, shape)
+                    assert part.tobytes() == full[rows].tobytes(), (name, n_u, rows)
 
     @pytest.mark.parametrize("family, fix_xi", POLISH_CASES)
     def test_simplex_polish_finds_nothing_lower(self, family, fix_xi):

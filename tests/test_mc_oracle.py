@@ -8,6 +8,7 @@ from threshold_machine import (
     GeneratorSpec,
     GevParams,
     InvalidQuantileError,
+    InvalidSeriesError,
     InvalidSpecError,
     TailModel,
     empirical_max_cdf,
@@ -60,6 +61,23 @@ class TestEmpiricalMaxCdf:
         eps = np.sqrt(np.log(2 / 0.001) / (2 * L))
         xs = np.linspace(0.9, 0.999, 25)
         assert np.max(np.abs(dist.cdf(xs) - xs ** n)) <= eps
+
+
+class TestEmpiricalMaxDist:
+    @pytest.mark.parametrize("maxima", [
+        [3.0, 1.0, 2.0], [1.0, 2.0, 2.0 - 1e-15], [], [[1.0, 2.0]], 1.0,
+        [1.0, np.nan], [1.0, np.inf], [-np.inf, 1.0],
+    ], ids=["unsorted", "last-bit-down", "empty", "2-d", "scalar", "nan", "inf", "minus-inf"])
+    def test_refuses_maxima_it_cannot_read(self, maxima):
+        # an unsorted array gave mc_threshold(d, 0.5) == 1.0 where the
+        # nearest-rank answer is 2.0, and an empty one a nan CDF
+        with pytest.raises(InvalidSeriesError):
+            EmpiricalMaxDist(np.asarray(maxima, dtype=float))
+
+    def test_admits_ties(self):
+        dist = EmpiricalMaxDist(np.array([1.0, 2.0, 2.0, 3.0]))
+        assert mc_threshold(dist, 0.5) == 2.0
+        assert float(dist.cdf(2.0)) == 0.75
 
 
 class TestMcThreshold:

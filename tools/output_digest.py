@@ -19,7 +19,9 @@ The panel takes about a second on one core.  Its sections:
 - ``pipeline``: ``run_dtm`` and ``confidence_bounds`` on the five
   criterion-5 families (n = 10^4), path and config seeds 1-3, with 1 and 10
   bootstrap replicates and a free and a pinned (0.0) shape: every field of
-  the report;
+  the report; and ``fit`` of the same paths' exceedances above the 0.95
+  cutoff with the shape pinned at -0.2 and 0.2, whose grid search the
+  closed-form Gumbel fit of 0.0 skips: the parameters and diagnostics;
 - ``bootstrap``: the bootstrap replicate sets behind those runs,
   ``bootstrap(extract(s, u), seed + r)`` for r = 0-9 at the 0.95 cutoff:
   their indices, heights and source length;
@@ -122,6 +124,9 @@ def pipeline(tm):
     for name, spec in families(tm).items():
         for seed in (1, 2, 3):
             series = tm.generate(spec.with_seed(seed))
+            exc = tm.extract(series, tm.quantile_cutoff(series, 0.95))
+            for fix_xi in (-0.2, 0.2):
+                yield f"fit {name} seed={seed} fix_xi={fix_xi}", tm.fit(exc, fix_xi)
             for reps in (1, 10):
                 for fix_xi in (None, 0.0):
                     cfg = tm.DtmConfig(alpha=0.05, seed=seed, bootstrap_reps=reps, fix_xi=fix_xi)
