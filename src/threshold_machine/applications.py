@@ -271,10 +271,11 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
 class BanditSpec:
     """K-arm bandit with Pareto rewards; optional moving-average dependence.
 
-    Arm k draws iid Pareto(tail_exponents[k]) rewards when window == 1, or a
-    sliding mean over that many iid draws otherwise.  Arm streams derive from
-    (seed, arm).  The bound fits cut at the pipeline's 0.95 quantile, like
-    the other harnesses, and pin the shape at 0 (see :func:`bandit_run`).
+    Arm k draws iid Pareto(tail_exponents[k]) rewards when window == 1, or
+    else the harness's own sliding mean over that many iid draws.  Arm
+    streams derive from (seed, arm).  The bound fits cut at the pipeline's
+    0.95 quantile, like the other harnesses, and pin the shape at 0 (see
+    :func:`bandit_run`).
     """
 
     tail_exponents: tuple[float, ...]
@@ -310,9 +311,13 @@ class BanditResult:
 
 
 def _arm_stream(spec: BanditSpec, arm: int, seed: int, length: int) -> np.ndarray:
-    # a window of 1 draws the iid Pareto stream of the same seed
-    base = GeneratorSpec.pareto(spec.tail_exponents[arm], n=1, seed=0)
-    return generate(GeneratorSpec.moving_average(base, spec.window, n=length, seed=seed))
+    # a window of 1 returns the draws, whose bits a cumsum difference would move
+    w = spec.window
+    raw = generate(GeneratorSpec.pareto(spec.tail_exponents[arm], n=length + w - 1, seed=seed))
+    if w == 1:
+        return raw
+    csum = np.concatenate(([0.0], np.cumsum(raw)))
+    return (csum[w:] - csum[:-w]) / w
 
 
 def bandit_run(spec: BanditSpec, total_pulls: int) -> BanditResult:

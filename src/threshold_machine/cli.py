@@ -342,7 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, required=True, help="tail probability level")
         p.add_argument("--quantile", type=float, default=DtmConfig.cutoff_quantile,
                        help="cutoff quantile in (0,1), default %(default)s")
-        p.add_argument("--bootstrap-reps", type=int, default=1, dest="bootstrap_reps")
+        p.add_argument("--bootstrap-reps", type=int, default=DtmConfig.bootstrap_reps,
+                       dest="bootstrap_reps")
 
     t = sub.add_parser("threshold", help="threshold for a series read from CSV")
     t.add_argument("--input", required=True, help="CSV file, one numeric value per line")

@@ -13,7 +13,6 @@ Supported kinds:
   rows of 64 steps (fewer for m < 0.32), each a scaled cumulative sum, and
   only the row ends are carried from row to row, so with 64-step rows the
   draws are the only path-sized array
-- ``moving_average(base, window)``: sliding mean of an iid base spec
 
 Everything draws from the package PRNG (PCG64), so a spec is reproducible
 bit-for-bit and two specs differing only in seed are independent streams.
@@ -47,14 +46,13 @@ __all__ = ["GeneratorSpec", "generate", "maxima"]
 # _CHUNK draws, so that the buffer stays bounded whatever n and L are.
 _ROW, _BLOCK, _CHUNK = 64, 1 << 15, 1 << 18
 # Each kind's real parameters as check_real rules (name, lower end, interval
-# ends); moving_average's base and window have rules of their own.
+# ends); a kind reads no other parameter.
 _PARAMS = {
     "beta": (("a", 0, "()"), ("b", 0, "()")),
     "chi_square": (("df", 1, "[)"),),
     "student_t": (("df", 1, "[)"),),
     "pareto": (("alpha_tail", 0, "()"),),
     "gaussian_ar1": (("m", 0, "[)"),),
-    "moving_average": (),
 }
 
 
@@ -96,29 +94,26 @@ class GeneratorSpec:
     def gaussian_ar1(cls, m: float, n: int, seed: int) -> "GeneratorSpec":
         return cls("gaussian_ar1", {"m": m}, n, seed)
 
-    @classmethod
-    def moving_average(cls, base: "GeneratorSpec", window: int, n: int, seed: int) -> "GeneratorSpec":
-        return cls("moving_average", {"base": base, "window": window}, n, seed)
-
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
 
     # -- (de)serialization for config files --------------------------------
 
     def to_dict(self) -> dict:
-        params = {k: v.to_dict() if isinstance(v, GeneratorSpec) else v
-                  for k, v in self.params.items()}
-        return {"kind": self.kind, "params": params, "n": self.n, "seed": self.seed}
+        return {"kind": self.kind, "params": dict(self.params), "n": self.n, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
+        # a key it did not read would be dropped, and run another experiment
+        for key in d:
+            if key not in ("kind", "params", "n", "seed"):
+                raise InvalidSpecError(f"unknown generator spec key {key!r}")
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidSpecError(f"generator params must be an object, got {params!r}")
         try:
-            params = dict(d.get("params", {}))
-            if d["kind"] == "moving_average":
-                params["base"] = cls.from_dict(params["base"])
-                params["window"] = _whole(params.get("window"))
-            return cls(d["kind"], params, _whole(d["n"]), _whole(d["seed"]))
-        except (KeyError, TypeError, ValueError) as e:
+            return cls(d["kind"], dict(params), _whole(d["n"]), _whole(d["seed"]))
+        except (KeyError, TypeError) as e:
             raise InvalidSpecError(f"malformed generator spec: {e}") from e
 
 
@@ -131,19 +126,12 @@ def _whole(value):
 def _validate_params(kind: str, p: dict) -> None:
     # a parameter the kind does not read would ride along in to_dict, so a
     # misspelt name would run another experiment under its name
-    known = {"base", "window"} if kind == "moving_average" else {r[0] for r in _PARAMS[kind]}
+    known = {r[0] for r in _PARAMS[kind]}
     for name in p:
         if name not in known:
             raise InvalidSpecError(f"unknown {kind} parameter {name!r}")
     for name, low, ends in _PARAMS[kind]:
         check_real(f"{kind} {name}", p.get(name), low, InvalidSpecError, ends=ends)
-    if kind == "moving_average":
-        base = p.get("base")
-        if not isinstance(base, GeneratorSpec):
-            raise InvalidSpecError("moving_average needs a base GeneratorSpec")
-        if base.kind in ("gaussian_ar1", "moving_average"):
-            raise InvalidSpecError("moving_average base must be an iid kind")
-        check_count("window", p.get("window"), 1, InvalidSpecError)
 
 
 def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,16 +148,7 @@ def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarr
         return z / np.sqrt(v / p["df"])
     if kind == "pareto":
         return (1.0 - rng.random(n)) ** (-1.0 / p["alpha_tail"])
-    if kind == "gaussian_ar1":  # m = 0: iid standard normal
-        return rng.standard_normal(n)
-    # moving_average, over an iid base
-    base: GeneratorSpec = p["base"]
-    w = int(p["window"])
-    raw = _draw_path(base.kind, base.params, n + w - 1, rng)
-    if w == 1:
-        return raw
-    csum = np.concatenate(([0.0], np.cumsum(raw)))
-    return (csum[w:] - csum[:-w]) / w
+    return rng.standard_normal(n)  # gaussian_ar1 with m = 0: iid standard normal
 
 
 def _ar1_scan(rows: np.ndarray, m: float) -> None:

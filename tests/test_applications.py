@@ -249,10 +249,23 @@ class TestBanditRun:
     @pytest.mark.parametrize("arm", [0, 1])
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_window_one_stream_is_iid_pareto(self, arm, seed):
-        # a one-wide moving average draws the iid Pareto stream of its seed
-        spec = BanditSpec(tail_exponents=(3.5, 4.0))
-        want = generate(GeneratorSpec.pareto(spec.tail_exponents[arm], n=1000, seed=seed))
-        assert np.array_equal(_arm_stream(spec, arm, seed, 1000), want)
+        # a one-wide window returns the iid Pareto stream of its seed, bit for
+        # bit, at the default window and at an explicit one
+        for spec in (BanditSpec(tail_exponents=(3.5, 4.0)),
+                     BanditSpec(tail_exponents=(3.5, 4.0), window=1)):
+            want = generate(GeneratorSpec.pareto(spec.tail_exponents[arm], n=1000, seed=seed))
+            assert np.array_equal(_arm_stream(spec, arm, seed, 1000), want)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("window", [2, 4, 10])
+    def test_windowed_stream_is_sliding_mean(self, arm, window):
+        # reward t is the mean of Pareto draws t .. t + window - 1 of the seed
+        spec = BanditSpec(tail_exponents=(3.5, 4.0), window=window)
+        raw = generate(GeneratorSpec.pareto(spec.tail_exponents[arm], n=50 + window - 1, seed=12))
+        want = np.convolve(raw, np.ones(window) / window, mode="valid")
+        got = _arm_stream(spec, arm, 12, 50)
+        assert len(got) == 50
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_needs_at_least_two_arms(self):
         with pytest.raises(InvalidSpecError):

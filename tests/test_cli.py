@@ -137,6 +137,11 @@ class TestThresholdCommand:
          "--seed", "1"],
         ["validate", "--spec", '{"kind": "gaussian_ar1", "params": {"m": 50, "phi": 0.9}}',
          "--seed", "1"],
+        ["validate", "--spec", '{"kind": "chi_square", "params": {"df": 1}, "length": 50}',
+         "--seed", "1"],
+        ["validate", "--spec",
+         '{"kind": "moving_average", "params": {"base": {"kind": "pareto", '
+         '"params": {"alpha_tail": 3.5}}, "window": 4}}', "--seed", "1"],
         ["app", "scan", "--spec", '{"N": 30, "p0": 1.0000000000001, "k": 5}',
          "--seed", "1"],
         ["app", "changepoint", "--spec", '{"p_pre": "x"}', "--seed", "1"],
@@ -151,7 +156,8 @@ class TestThresholdCommand:
             "changepoint-text-quantile", "changepoint-text-fix-xi", "changepoint-text-arl",
             "changepoint-negative-arl", "changepoint-nan-arl", "bandit-text-quantile",
             "bandit-text-fix-xi", "validate-text-df", "validate-infinite-df",
-            "validate-unknown-param", "scan-p0-above-one", "changepoint-text-p-pre",
+            "validate-unknown-param", "validate-unknown-key", "validate-moving-average",
+            "scan-p0-above-one", "changepoint-text-p-pre",
             "bandit-text-exponent", "bandit-infinite-exponent"])
     def test_invalid_spec_is_input_error(self, argv, tmp_path, monkeypatch):
         snapshots = count_snapshots(monkeypatch)
@@ -243,6 +249,15 @@ class TestThresholdCommand:
         assert exc.value.code == 0
         assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == own_flags | {
             "--help", "--seed", "--out", "--alpha", "--quantile", "--bootstrap-reps"}
+
+    @pytest.mark.parametrize("command, own", [
+        ("threshold", ["--input", "series.csv"]), ("validate", ["--spec", "{}"])])
+    def test_flag_defaults_are_the_config_defaults(self, command, own, monkeypatch):
+        # read from DtmConfig when the parser is built, not copied as literals
+        monkeypatch.setattr(DtmConfig, "cutoff_quantile", 0.9)
+        monkeypatch.setattr(DtmConfig, "bootstrap_reps", 4)
+        args = cli._build_parser().parse_args([command, *own, "--alpha", "0.05"])
+        assert (args.quantile, args.bootstrap_reps) == (0.9, 4)
 
     @pytest.mark.parametrize("argv", [
         ["threshold", "--input", "series.csv", "--cutoff", "4"],

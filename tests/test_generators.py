@@ -16,8 +16,11 @@ KS_SIGNIFICANCE = 0.001
 
 class TestValidation:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidSpecError):
-            GeneratorSpec("weibull", {}, 10, 0)
+        # a sliding mean is the bandit's window (applications._arm_stream)
+        for kind in ("weibull", "moving_average"):
+            with pytest.raises(InvalidSpecError) as exc:
+                GeneratorSpec(kind, {}, 10, 0)
+            assert str(exc.value) == f"unknown generator kind {kind!r}"
 
     def test_bad_params(self):
         with pytest.raises(InvalidSpecError):
@@ -26,13 +29,6 @@ class TestValidation:
             GeneratorSpec.pareto(-1.0, 10, 0)
         with pytest.raises(InvalidSpecError):
             GeneratorSpec.gaussian_ar1(-5, 10, 0)
-        with pytest.raises(InvalidSpecError):
-            GeneratorSpec.moving_average(GeneratorSpec.pareto(3.5, 1, 0), 2.5, 100, 0)
-
-    def test_moving_average_needs_iid_base(self):
-        base = GeneratorSpec.gaussian_ar1(10, 1, 0)
-        with pytest.raises(InvalidSpecError):
-            GeneratorSpec.moving_average(base, 5, 100, 0)
 
     @pytest.mark.parametrize("n, seed", [(0, 1), (10.0, 1), (10, -1), (10, 2.0), (10, "3")])
     def test_length_and_seed_are_checked(self, n, seed):
@@ -47,12 +43,24 @@ class TestValidation:
                 GeneratorSpec.from_dict({**d, key: 1000.5})
 
     def test_dict_round_trip(self):
-        base = GeneratorSpec.pareto(3.5, 1, 0)
-        spec = GeneratorSpec.moving_average(base, 10, 500, 7)
+        spec = GeneratorSpec.pareto(3.5, 500, 7)
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec
-        assert spec.to_dict() == {"kind": "moving_average", "n": 500, "seed": 7, "params": {
-            "base": {"kind": "pareto", "params": {"alpha_tail": 3.5}, "n": 1, "seed": 0},
-            "window": 10}}
+        assert spec.to_dict() == {"kind": "pareto", "n": 500, "seed": 7,
+                                  "params": {"alpha_tail": 3.5}}
+        assert spec.to_dict()["params"] is not spec.params
+
+    @pytest.mark.parametrize("extra, message", [
+        # a key from_dict does not read is refused, not dropped
+        ({"length": 50}, "unknown generator spec key 'length'"),
+        ({"m": 50}, "unknown generator spec key 'm'"),
+        ({"params": [["df", 1]]}, "generator params must be an object, got [['df', 1]]"),
+        ({"params": None}, "generator params must be an object, got None"),
+    ])
+    def test_from_dict_refuses_unknown_keys_and_non_object_params(self, extra, message):
+        d = {**GeneratorSpec.chi_square(1, 2000, 0).to_dict(), **extra}
+        with pytest.raises(InvalidSpecError) as exc:
+            GeneratorSpec.from_dict(d)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("kind, params, message", [
         ("beta", {"a": 0, "b": 5}, "beta a must lie in (0, inf), got 0"),
@@ -61,16 +69,9 @@ class TestValidation:
         ("student_t", {"df": math.inf}, "student_t df must lie in [1, inf), got inf"),
         ("pareto", {"alpha_tail": -1.0}, "pareto alpha_tail must lie in (0, inf), got -1.0"),
         ("gaussian_ar1", {"m": -5}, "gaussian_ar1 m must lie in [0, inf), got -5"),
-        ("moving_average", {"window": 2}, "moving_average needs a base GeneratorSpec"),
-        ("moving_average", {"base": GeneratorSpec.gaussian_ar1(0, 1, 0), "window": 2},
-         "moving_average base must be an iid kind"),
-        ("moving_average", {"base": GeneratorSpec.beta(2, 5, 1, 0), "window": 0},
-         "window must be an integer >= 1, got 0"),
         # a parameter the kind does not read is refused, not carried along
         ("gaussian_ar1", {"m": 50, "phi": 0.9}, "unknown gaussian_ar1 parameter 'phi'"),
         ("chi_square", {"df": 1, "dof": 2}, "unknown chi_square parameter 'dof'"),
-        ("moving_average", {"base": GeneratorSpec.beta(2, 5, 1, 0), "window": 2, "m": 1},
-         "unknown moving_average parameter 'm'"),
     ])
     def test_each_parameter_is_checked(self, kind, params, message):
         with pytest.raises(InvalidSpecError) as exc:
@@ -172,23 +173,6 @@ class TestGaussianAr1:
         assert stats.kstest(s, stats.norm.cdf).pvalue > KS_SIGNIFICANCE
 
 
-class TestMovingAverage:
-    def test_window_mean_definition(self):
-        base = GeneratorSpec.pareto(3.5, 1, 0)
-        spec = GeneratorSpec.moving_average(base, 4, 50, 12)
-        out = generate(spec)
-        raw = generate(GeneratorSpec.pareto(3.5, 53, 12))
-        expected = np.convolve(raw, np.ones(4) / 4, mode="valid")
-        assert np.allclose(out, expected, atol=1e-12)
-        assert len(out) == 50
-
-    def test_window_one_is_base(self):
-        base = GeneratorSpec.pareto(3.5, 1, 0)
-        out = generate(GeneratorSpec.moving_average(base, 1, 100, 13))
-        raw = generate(GeneratorSpec.pareto(3.5, 100, 13))
-        assert np.array_equal(out, raw)
-
-
 def chunk_paths(m, n):
     """Paths per chunk of an AR(1) spec in generators.maxima."""
     return max(1, generators._CHUNK // generators._ar1_layout(m, n)[2])
@@ -197,8 +181,7 @@ def chunk_paths(m, n):
 def maxima_cases():
     for spec in (GeneratorSpec.beta(2, 5, 200, 3), GeneratorSpec.chi_square(1, 200, 3),
                  GeneratorSpec.student_t(4, 200, 3), GeneratorSpec.pareto(2.5, 200, 3),
-                 GeneratorSpec.gaussian_ar1(0, 200, 3),
-                 GeneratorSpec.moving_average(GeneratorSpec.pareto(3.5, 1, 0), 4, 200, 3)):
+                 GeneratorSpec.gaussian_ar1(0, 200, 3)):
         for L in (1, 2, 7):  # drawn path by path, no chunks
             yield pytest.param(spec, L, id=f"{spec.kind}-L{L}")
     # m = 0.2 scans rows of 41 steps; n = 300_000 leaves one path per chunk

@@ -13,9 +13,10 @@ CPU, and its releases may move the draws.
 
 The panel takes about a second on one core.  Its sections:
 
-- ``bandit``: ``bandit_run`` on the acceptance-criterion-9 spec, seeds 0-9:
-  the initial bounds, the pulls, every round's bounds, the stop flag and
-  the warnings;
+- ``bandit``: ``bandit_run`` on the acceptance-criterion-9 spec, seeds 0-9,
+  and on the same spec with rewards averaged over a window of 4 and of 10
+  draws, seeds 0-2: the initial bounds, the pulls, every round's bounds,
+  the stop flag and the warnings;
 - ``pipeline``: ``run_dtm`` and ``confidence_bounds`` on the five
   criterion-5 families (n = 10^4), path and config seeds 1-3, with 1 and 10
   bootstrap replicates and a free and a pinned (0.0) shape: every field of
@@ -42,8 +43,8 @@ The panel takes about a second on one core.  Its sections:
   L = 6, 2**64 - 2 and 2**128 - 2 with L = 4) and from the numpy seed
   ``np.int64(2**63 - 2)`` with L = 4;
 - ``generate``: ``generate`` of every generator kind at n = 1 and n = 500:
-  beta, chi_square, student_t, pareto, ``gaussian_ar1`` at m = 0, 0.2 (rows
-  shorter than 64 steps) and 50, and ``moving_average`` with window 1 and 4;
+  beta, chi_square, student_t, pareto, and ``gaussian_ar1`` at m = 0, 0.2
+  (rows shorter than 64 steps) and 50;
 - ``scan``: ``scan_series(ErGraphSpec(N=100, p0=0.1, k=10, seed=s), 5000)``
   for s = 0-2.
 
@@ -102,12 +103,14 @@ def outcome(call, *args):
 
 
 def bandit(tm):
-    for seed in range(10):
-        spec = tm.BanditSpec(tail_exponents=(3.5, 4.0), delta=0.005, burn_in=500, seed=seed)
+    runs = [(1, seed) for seed in range(10)] + [(w, seed) for w in (4, 10) for seed in range(3)]
+    for window, seed in runs:
+        spec = tm.BanditSpec(tail_exponents=(3.5, 4.0), delta=0.005, burn_in=500,
+                             window=window, seed=seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = tm.bandit_run(spec, total_pulls=1100)
-        yield f"bandit seed={seed}", (res, [str(w.message) for w in caught])
+        yield f"bandit window={window} seed={seed}", (res, [str(w.message) for w in caught])
 
 
 def families(tm):
@@ -185,8 +188,6 @@ def generate(tm):
         "ar1_m0": tm.GeneratorSpec.gaussian_ar1(0, 1, 0),
         "ar1_m0.2": tm.GeneratorSpec.gaussian_ar1(0.2, 1, 0),
         "ar1_m50": tm.GeneratorSpec.gaussian_ar1(50, 1, 0),
-        "ma_w1": tm.GeneratorSpec.moving_average(tm.GeneratorSpec.beta(2, 5, 1, 0), 1, 1, 0),
-        "ma_w4": tm.GeneratorSpec.moving_average(tm.GeneratorSpec.student_t(4, 1, 0), 4, 1, 0),
     }
     for name, spec in kinds.items():
         for n in (1, 500):
