@@ -10,9 +10,9 @@ Supported kinds:
   a stationary standard Gaussian process with correlation length m
   (m = 0 means iid); a burn-in of 10*m steps is discarded.  The recursion
   runs in place on the scaled draws as a blocked scan: the path is cut into
-  rows of 64 steps (fewer for m < 0.32), each a scaled cumulative sum, and
-  only the row ends are carried from row to row, so with 64-step rows the
-  draws are the only path-sized array
+  rows of 16 steps, each one product with the decay kernel, and only the
+  row ends are carried from row to row, so the draws are the only
+  path-sized array
 
 Everything draws from the package PRNG (PCG64), so a spec is reproducible
 bit-for-bit and two specs differing only in seed are independent streams.
@@ -40,11 +40,12 @@ from .resample import make_rng
 
 __all__ = ["GeneratorSpec", "generate", "maxima"]
 
-# The AR(1) scan's rows of at most _ROW steps bound the rounding of each
-# row's cumulative sum; it works _BLOCK elements at a time, so that the passes
-# over one block find it in cache.  AR(1) paths are drawn in chunks of at most
-# _CHUNK draws, so that the buffer stays bounded whatever n and L are.
-_ROW, _BLOCK, _CHUNK = 64, 1 << 15, 1 << 18
+# The AR(1) scan takes each row of _ROW steps as one product with the
+# (_ROW, _ROW) decay kernel, _BLOCK elements of a path at a time, so that the
+# carry-in and the product find a block in cache.  AR(1) paths are drawn in
+# chunks of at most _CHUNK draws, so that the buffer stays bounded whatever n
+# and L are.
+_ROW, _BLOCK, _CHUNK = 16, 1 << 15, 1 << 18
 # Each kind's real parameters as check_real rules (name, lower end, interval
 # ends); a kind reads no other parameter.
 _PARAMS = {
@@ -151,50 +152,49 @@ def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarr
     return rng.standard_normal(n)  # gaussian_ar1 with m = 0: iid standard normal
 
 
+def _ar1_kernel(m: float) -> np.ndarray:
+    """One row's decay kernel K[i, j] = phi**(j - i) for i <= j, else 0.
+    Entries below the smallest normal float are 0: no subnormal slows the
+    BLAS, and none could move a row sum, which holds its draw with weight 1."""
+    lag = np.arange(_ROW) - np.arange(_ROW)[:, None]  # j - i
+    kernel = np.exp(-np.abs(lag) / m)
+    kernel[(lag < 0) | (kernel < np.finfo(float).tiny)] = 0.0
+    return kernel
+
+
 def _ar1_scan(rows: np.ndarray, m: float) -> None:
-    """Replace each path of the batch laid out as ``rows`` (paths, rows, steps)
-    by S_t = phi S_{t-1} + x_t, S_1 = x_1, in place, with phi = exp(-1/m)."""
-    # Row r from its carry-in c_r = phi T_{r-1} is, at step j,
-    # phi**j * (c_r + cumsum(x_j phi**-j)).  The row ends follow
-    # T_r = E_r + phi**b T_{r-1}, with E_r the row's end from a zero start,
-    # run as a doubling scan (Blelloch 1990) over the ends only: after the
-    # pass with offset k, T_r holds sum_{i<2k} phi**(b i) E_{r-i}; later terms
-    # are exactly 0 once k covers the rows or the weight underflows.  Each
-    # path's ends are its own gemv (the stacked matmul), and every other step
-    # is elementwise or runs along one row, so a path's bits do not depend on
-    # the batch it is scanned in.
-    _, n_rows, b = rows.shape
-    j = np.arange(b)
-    up, down = np.exp(j / m), np.exp(-j / m)
-    ends = rows @ down[::-1]  # E_r = sum_j x_j phi**(b-1-j)
-    k, a = 1, math.exp(-b / m)
+    """Replace each path of the batch laid out as ``rows`` (paths, rows,
+    _ROW steps) in place by S_t = phi S_{t-1} + x_t, S_1 = x_1, phi = exp(-1/m)."""
+    # Row r is (x + c_r e_1) K from its carry-in c_r = phi T_{r-1}.  The row
+    # ends follow T_r = E_r + phi**16 T_{r-1}, with E_r = x K[:, -1] the row's
+    # end from a zero start, run as a doubling scan (Blelloch 1990) over the
+    # ends only: after the pass with offset k, T_r holds sum_{i<2k}
+    # phi**(16 i) E_{r-i}; later terms are exactly 0 once k covers the rows or
+    # the weight underflows.  Each path's ends are its own gemv (the stacked
+    # matmul) and its rows go through np.dot in blocks counted from its own
+    # first row, so a path's bits do not depend on the batch it is scanned in.
+    kernel = _ar1_kernel(m)
+    n_rows = rows.shape[1]
+    ends = rows @ kernel[:, -1]
+    k, a = 1, math.exp(-_ROW / m)
     while k < n_rows and a > 0:
         ends[:, k:] += a * ends[:, :-k]
         k, a = 2 * k, a * a
-    carry = np.empty_like(ends)
-    carry[:, 0] = 0.0
+    carry = np.zeros_like(ends)
     np.multiply(math.exp(-1.0 / m), ends[:, :-1], out=carry[:, 1:])
-    flat, carry = rows.reshape(-1, b), carry.reshape(-1)
-    step = _BLOCK // b
-    for i in range(0, len(flat), step):
-        blk = flat[i:i + step]
-        blk *= up
-        blk[:, 0] += carry[i:i + step]
-        np.cumsum(blk, axis=1, out=blk)
-        blk *= down
+    step = _BLOCK // _ROW
+    for path, path_carry in zip(rows, carry):
+        for i in range(0, n_rows, step):
+            blk = path[i:i + step]
+            blk[:, 0] += path_carry[i:i + step]
+            np.dot(blk, kernel, out=blk)  # numpy buffers the overlapping out
 
 
-def _ar1_layout(m: float, n: int) -> tuple[int, int, int]:
-    """(steps b per scan row, burn-in, draws per path) of an AR(1) path, m > 0.
-
-    b comes from m, not from log(phi), which is -inf once phi underflows
-    (m < 1/745); (b - 1)/m <= 200 keeps phi**-j far from overflow.  The draws
-    fill whole rows: the ones past n + burn continue the stream and are
-    dropped.
-    """
-    b = min(_ROW, 1 + int(200 * m))
+def _ar1_layout(m: float, n: int) -> tuple[int, int]:
+    """(burn-in, draws per path) of an AR(1) path, m > 0: whole rows of _ROW
+    steps, whose draws past n + burn continue the stream and are dropped."""
     burn = int(math.ceil(10 * m))
-    return b, burn, -(-(n + burn) // b) * b
+    return burn, -(-(n + burn) // _ROW) * _ROW
 
 
 def _paths(spec: GeneratorSpec, rngs, count: int):
@@ -208,7 +208,7 @@ def _paths(spec: GeneratorSpec, rngs, count: int):
             yield _draw_path(kind, p, n, rng)[None]
         return
     m = p["m"]
-    b, burn, size = _ar1_layout(m, n)
+    burn, size = _ar1_layout(m, n)
     c = min(count, max(1, _CHUNK // size))
     buf = np.empty((c, size))
     innov_sd = math.sqrt(1.0 - math.exp(-2.0 / m))
@@ -220,7 +220,7 @@ def _paths(spec: GeneratorSpec, rngs, count: int):
         z0 = z[:, 0].copy()
         z *= innov_sd
         z[:, 0] = z0
-        _ar1_scan(z.reshape(len(z), -1, b), m)  # burn-in and padding included
+        _ar1_scan(z.reshape(len(z), -1, _ROW), m)  # burn-in and padding included
         yield z[:, burn:burn + n]
 
 

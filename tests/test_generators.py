@@ -142,10 +142,11 @@ class TestGaussianAr1:
         assert abs(np.mean(s)) <= 0.05
         assert np.var(s) == pytest.approx(1.0, abs=0.1)
 
-    # m = 1e-3 underflows phi to 0.0 and m = 0.05 gives short scan rows; the
-    # lengths sit below, at and across the 64-step row edges
-    @pytest.mark.parametrize("m", [1e-3, 0.05, 0.3, 1, 50, 500, 1e4])
-    @pytest.mark.parametrize("n", [1, 10, 63, 64, 65, 129, 10_000, 200_001])
+    # m = 1e-3 underflows phi to 0.0, and at m = 0.0205 the kernel's far
+    # entries would be subnormal; the lengths sit below, at and across the
+    # 16-step row edges
+    @pytest.mark.parametrize("m", [1e-3, 0.0205, 0.05, 0.3, 1, 50, 500, 1e4])
+    @pytest.mark.parametrize("n", [1, 10, 15, 16, 17, 33, 63, 64, 65, 129, 10_000, 200_001])
     def test_matches_linear_filter(self, m, n):
         # the recursion S_t = phi S_{t-1} + x_t on the same draws, by scipy
         burn, phi = math.ceil(10 * m), math.exp(-1 / m)
@@ -155,6 +156,17 @@ class TestGaussianAr1:
         ref = lfilter([1.0], [1.0, -phi], x)[burn:]
         s = generate(GeneratorSpec.gaussian_ar1(m, n, 21))
         assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # K[i, j] = phi**(j - i) for i <= j; at m = 0.0205 the lag-15 entry,
+    # exp(-731.7), would be subnormal and is 0
+    @pytest.mark.parametrize("m", [1e-3, 0.0205, 0.021, 0.05, 1, 50, 1e4])
+    def test_kernel_has_no_subnormal_entry(self, m):
+        kernel = generators._ar1_kernel(m)
+        tiny = np.finfo(float).tiny
+        assert not np.any((kernel != 0) & (np.abs(kernel) < tiny))
+        for i, j in np.ndindex(kernel.shape):
+            want = math.exp(-(j - i) / m) if i <= j else 0.0
+            assert kernel[i, j] == pytest.approx(want if want >= tiny else 0.0, rel=1e-15, abs=0)
 
     def test_peak_memory_is_the_draws(self):
         # the scan runs in place on the draws, with no path-sized temporary
@@ -175,7 +187,7 @@ class TestGaussianAr1:
 
 def chunk_paths(m, n):
     """Paths per chunk of an AR(1) spec in generators.maxima."""
-    return max(1, generators._CHUNK // generators._ar1_layout(m, n)[2])
+    return max(1, generators._CHUNK // generators._ar1_layout(m, n)[1])
 
 
 def maxima_cases():
@@ -184,8 +196,9 @@ def maxima_cases():
                  GeneratorSpec.gaussian_ar1(0, 200, 3)):
         for L in (1, 2, 7):  # drawn path by path, no chunks
             yield pytest.param(spec, L, id=f"{spec.kind}-L{L}")
-    # m = 0.2 scans rows of 41 steps; n = 300_000 leaves one path per chunk
-    for m, n in ((0.2, 500), (50, 500), (50, 300_000)):
+    # n = 50_000 puts 5 paths of 3157 rows in a chunk, each spanning two
+    # 2048-row blocks; n = 300_000 leaves one path per chunk
+    for m, n in ((0.2, 500), (50, 500), (50, 50_000), (50, 300_000)):
         c = chunk_paths(m, n)
         for L in sorted({1, c, c + 1, 2 * c + 3}):
             yield pytest.param(GeneratorSpec.gaussian_ar1(m, n, 3), L, id=f"ar1-m{m}-n{n}-L{L}")
@@ -206,6 +219,7 @@ class TestMaxima:
 
     def test_chunk_sizes(self):
         assert chunk_paths(0.2, 500) > 1 and chunk_paths(50, 500) > 1
+        assert chunk_paths(50, 50_000) == 5
         assert chunk_paths(50, 300_000) == 1
 
     def test_peak_memory_is_one_chunk(self):
