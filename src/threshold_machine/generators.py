@@ -17,19 +17,18 @@ Supported kinds:
 Everything draws from the package PRNG (PCG64), so a spec is reproducible
 bit-for-bit and two specs differing only in seed are independent streams.
 
-One routine draws every path: :func:`generate` takes the single path of its
-spec's seed, and :func:`maxima` the maxima of L paths, path j drawn from
+One routine draws every path of every kind, one path from one generator:
+:func:`generate` takes the single path of its spec's seed, and
+:func:`maxima` the maxima of L paths, path j drawn from
 ``make_rng(seed + j)``, as the Monte Carlo oracle needs them, with no spec
-built per path.  A path drawn either way is the same bit for bit.  AR(1)
-paths with m > 0 are drawn in chunks: the innovations of as many paths as
-fit in ``_CHUNK`` = 2**18 draws (2 MB, and one path if a path is longer) go
-into one reused buffer, and one scan runs over the chunk, so the scan's
-fixed cost is paid once per chunk and the buffer never holds more than one
-chunk, whatever n and L are.  The other kinds draw path by path.
+built per path.  A path drawn either way is the same bit for bit.  Each path
+is drawn alone and reduced to its maximum before the next is drawn, so
+``maxima`` holds one path at a time, whatever L is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -42,10 +41,8 @@ __all__ = ["GeneratorSpec", "generate", "maxima"]
 
 # The AR(1) scan takes each row of _ROW steps as one product with the
 # (_ROW, _ROW) decay kernel, _BLOCK elements of a path at a time, so that the
-# carry-in and the product find a block in cache.  AR(1) paths are drawn in
-# chunks of at most _CHUNK draws, so that the buffer stays bounded whatever n
-# and L are.
-_ROW, _BLOCK, _CHUNK = 16, 1 << 15, 1 << 18
+# product finds a block in cache.
+_ROW, _BLOCK = 16, 1 << 15
 # Each kind's real parameters as check_real rules (name, lower end, interval
 # ends); a kind reads no other parameter.
 _PARAMS = {
@@ -135,8 +132,9 @@ def _validate_params(kind: str, p: dict) -> None:
         check_real(f"{kind} {name}", p.get(name), low, InvalidSpecError, ends=ends)
 
 
-def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One path of any kind but AR(1) with m > 0, which :func:`_paths` draws."""
+def _draw_path(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
+    """One path of ``spec`` drawn from ``rng``."""
+    kind, p, n = spec.kind, spec.params, spec.n
     if kind == "beta":
         g1 = rng.gamma(shape=p["a"], scale=1.0, size=n)
         g2 = rng.gamma(shape=p["b"], scale=1.0, size=n)
@@ -149,98 +147,72 @@ def _draw_path(kind: str, p: dict, n: int, rng: np.random.Generator) -> np.ndarr
         return z / np.sqrt(v / p["df"])
     if kind == "pareto":
         return (1.0 - rng.random(n)) ** (-1.0 / p["alpha_tail"])
-    return rng.standard_normal(n)  # gaussian_ar1 with m = 0: iid standard normal
+    m = p["m"]
+    if m == 0:
+        return rng.standard_normal(n)  # iid standard normal
+    # whole rows of _ROW steps, burn-in included; the draws past n + burn
+    # continue the stream and are dropped
+    burn = int(math.ceil(10 * m))
+    z = rng.standard_normal(-(-(n + burn) // _ROW) * _ROW)
+    # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
+    z0 = z[0]
+    z *= math.sqrt(1.0 - math.exp(-2.0 / m))
+    z[0] = z0
+    _ar1_scan(z.reshape(-1, _ROW), m)
+    return z[burn:burn + n]
 
 
+@functools.lru_cache(maxsize=16)
 def _ar1_kernel(m: float) -> np.ndarray:
-    """One row's decay kernel K[i, j] = phi**(j - i) for i <= j, else 0.
-    Entries below the smallest normal float are 0: no subnormal slows the
-    BLAS, and none could move a row sum, which holds its draw with weight 1."""
+    """One row's decay kernel K[i, j] = phi**(j - i) for i <= j, else 0,
+    read-only, as it is shared by every path of the same m.  Entries below
+    the smallest normal float are 0: no subnormal slows the BLAS, and none
+    could move a row sum, which holds its draw with weight 1."""
     lag = np.arange(_ROW) - np.arange(_ROW)[:, None]  # j - i
     kernel = np.exp(-np.abs(lag) / m)
     kernel[(lag < 0) | (kernel < np.finfo(float).tiny)] = 0.0
+    kernel.flags.writeable = False
     return kernel
 
 
 def _ar1_scan(rows: np.ndarray, m: float) -> None:
-    """Replace each path of the batch laid out as ``rows`` (paths, rows,
-    _ROW steps) in place by S_t = phi S_{t-1} + x_t, S_1 = x_1, phi = exp(-1/m)."""
+    """Replace the path laid out as ``rows`` (rows, _ROW steps) in place by
+    S_t = phi S_{t-1} + x_t, S_1 = x_1, phi = exp(-1/m)."""
     # Row r is (x + c_r e_1) K from its carry-in c_r = phi T_{r-1}.  The row
     # ends follow T_r = E_r + phi**16 T_{r-1}, with E_r = x K[:, -1] the row's
     # end from a zero start, run as a doubling scan (Blelloch 1990) over the
     # ends only: after the pass with offset k, T_r holds sum_{i<2k}
     # phi**(16 i) E_{r-i}; later terms are exactly 0 once k covers the rows or
-    # the weight underflows.  Each path's ends are its own gemv (the stacked
-    # matmul) and its rows go through np.dot in blocks counted from its own
-    # first row, so a path's bits do not depend on the batch it is scanned in.
+    # the weight underflows.
     kernel = _ar1_kernel(m)
-    n_rows = rows.shape[1]
+    n_rows = len(rows)
     ends = rows @ kernel[:, -1]
     k, a = 1, math.exp(-_ROW / m)
     while k < n_rows and a > 0:
-        ends[:, k:] += a * ends[:, :-k]
+        ends[k:] += a * ends[:-k]
         k, a = 2 * k, a * a
-    carry = np.zeros_like(ends)
-    np.multiply(math.exp(-1.0 / m), ends[:, :-1], out=carry[:, 1:])
+    rows[1:, 0] += math.exp(-1.0 / m) * ends[:-1]
     step = _BLOCK // _ROW
-    for path, path_carry in zip(rows, carry):
-        for i in range(0, n_rows, step):
-            blk = path[i:i + step]
-            blk[:, 0] += path_carry[i:i + step]
-            np.dot(blk, kernel, out=blk)  # numpy buffers the overlapping out
-
-
-def _ar1_layout(m: float, n: int) -> tuple[int, int]:
-    """(burn-in, draws per path) of an AR(1) path, m > 0: whole rows of _ROW
-    steps, whose draws past n + burn continue the stream and are dropped."""
-    burn = int(math.ceil(10 * m))
-    return burn, -(-(n + burn) // _ROW) * _ROW
-
-
-def _paths(spec: GeneratorSpec, rngs, count: int):
-    """Yield the paths of ``spec`` drawn from the ``count`` generators of
-    ``rngs``, in order, as the rows of 2-D blocks: AR(1) with m > 0 a chunk
-    of at most ``_CHUNK`` draws (or one path, if longer) at a time, each
-    block a view of one reused buffer; every other kind one row per path."""
-    kind, p, n = spec.kind, spec.params, spec.n
-    if kind != "gaussian_ar1" or p["m"] == 0:
-        for rng in rngs:
-            yield _draw_path(kind, p, n, rng)[None]
-        return
-    m = p["m"]
-    burn, size = _ar1_layout(m, n)
-    c = min(count, max(1, _CHUNK // size))
-    buf = np.empty((c, size))
-    innov_sd = math.sqrt(1.0 - math.exp(-2.0 / m))
-    for i in range(0, count, c):
-        z = buf[:min(c, count - i)]
-        for row, rng in zip(z, rngs):  # z first: zip takes len(z) generators
-            rng.standard_normal(out=row)  # the stream of a sized draw
-        # x_t = innov_sd Z_t with x_1 = Z_1 (stationary start), in place
-        z0 = z[:, 0].copy()
-        z *= innov_sd
-        z[:, 0] = z0
-        _ar1_scan(z.reshape(len(z), -1, _ROW), m)  # burn-in and padding included
-        yield z[:, burn:burn + n]
+    for i in range(0, n_rows, step):
+        blk = rows[i:i + step]
+        np.dot(blk, kernel, out=blk)  # numpy buffers the overlapping out
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Generate the series described by ``spec``; deterministic given seed."""
-    return next(_paths(spec, (make_rng(spec.seed),), 1))[0]
+    return _draw_path(spec, make_rng(spec.seed))
 
 
 def maxima(spec: GeneratorSpec, L: int) -> np.ndarray:
-    """The maximum of each of L paths of ``spec``, path j drawn from
+    """The maximum of each of L paths of ``spec``, path j drawn alone from
     ``make_rng(spec.seed + j)``: equal bit for bit to
     ``np.max(generate(spec.with_seed(spec.seed + j)))``, without a spec per
-    path (see the module docstring for the chunked AR(1) draw).
+    path, and holding one path at a time.
     """
     check_count("L", L, 1, InvalidSpecError)
     # int() first: a numpy-integer seed near 2**63 would wrap when j is added
-    rngs = (make_rng(int(spec.seed) + j) for j in range(L))
+    seed = int(spec.seed)
     out = np.empty(L)
-    i = 0
-    for block in _paths(spec, rngs, L):
-        np.maximum.reduce(block, axis=1, out=out[i:i + len(block)])
-        i += len(block)
+    for j in range(L):
+        out[j] = np.maximum.reduce(_draw_path(spec, make_rng(seed + j)))
     return out

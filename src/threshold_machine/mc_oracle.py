@@ -5,9 +5,8 @@ from seed + j), records each maximum, and exposes the empirical distribution:
 the expensive reference that the one-sample pipeline is meant to replace.
 
 The maxima come from :func:`generators.maxima`, which seeds path j with
-``make_rng(spec.seed + j)`` and draws the paths through the routine behind
-:func:`generators.generate` (the ``generators`` module docstring describes
-its chunked AR(1) draw and memory bound); every maximum equals the one of
+``make_rng(spec.seed + j)`` and draws each path alone through the routine
+behind :func:`generators.generate`; every maximum equals the one of
 ``generate(spec.with_seed(spec.seed + j))`` bit for bit.
 """
 

@@ -167,40 +167,43 @@ class TestGaussianAr1:
         for i, j in np.ndindex(kernel.shape):
             want = math.exp(-(j - i) / m) if i <= j else 0.0
             assert kernel[i, j] == pytest.approx(want if want >= tiny else 0.0, rel=1e-15, abs=0)
+        # memoized, so shared by every path of the same m
+        assert not kernel.flags.writeable
 
     def test_peak_memory_is_the_draws(self):
         # the scan runs in place on the draws, with no path-sized temporary
         n, burn = 10**6, 500
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            generate(GeneratorSpec.gaussian_ar1(50, n, 13))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * (n + burn)
+        spec = GeneratorSpec.gaussian_ar1(50, n, 13)
+        assert traced_peak(lambda: generate(spec)) < 1.5 * 8 * (n + burn)
 
     def test_iid_case_is_standard_normal(self):
         s = generate(GeneratorSpec.gaussian_ar1(0, 10_000, 11))
         assert stats.kstest(s, stats.norm.cdf).pvalue > KS_SIGNIFICANCE
 
 
-def chunk_paths(m, n):
-    """Paths per chunk of an AR(1) spec in generators.maxima."""
-    return max(1, generators._CHUNK // generators._ar1_layout(m, n)[1])
+def traced_peak(call):
+    """Bytes that ``call()`` allocated at its peak, as tracemalloc traces them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def maxima_cases():
     for spec in (GeneratorSpec.beta(2, 5, 200, 3), GeneratorSpec.chi_square(1, 200, 3),
                  GeneratorSpec.student_t(4, 200, 3), GeneratorSpec.pareto(2.5, 200, 3),
                  GeneratorSpec.gaussian_ar1(0, 200, 3)):
-        for L in (1, 2, 7):  # drawn path by path, no chunks
+        for L in (1, 2, 7):
             yield pytest.param(spec, L, id=f"{spec.kind}-L{L}")
-    # n = 50_000 puts 5 paths of 3157 rows in a chunk, each spanning two
-    # 2048-row blocks; n = 300_000 leaves one path per chunk
-    for m, n in ((0.2, 500), (50, 500), (50, 50_000), (50, 300_000)):
-        c = chunk_paths(m, n)
-        for L in sorted({1, c, c + 1, 2 * c + 3}):
+    # the counts sit at and past the edges of 2 MB batches of paths (512,
+    # 260, 5 and 1 path), many short paths among them; at n = 50_000 each
+    # path of 3157 rows spans two 2048-row scan blocks, and at n = 300_000 ten
+    for m, n, counts in ((0.2, 500, (1, 512, 513, 1027)), (50, 500, (1, 260, 261, 523)),
+                         (50, 50_000, (1, 5, 6, 13)), (50, 300_000, (1, 2, 5))):
+        for L in counts:
             yield pytest.param(GeneratorSpec.gaussian_ar1(m, n, 3), L, id=f"ar1-m{m}-n{n}-L{L}")
     # seeds whose 32-bit word count grows within the range, and a numpy seed
     # that wraps negative if j is added to it before it is made an int
@@ -217,19 +220,19 @@ class TestMaxima:
         want = [np.max(generate(spec.with_seed(int(spec.seed) + j))) for j in range(L)]
         assert got.tobytes() == np.array(want).tobytes()
 
-    def test_chunk_sizes(self):
-        assert chunk_paths(0.2, 500) > 1 and chunk_paths(50, 500) > 1
-        assert chunk_paths(50, 50_000) == 5
-        assert chunk_paths(50, 300_000) == 1
-
-    def test_peak_memory_is_one_chunk(self):
-        # a path longer than a chunk is drawn alone: the buffer holds one path
+    def test_peak_memory_is_one_path(self):
+        # a path is drawn, scanned and reduced before the next is drawn: the
+        # peak is one path's draws, with the scan's block-sized buffer beside
         n, burn = 300_000, 500
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            generators.maxima(GeneratorSpec.gaussian_ar1(50, n, 13), 3)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * (n + burn)
+        spec = GeneratorSpec.gaussian_ar1(50, n, 13)
+        assert traced_peak(lambda: generators.maxima(spec, 3)) < 1.5 * 8 * (n + burn)
+
+    def test_many_short_paths_hold_one_at_a_time(self):
+        # past the first of 1027 short paths, each path adds only its maximum
+        # to the peak, and not half a path's draws
+        n, burn, L = 500, 2, 1027
+        spec = GeneratorSpec.gaussian_ar1(0.2, n, 13)
+        generate(spec)  # the decay kernel is memoized on its first use
+        one = traced_peak(lambda: generators.maxima(spec, 1))
+        assert traced_peak(lambda: generators.maxima(spec, L)) < one + 8 * L + 0.5 * 8 * (n + burn)
+

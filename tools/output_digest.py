@@ -45,9 +45,10 @@ The panel takes about a second on one core.  Its sections:
 - ``generate``: ``generate`` of every generator kind at n = 1 and n = 500:
   beta, chi_square, student_t, pareto, and ``gaussian_ar1`` at m = 0, 0.2
   and 50; ``generate(gaussian_ar1(0.0205, 10_000, s))``, whose decay kernel
-  drops the entries that would be subnormal, and ``maxima(gaussian_ar1(50,
-  50_000, s), 6)``, whose paths each span two scan blocks inside a
-  multi-path chunk, for s = 0-2;
+  drops the entries that would be subnormal, ``maxima(gaussian_ar1(50,
+  50_000, s), 6)``, whose paths each span two scan blocks, and
+  ``maxima(gaussian_ar1(0.2, 500, s), 1027)``, many short paths, for
+  s = 0-2;
 - ``scan``: ``scan_series(ErGraphSpec(N=100, p0=0.1, k=10, seed=s), 5000)``
   for s = 0-2.
 
@@ -201,6 +202,8 @@ def generate(tm):
         yield f"generate ar1_m0.0205 n=10000 seed={seed}", tm.generate(spec)
         spec = tm.GeneratorSpec.gaussian_ar1(50, 50_000, seed)
         yield f"maxima ar1_m50 n=50000 seed={seed} L=6", tm.maxima(spec, 6)
+        spec = tm.GeneratorSpec.gaussian_ar1(0.2, 500, seed)
+        yield f"maxima ar1_m0.2 n=500 seed={seed} L=1027", tm.maxima(spec, 1027)
 
 
 def scan(tm):
