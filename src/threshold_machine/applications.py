@@ -20,7 +20,6 @@ from .errors import (
     FitWarning,
     InvalidBandwidthError,
     InvalidSpecError,
-    SizeMismatchError,
     check_count,
     check_level,
     check_real,
@@ -32,7 +31,6 @@ from .resample import make_rng, stream_seed
 __all__ = [
     "ErGraphSpec",
     "scan_series",
-    "mmd_stat",
     "MmdStreamSpec",
     "ChangePointResult",
     "change_point_run",
@@ -112,36 +110,6 @@ def _block_mmd(K: np.ndarray, order: np.ndarray) -> float:
     syy = kyy.sum() - np.trace(kyy)
     sxy = kxy.sum() - kxy[order, np.arange(B)].sum()
     return float((sxx + syy - 2.0 * sxy) / (B * (B - 1)))
-
-
-def _as_block(X) -> np.ndarray:
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise SizeMismatchError(f"block must be a 2-D array of vectors, got shape {arr.shape}")
-    return arr
-
-
-def mmd_stat(X, Y, bandwidth: float) -> float:
-    """Unbiased block estimate of the squared maximum mean discrepancy.
-
-    With paired blocks x_1..x_B and y_1..y_B and Gaussian kernel k,
-
-        (1 / (B(B-1))) * sum_{i != j} [k(x_i,x_j) + k(y_i,y_j)
-                                       - k(x_i,y_j) - k(x_j,y_i)]
-
-    Zero for identical blocks, symmetric under exchanging X and Y.
-    """
-    check_real("bandwidth", bandwidth, 0, InvalidBandwidthError)
-    Xb, Yb = _as_block(X), _as_block(Y)
-    if Xb.shape != Yb.shape:
-        raise SizeMismatchError(f"blocks must have equal shape, got {Xb.shape} vs {Yb.shape}")
-    B = Xb.shape[0]
-    if B < 2:
-        raise SizeMismatchError(f"blocks must hold at least 2 vectors, got {B}")
-    sq = _pairwise_sq_dists(np.vstack([Xb, Yb]))
-    return _block_mmd(_gaussian(sq, bandwidth), np.arange(B))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ from numbers import Integral
 import numpy as np
 
 __all__ = [
-    "DtmError", "InvalidParamsError", "OutOfSupportError", "InvalidTargetError",
-    "InvalidQuantileError", "InvalidSeriesError", "TooFewExceedancesError",
-    "DegenerateHeightsError", "InvalidThetaError", "NoClustersError", "InvalidSpecError",
-    "InvalidConfigError", "SizeMismatchError", "InvalidBandwidthError", "ParseError",
-    "FitWarning",
+    "DtmError", "InvalidParamsError", "InvalidTargetError", "InvalidQuantileError",
+    "InvalidSeriesError", "TooFewExceedancesError", "DegenerateHeightsError",
+    "InvalidThetaError", "NoClustersError", "InvalidSpecError", "InvalidConfigError",
+    "InvalidBandwidthError", "ParseError", "FitWarning",
 ]
 
 # check_real refuses these by type; numpy's bool is not a numbers.Integral,
@@ -43,12 +42,6 @@ class InvalidParamsError(DtmError):
     """Distribution parameters violate their invariants (e.g. sigma <= 0)."""
 
     code = "invalid-params"
-
-
-class OutOfSupportError(DtmError):
-    """Evaluation point lies outside the support of the tail function."""
-
-    code = "out-of-support"
 
 
 class InvalidTargetError(DtmError):
@@ -103,12 +96,6 @@ class InvalidConfigError(DtmError):
     """Pipeline configuration fails validation."""
 
     code = "invalid-config"
-
-
-class SizeMismatchError(DtmError):
-    """Paired sample blocks have different sizes."""
-
-    code = "size-mismatch"
 
 
 class InvalidBandwidthError(DtmError):

@@ -1,15 +1,16 @@
-"""Evaluation of the generalized extreme value family.
+"""The generalized extreme value family, the fitted tail model, and the maps
+between levels and thresholds.
 
 The family is parameterized by location ``mu``, scale ``sigma`` and shape
 ``xi``.  ``xi > 0`` gives the Frechet (heavy) tail, ``xi < 0`` the Weibull
 (bounded) tail and ``xi = 0`` the Gumbel limit.  With ``z = (x - mu)/sigma``
 the tail function is ``C(x) = -log G(x) = (1 + xi*z)**(-1/xi)``, so
 ``log C(x)`` is minus the inverse of the Box-Cox map ``expm1(xi*v)/xi`` at
-``z``.  This module alone decides the Gumbel limit: both maps are the
-identity for shapes with ``|xi|`` below :data:`XI_GUMBEL_TOL`, which avoids
-catastrophic cancellation near zero.
-
-All functions are pure and accept scalars or arrays in ``x``.
+``z``.  :func:`invert_tail` solves ``C(x) = y`` through the map and
+:func:`model_max_cdf` evaluates ``G(x)**theta`` through ``log C``, each at a
+scalar or an array.  This module alone decides the Gumbel limit: both maps
+are the identity for shapes with ``|xi|`` below :data:`XI_GUMBEL_TOL`, which
+avoids catastrophic cancellation near zero.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     InvalidParamsError,
     InvalidQuantileError,
     InvalidTargetError,
-    OutOfSupportError,
     check_count,
     check_level,
     check_real,
@@ -33,8 +33,6 @@ __all__ = [
     "XI_GUMBEL_TOL",
     "GevParams",
     "TailModel",
-    "gev_cdf",
-    "tail_fn",
     "invert_tail",
     "model_max_cdf",
 ]
@@ -114,42 +112,11 @@ def _log_tail(params: GevParams, x):
     return -np.log1p(np.where(b > -1, b, np.nan)) / params.xi
 
 
-def _max_cdf(params: GevParams, theta: float, x):
-    """``G(x)**theta = exp(-theta * C(x))``, clamped by continuity outside the
-    support: 0 below the lower endpoint (xi > 0), 1 above the upper one
-    (xi < 0).  Scaling ``C`` by ``theta`` first avoids the underflow of ``G``."""
-    arr, scalar = _as_array(x)
-    log_c = _log_tail(params, arr)
-    out = np.where(np.isnan(log_c), float(params.xi < 0), np.exp(-theta * np.exp(log_c)))
-    return float(out) if scalar else out
-
-
-def gev_cdf(params: GevParams, x):
-    """CDF G(x) of the extreme value family, clamped outside the support."""
-    return _max_cdf(params, 1.0, x)
-
-
-def tail_fn(params: GevParams, x):
-    """Tail function C(x) = -log G(x), strictly decreasing on the support.
-
-    Unlike :func:`gev_cdf` this errors outside the support because the
-    likelihoods built on top of it are undefined there.
-    """
-    arr, scalar = _as_array(x)
-    log_c = _log_tail(params, arr)
-    if np.any(np.isnan(log_c)):
-        raise OutOfSupportError(
-            f"x outside support of {params}: 1 + xi*(x-mu)/sigma must be > 0"
-        )
-    out = np.exp(log_c)
-    return float(out) if scalar else out
-
-
 def invert_tail(params: GevParams, y):
-    """Solve C(x) = y for x.
+    """Solve C(x) = y for x: ``mu + sigma * expm1(-xi*log y)/xi``.
 
-    ``y`` must be positive and finite; round-trips with :func:`tail_fn` to
-    relative error below 1e-9.
+    ``y`` must be positive and finite.  Over the support, ``x`` comes back
+    from ``y = C(x)`` to relative error below 1e-9.
     """
     if isinstance(y, float):
         # a Python or numpy float skips the array round trip; the logarithm
@@ -165,5 +132,13 @@ def invert_tail(params: GevParams, y):
 
 
 def model_max_cdf(model: TailModel, x):
-    """P{max of the modeled series <= x}, i.e. G(x)**theta."""
-    return _max_cdf(model.params, model.theta, x)
+    """P{max of the modeled series <= x}: ``G(x)**theta = exp(-theta * C(x))``,
+    clamped by continuity outside the support: 0 below the lower endpoint
+    (xi > 0), 1 above the upper one (xi < 0); nan at a nan ``x``.  Scaling
+    ``C`` by ``theta`` first avoids the underflow of ``G``."""
+    arr, scalar = _as_array(x)
+    log_c = _log_tail(model.params, arr)
+    # a nan x has a nan log C too, but lies on neither side of the support
+    outside = np.isnan(log_c) & ~np.isnan(arr)
+    out = np.where(outside, float(model.params.xi < 0), np.exp(-model.theta * np.exp(log_c)))
+    return float(out) if scalar else out

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidThetaError, NoClustersError, check_real
+from .errors import InvalidThetaError, NoClustersError
 from .exceedance import GapSet
 
-__all__ = ["ThetaEstimate", "theta_log_likelihood", "theta_closed_form"]
+__all__ = ["ThetaEstimate", "theta_closed_form"]
 
 
 @dataclass(frozen=True)
@@ -56,21 +56,6 @@ def _gap_stats(g: GapSet) -> tuple[int, int, int, float]:
     a = n_u - n_c - 1
     c = g.rate * float(np.add.reduce(t) - t.size)
     return n_u, n_c, a, c
-
-
-def theta_log_likelihood(theta: float, g: GapSet) -> float:
-    """Log likelihood of the exponential/point-mass mixture at ``theta``."""
-    check_real("theta", theta, 0, InvalidThetaError, 1, "(]")
-    if len(g.gaps) < 1:
-        raise InvalidThetaError("need at least one gap")
-    _, n_c, a, c = _gap_stats(g)
-    b = 2 * n_c
-    if theta == 1.0:
-        first = 0.0 if a == 0 else -math.inf
-    else:
-        first = a * math.log1p(-theta)
-    second = 0.0 if b == 0 else b * math.log(theta)
-    return first + second - theta * c
 
 
 def theta_closed_form(g: GapSet) -> ThetaEstimate:

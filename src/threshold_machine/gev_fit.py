@@ -7,7 +7,8 @@ only on the heights and the cutoff,
 
     NLL = C(u) + n_u * log sigma - (1 + xi) * sum_k log C(h_k)
 
-with ``log C`` from :mod:`evt_core`, which also decides the Gumbel limit.
+with ``C`` the tail function of :mod:`evt_core`, which also decides the
+Gumbel limit.
 
 The fit is exact.  With ``sigma_u = sigma + xi*(u - mu)`` the NLL splits into
 a Poisson count term, minimized at ``C(u) = n_u``, and the generalized Pareto
@@ -44,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHeightsError, InvalidConfigError, TooFewExceedancesError, check_real
-from .evt_core import GevParams, _box_cox, _is_gumbel, _log_tail
+from .evt_core import GevParams, _box_cox, _is_gumbel
 from .exceedance import MIN_EXCEEDANCES, ExceedanceSet
 
-__all__ = ["FitDiagnostics", "neg_log_likelihood", "fit"]
+__all__ = ["FitDiagnostics", "fit"]
 
 # Profile grid in log1p(t): steps of 1/4 up to t = 8.1e3, through t = 0, then
 # unit steps up to t = 1e13, where shapes xi >> 1 put their optimum (t ~ n_u**xi).
@@ -81,18 +82,6 @@ class FitDiagnostics:
     converged: bool
     n_u_used: int
     boundary: bool
-
-
-def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
-    """Negative log likelihood of the marked Poisson model: the reference NLL
-    that the tests check :func:`fit` against, +inf off the model's support.
-    """
-    if exc.n_u < 1:
-        raise TooFewExceedancesError("likelihood needs at least one exceedance")
-    with np.errstate(over="ignore", invalid="ignore"):
-        nll = (np.exp(_log_tail(params, exc.cutoff)) + exc.n_u * math.log(params.sigma)
-               - (1 + params.xi) * np.sum(_log_tail(params, exc.heights)))
-    return float(nll) if np.isfinite(nll) else math.inf
 
 
 def _profile(t: np.ndarray, w: np.ndarray, shape: float | None) -> np.ndarray:

@@ -43,8 +43,11 @@ class EmpiricalMaxDist:
         return self.maxima.size
 
     def cdf(self, x) -> np.ndarray:
-        """Right-continuous empirical CDF of the maxima."""
-        return np.searchsorted(self.maxima, np.asarray(x, dtype=float), side="right") / self.L
+        """Right-continuous empirical CDF of the maxima; nan at a nan ``x``,
+        which ``searchsorted`` would place after every maximum."""
+        x = np.asarray(x, dtype=float)
+        ranks = np.searchsorted(self.maxima, x, side="right")
+        return np.where(np.isnan(x), np.nan, ranks / self.L)[()]
 
 
 def empirical_max_cdf(spec: GeneratorSpec, L: int) -> EmpiricalMaxDist:

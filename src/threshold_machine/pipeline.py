@@ -22,7 +22,7 @@ draw, so no replicate re-validates, re-thresholds or copies the series.
 Fewer than ``exceedance.MIN_EXCEEDANCES`` exceedances above u on the
 original series fail the run, and so does a replicate's failed fit.
 
-Also provides the ARL <-> alpha mapping used by sequential detection and
+Also provides the ARL -> alpha mapping used by sequential detection and
 upper/lower confidence bounds, both at the config's alpha, for the maximum of
 a sequence.
 """

@@ -35,11 +35,11 @@ from threshold_machine import (
     run_dtm,
     scan_series,
     sup_norm_gap,
-    tail_fn,
     theta_closed_form,
-    theta_log_likelihood,
 )
 from threshold_machine.resample import make_rng
+
+from reference import tail_fn, theta_log_likelihood
 
 # silences warnings in this module's tests only, not in the rest of the test run
 pytestmark = pytest.mark.filterwarnings("ignore")

@@ -16,9 +16,10 @@ from threshold_machine import (
     InvalidSpecError,
     InvalidThetaError,
     MmdStreamSpec,
-    theta_log_likelihood,
 )
 from threshold_machine.errors import DtmError, check_real
+
+from reference import theta_log_likelihood
 
 
 @pytest.mark.parametrize("value, ends, admitted", [

@@ -10,13 +10,12 @@ from threshold_machine import (
     InvalidParamsError,
     InvalidQuantileError,
     InvalidTargetError,
-    OutOfSupportError,
     TailModel,
-    gev_cdf,
     invert_tail,
     model_max_cdf,
-    tail_fn,
 )
+
+from reference import gev_cdf, tail_fn
 
 
 def random_params(rng, n):
@@ -119,9 +118,9 @@ class TestTailFn:
         assert np.all(np.diff(c) < 0)
 
     def test_out_of_support_raises(self):
-        with pytest.raises(OutOfSupportError):
+        with pytest.raises(ValueError, match="outside support"):
             tail_fn(GevParams(0, 1, -0.5), 3.0)
-        with pytest.raises(OutOfSupportError):
+        with pytest.raises(ValueError, match="outside support"):
             tail_fn(GevParams(0, 1, 0.5), -3.0)
 
 
@@ -194,6 +193,17 @@ class TestTailModel:
         assert model_max_cdf(model, x) == pytest.approx(np.exp(-0.4), abs=1e-12)
         # at the rounded threshold value 5.54 it lands within 2e-3
         assert model_max_cdf(model, 5.54) == pytest.approx(0.6703, abs=2e-3)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.4, -0.6], ids=["gumbel", "frechet", "weibull"])
+    def test_nan_point_is_nan(self, xi):
+        # a nan x lies on neither side of the support, so neither clamp
+        # applies; the finite points around it keep their values
+        model = TailModel(params=GevParams(1.0, 2.0, xi), theta=0.5, cutoff=0.0, horizon=10)
+        assert math.isnan(model_max_cdf(model, math.nan))
+        x = np.array([-50.0, math.nan, 1.5, 50.0])
+        got = model_max_cdf(model, x)
+        assert np.isnan(got[1])
+        assert got[[0, 2, 3]].tolist() == [model_max_cdf(model, v) for v in (-50.0, 1.5, 50.0)]
 
     def test_invariants_enforced(self):
         params = GevParams(0, 1, 0)

@@ -15,9 +15,10 @@ from threshold_machine import (
     ThetaEstimate,
     quantile_cutoff,
     theta_closed_form,
-    theta_log_likelihood,
 )
 from threshold_machine.extremal_index import InvalidThetaError
+
+from reference import theta_log_likelihood
 
 
 def gapset(gap_list, rate):

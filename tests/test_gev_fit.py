@@ -18,14 +18,14 @@ from threshold_machine import (
     extract,
     fit,
     generate,
-    neg_log_likelihood,
     quantile_cutoff,
     scan_series,
-    tail_fn,
 )
 from threshold_machine import gev_fit
 from threshold_machine.exceedance import MIN_EXCEEDANCES
 from threshold_machine.resample import bootstrap_draw, make_rng
+
+from reference import neg_log_likelihood, tail_fn
 
 
 def exc_set(heights, u, n=None):

@@ -79,6 +79,15 @@ class TestEmpiricalMaxDist:
         assert mc_threshold(dist, 0.5) == 2.0
         assert float(dist.cdf(2.0)) == 0.75
 
+    def test_cdf_is_nan_at_a_nan_point(self):
+        # searchsorted ranks nan after every maximum, but the CDF there is nan, not 1
+        dist = EmpiricalMaxDist(np.array([1.0, 2.0, 3.0]))
+        assert np.isnan(dist.cdf(np.nan))
+        assert type(dist.cdf(2.0)) is np.float64
+        got = dist.cdf([0.5, np.nan, 2.0, 3.5])
+        assert np.isnan(got[1])
+        assert got[[0, 2, 3]].tolist() == [0.0, 2 / 3, 1.0]
+
 
 class TestMcThreshold:
     def test_nearest_rank(self):
