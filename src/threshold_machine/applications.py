@@ -88,12 +88,6 @@ def scan_series(spec: ErGraphSpec, n_subgraphs: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sq_dists(Z: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances of the rows of Z, clipped at 0 against cancellation."""
-    zz = np.einsum("ij,ij->i", Z, Z)
-    return np.maximum(zz[:, None] + zz - 2.0 * (Z @ Z.T), 0.0)
-
-
 def _gaussian(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * bandwidth * bandwidth))
 
@@ -170,21 +164,20 @@ def _snapshot(spec: MmdStreamSpec, t: int) -> np.ndarray:
     return (rng.random(d) < p).astype(float)
 
 
-def _median_heuristic(ref: np.ndarray) -> float:
-    sq = _pairwise_sq_dists(ref)
-    return float(np.sqrt(np.median(sq[np.triu_indices(ref.shape[0], k=1)])))
+def _bandwidth(H: np.ndarray) -> float:  # median distance of 0/1 rows with Hamming counts H
+    return float(np.sqrt(np.median(H[np.triu_indices(H.shape[0], k=1)])))
 
 
 def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
     """Online sliding-window detection on the snapshot stream.
 
     The reference block is the first ``block_size`` snapshots, and its median
-    pairwise distance is the kernel bandwidth; the statistic at time t
-    compares the last ``block_size`` snapshots against it, from
-    t = 2 * block_size (first disjoint window).  The pipeline (default cutoff
-    quantile, shape pinned at 0) is trained on the first ``train_len``
-    statistics at alpha = arl_to_alpha(train_len, arl); monitoring scans the
-    rest of the stream and stops at the first exceedance.
+    pairwise distance, read off Hamming counts, is the kernel bandwidth; the
+    statistic at time t compares the last ``block_size`` snapshots against
+    it, from t = 2 * block_size (first disjoint window).  The pipeline
+    (default cutoff quantile, shape pinned at 0) is trained on the first
+    ``train_len`` statistics at alpha = arl_to_alpha(train_len, arl);
+    monitoring scans the rest of the stream and stops at the first exceedance.
     """
     B = spec.block_size
     stream_start = 2 * B
@@ -196,22 +189,22 @@ def change_point_run(spec: MmdStreamSpec, arl: float) -> ChangePointResult:
     cfg = DtmConfig(alpha=alpha, bootstrap_reps=spec.bootstrap_reps, fix_xi=0.0, seed=spec.seed)
 
     ref = np.stack([_snapshot(spec, t) for t in range(1, B + 1)])
-    bandwidth = _median_heuristic(ref)
-    check_real("median-heuristic bandwidth", bandwidth, 0, InvalidBandwidthError)
-
-    # 0/1 snapshots: a squared distance is a Hamming count h <= d, which the
-    # float route also forms exactly (integers < 2**53), so the kernel is table[h]
-    table = _gaussian(np.arange(ref.shape[1] + 1.0), bandwidth)
     # P = [window; ref] as packed bits; window slot(t) = t % B, at t = B the ref block
     P = np.packbits(np.concatenate([np.roll(ref, 1, axis=0), ref]) > 0, axis=1)
-    def kernel(rows):  # table[Hamming count] of rows against every row of P
-        return table[np.bitwise_count(P ^ rows).sum(axis=-1)]
-    K = np.array([kernel(row) for row in P])  # row by row, temporaries the size of P
+    def hamming(row):  # Hamming counts of packed bits against every row of P
+        return np.bitwise_count(P ^ row).sum(axis=-1)
+    H = np.array([hamming(row) for row in P])  # row by row, temporaries the size of P
+    bandwidth = _bandwidth(H[B:, B:])
+    check_real("median-heuristic bandwidth", bandwidth, 0, InvalidBandwidthError)
+
+    # 0/1 snapshots: a squared distance is a Hamming count h <= d, so the kernel is table[h]
+    table = _gaussian(np.arange(ref.shape[1] + 1.0), bandwidth)
+    K = table[H]
     stream = np.empty(n_stream)
     for t in range(B + 1, spec.horizon + 1):
         slot = t % B
         P[slot] = np.packbits(_snapshot(spec, t) > 0)
-        K[slot, :] = K[:, slot] = kernel(P[slot])
+        K[slot, :] = K[:, slot] = table[hamming(P[slot])]
         if t >= stream_start:
             # chronological rank i (0-based) of the window pairs with ref row i
             stream[t - stream_start] = _block_mmd(K, np.arange(t - B + 1, t + 1) % B)

@@ -9,9 +9,9 @@ Three subcommands:
 - ``app``: run an application harness (scan | changepoint | bandit) from a
   JSON spec file and write its artifacts to an output directory.
 
-Exit codes: 0 success, 1 statistical warnings only, 2 input error, 3 fit
-failure.  Each pipeline warning code is also logged at WARNING level; the log
-level comes from the THRESHOLD_MACHINE_LOG environment variable.  Every
+Exit codes: 0 success, 1 statistical warnings only, 2 input error (an
+unwritable output path and an unknown THRESHOLD_MACHINE_LOG level too), 3 fit
+failure.  Each pipeline warning code is also logged at WARNING level.  Every
 command requires --seed, from which all randomness flows.
 """
 
@@ -98,7 +98,10 @@ def _report_payload(report: ThresholdReport) -> dict:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as e:
+            raise ParseError(f"cannot write {out}: {e}") from e
     else:
         print(text)
 
@@ -108,10 +111,6 @@ def _exit_status(codes) -> int:
     for code in codes:
         log.warning("pipeline warning: %s", code)
     return EXIT_WARNINGS if codes else EXIT_OK
-
-
-def _error_payload(code: str, message: str) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "error": {"code": code, "message": message}}
 
 
 def _read_series(path: str) -> np.ndarray:
@@ -212,11 +211,14 @@ def _load_json_arg(value: str) -> dict:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     # a harness's first artifact creates --outdir, so a refused spec leaves none
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}") from e
 
 
 def _cmd_app(args) -> int:
@@ -363,20 +365,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("THRESHOLD_MACHINE_LOG", "WARNING").upper())
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"threshold": _cmd_threshold, "validate": _cmd_validate, "app": _cmd_app}
     try:
+        level = os.environ.get("THRESHOLD_MACHINE_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ParseError(f"THRESHOLD_MACHINE_LOG must name a logging level, got {level!r}")
+        logging.basicConfig(level=level)
         if args.seed is None:
             raise ParseError(f"{args.command} requires --seed for reproducibility")
         return handlers[args.command](args)
-    except _FIT_ERRORS as e:
-        _emit(_error_payload(e.code, str(e)), getattr(args, "out", None))
-        return EXIT_FIT_FAILURE
     except DtmError as e:
-        _emit(_error_payload(e.code, str(e)), getattr(args, "out", None))
-        return EXIT_INPUT_ERROR
+        payload = {"schema_version": SCHEMA_VERSION, "error": {"code": e.code, "message": str(e)}}
+        try:
+            _emit(payload, args.out)
+        except ParseError:  # an --out that cannot be written: the payload goes to stdout
+            _emit(payload, None)
+        return EXIT_FIT_FAILURE if isinstance(e, _FIT_ERRORS) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ class InvalidBandwidthError(DtmError):
 
 
 class ParseError(DtmError):
-    """Input file could not be parsed."""
+    """A file or setting the command line names could not be read, parsed or written."""
 
     code = "parse-error"
 

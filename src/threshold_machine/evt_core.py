@@ -6,11 +6,11 @@ The family is parameterized by location ``mu``, scale ``sigma`` and shape
 (bounded) tail and ``xi = 0`` the Gumbel limit.  With ``z = (x - mu)/sigma``
 the tail function is ``C(x) = -log G(x) = (1 + xi*z)**(-1/xi)``, so
 ``log C(x)`` is minus the inverse of the Box-Cox map ``expm1(xi*v)/xi`` at
-``z``.  :func:`invert_tail` solves ``C(x) = y`` through the map and
-:func:`model_max_cdf` evaluates ``G(x)**theta`` through ``log C``, each at a
-scalar or an array.  This module alone decides the Gumbel limit: both maps
-are the identity for shapes with ``|xi|`` below :data:`XI_GUMBEL_TOL`, which
-avoids catastrophic cancellation near zero.
+``z``.  :func:`invert_tail` solves ``C(x) = y`` through the map for one
+float ``y``; :func:`model_max_cdf` evaluates ``G(x)**theta`` through
+``log C`` at a scalar or an array.  This module alone decides the Gumbel
+limit: both maps are the identity for shapes with ``|xi|`` below
+:data:`XI_GUMBEL_TOL`, which avoids catastrophic cancellation near zero.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class TailModel:
         return invert_tail(self.params, -math.log(alpha) / self.theta)
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _is_gumbel(xi: float) -> bool:
     return abs(xi) < XI_GUMBEL_TOL
 
@@ -112,23 +107,19 @@ def _log_tail(params: GevParams, x):
     return -np.log1p(np.where(b > -1, b, np.nan)) / params.xi
 
 
-def invert_tail(params: GevParams, y):
+def invert_tail(params: GevParams, y) -> float:
     """Solve C(x) = y for x: ``mu + sigma * expm1(-xi*log y)/xi``.
 
-    ``y`` must be positive and finite.  Over the support, ``x`` comes back
-    from ``y = C(x)`` to relative error below 1e-9.
+    ``y`` is one positive finite real: a Python or numpy number, or a 0-d
+    array, each read as its float.  Over the support, ``x`` comes back from
+    ``y = C(x)`` to relative error below 1e-9.
     """
-    if isinstance(y, float):
-        # a Python or numpy float skips the array round trip; the logarithm
-        # stays numpy's, so both paths return the same bits
-        if not 0 < y < math.inf:
-            raise InvalidTargetError(f"inversion target must be positive and finite, got {y}")
-        return float(params.mu + params.sigma * _box_cox(params.xi, -np.log(y)))
-    arr, scalar = _as_array(y)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
-        raise InvalidTargetError(f"inversion target must be positive and finite, got {y}")
-    out = params.mu + params.sigma * _box_cox(params.xi, -np.log(arr))
-    return float(out) if scalar else out
+    if isinstance(y, np.ndarray):
+        if y.ndim:
+            raise InvalidTargetError(f"inversion target must be one real, got shape {y.shape}")
+        y = y[()]  # the numpy scalar it holds, so a bool is refused below
+    check_real("inversion target", y, 0, InvalidTargetError)
+    return float(params.mu + params.sigma * _box_cox(params.xi, -np.log(float(y))))
 
 
 def model_max_cdf(model: TailModel, x):
@@ -136,9 +127,9 @@ def model_max_cdf(model: TailModel, x):
     clamped by continuity outside the support: 0 below the lower endpoint
     (xi > 0), 1 above the upper one (xi < 0); nan at a nan ``x``.  Scaling
     ``C`` by ``theta`` first avoids the underflow of ``G``."""
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     log_c = _log_tail(model.params, arr)
     # a nan x has a nan log C too, but lies on neither side of the support
     outside = np.isnan(log_c) & ~np.isnan(arr)
     out = np.where(outside, float(model.params.xi < 0), np.exp(-model.theta * np.exp(log_c)))
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out

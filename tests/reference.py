@@ -11,7 +11,8 @@ with a second route through the same arithmetic:
 - :func:`theta_log_likelihood`, the mixture likelihood that
   ``extremal_index.theta_closed_form`` maximizes;
 - :func:`mmd_stat`, the float-route block MMD that the change-point stream's
-  bit route reproduces.
+  bit route reproduces, and :func:`median_heuristic`, the float-route
+  bandwidth that the stream reads from Hamming counts.
 
 An argument outside a reference's domain raises the package's error where the
 package keeps a class for it, and ``ValueError`` otherwise.
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from threshold_machine.applications import _block_mmd, _gaussian, _pairwise_sq_dists
+from threshold_machine.applications import _block_mmd, _gaussian
 from threshold_machine.errors import (
     InvalidBandwidthError,
     InvalidThetaError,
@@ -92,6 +93,18 @@ def _as_block(X) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"block must be a 2-D array of vectors, got shape {arr.shape}")
     return arr
+
+
+def _pairwise_sq_dists(Z: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances of the rows of Z, clipped at 0 against cancellation."""
+    zz = np.einsum("ij,ij->i", Z, Z)
+    return np.maximum(zz[:, None] + zz - 2.0 * (Z @ Z.T), 0.0)
+
+
+def median_heuristic(block) -> float:
+    """Median pairwise distance of the rows of a real block."""
+    sq = _pairwise_sq_dists(_as_block(block))
+    return float(np.sqrt(np.median(sq[np.triu_indices(sq.shape[0], k=1)])))
 
 
 def mmd_stat(X, Y, bandwidth: float) -> float:

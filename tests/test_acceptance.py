@@ -122,7 +122,7 @@ class TestCriterion2:
                 x = x[1 + p.xi * (x - p.mu) / p.sigma > 1e-9]
             if x.size == 0:
                 continue
-            back = invert_tail(p, tail_fn(p, x))
+            back = np.array([invert_tail(p, y) for y in tail_fn(p, x).tolist()])
             worst = max(worst, float(np.max(np.abs(back - x) / np.maximum(np.abs(x), 1e-12))))
             total += x.size
         elapsed = time.time() - t0

@@ -27,10 +27,10 @@ from threshold_machine import (
     scan_series,
 )
 from threshold_machine import applications
-from threshold_machine.applications import _arm_stream, _median_heuristic, _snapshot
+from threshold_machine.applications import _arm_stream, _bandwidth, _snapshot
 from threshold_machine.resample import stream_seed
 
-from reference import mmd_stat
+from reference import median_heuristic, mmd_stat
 
 
 class TestScanSeries:
@@ -127,16 +127,25 @@ class TestMmdStat:
         rng = np.random.default_rng(7)
         X = (rng.random((50, 10_000)) < 0.3).astype(float)
         Y = (rng.random((50, 10_000)) < 0.3).astype(float)
-        bw = _median_heuristic(Y)
+        bw = median_heuristic(Y)
         assert abs(mmd_stat(X, Y, bw)) <= 0.1
 
     def test_median_heuristic_matches_pdist(self):
-        spec = MmdStreamSpec(seed=4)
-        snapshots = np.stack([_snapshot(spec, t) for t in range(1, spec.block_size + 1)])
-        real = np.random.default_rng(9).normal(size=(30, 7))
-        for block in (snapshots, real):
+        # the harness reads the bandwidth off the Hamming counts of packed
+        # snapshots; the odd block of 3-edge snapshots has a median that is
+        # one count, the even ones the mean of two
+        for geometry in (dict(seed=4), dict(block_size=8, n_nodes=20, seed=1),
+                         dict(block_size=9, n_nodes=3, p_pre=0.5, seed=1)):
+            spec = MmdStreamSpec(**geometry)
+            block = np.stack([_snapshot(spec, t) for t in range(1, spec.block_size + 1)])
+            P = np.packbits(block > 0, axis=1)
+            H = np.bitwise_count(P[:, None] ^ P).sum(axis=-1)
             expected = math.sqrt(np.median(pdist(block, "sqeuclidean")))
-            assert _median_heuristic(block) == pytest.approx(expected, rel=1e-12)
+            assert _bandwidth(H) == pytest.approx(expected, rel=1e-12)
+        # a real-valued block takes the float route of the reference
+        real = np.random.default_rng(9).normal(size=(30, 7))
+        expected = math.sqrt(np.median(pdist(real, "sqeuclidean")))
+        assert median_heuristic(real) == pytest.approx(expected, rel=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="equal shape"):
@@ -186,7 +195,7 @@ class TestChangePointRun:
         ref = np.stack([_snapshot(spec, t) for t in range(1, B + 1)])
         if spec.n_nodes == 3:
             assert {0.0, 3.0} <= set(ref.sum(axis=1))
-        bw = _median_heuristic(ref)
+        bw = median_heuristic(ref)
         for t in times:
             X = np.stack([_snapshot(spec, s) for s in range(t - B + 1, t + 1)])
             direct = mmd_stat(X, ref, bw)

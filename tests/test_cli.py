@@ -192,6 +192,28 @@ class TestThresholdCommand:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["code"] == "too-few-exceedances"
 
+    def test_unwritable_out_is_input_error(self, chi2_csv, tmp_path, capsys):
+        # the error payload itself cannot go to --out, so it goes to stdout
+        out = tmp_path / "missing" / "r.json"
+        code = main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "parse-error"
+        assert err["message"].startswith(f"cannot write {out}: ")
+        assert not out.parent.exists()
+
+    def test_unknown_log_level_is_input_error(self, chi2_csv, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_dtm", lambda *args: ran.append(args))
+        monkeypatch.setenv("THRESHOLD_MACHINE_LOG", "verbose")
+        code = main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05", "--seed", "1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "code": "parse-error",
+            "message": "THRESHOLD_MACHINE_LOG must name a logging level, got 'VERBOSE'"}
+        assert ran == []
+
     def test_json_round_trip(self, chi2_csv, tmp_path):
         out = tmp_path / "r.json"
         main(["threshold", "--input", str(chi2_csv), "--alpha", "0.05",
@@ -386,6 +408,18 @@ class TestAppCommand:
         code = main(["app", "bandit", "--spec", str(spec_path),
                      "--outdir", str(tmp_path / "x"), "--seed", "5"])
         assert code == 2
+
+    def test_unwritable_outdir_is_input_error(self, tmp_path, capsys):
+        # --outdir lies below a file, so its first artifact cannot be written
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / "x"
+        code = main(["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0]}',
+                     "--outdir", str(outdir), "--seed", "0"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "parse-error"
+        assert err["message"].startswith(f"cannot write {outdir / 'bandit_rounds.csv'}: ")
 
     @pytest.mark.parametrize("harness, spec", [
         ("bandit", {}),

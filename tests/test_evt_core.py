@@ -147,28 +147,38 @@ class TestInvertTail:
             x = params.mu + params.sigma * z
             if abs(params.xi) >= 1e-8:
                 x = x[1 + params.xi * (x - params.mu) / params.sigma > 1e-6]
-            back = invert_tail(params, tail_fn(params, x))
+            back = np.array([invert_tail(params, y) for y in tail_fn(params, x).tolist()])
             assert np.all(np.abs(back - x) <= 1e-9 * np.maximum(np.abs(x), 1.0))
 
     def test_bad_targets_rejected(self):
-        # the float path and the array path reject the same targets
+        # a bad value is refused in every form it comes in; a bool, a string,
+        # None, a list and an array of one or more axes are no target at all
         wraps = (lambda y: y, float, np.float64, np.asarray, lambda y: np.array([y]))
-        for y in (0, -1, np.inf, -np.inf, np.nan):
-            for wrap in wraps:
-                for params in (GevParams(0, 1, 0), GevParams(0, 1, 0.2)):
-                    with pytest.raises(InvalidTargetError):
-                        invert_tail(params, wrap(y))
+        bad = [wrap(y) for y in (0, -1, np.inf, -np.inf, np.nan) for wrap in wraps]
+        bad += [True, np.True_, np.asarray(True), "1.0", None, [1.0],
+                np.array([1.0]), np.array([1.0, 2.0]), np.ones((1, 1))]
+        for params in (GevParams(0, 1, 0), GevParams(0, 1, 0.2)):
+            for y in bad:
+                with pytest.raises(InvalidTargetError):
+                    invert_tail(params, y)
 
     @pytest.mark.parametrize("params", [GevParams(5.717, 0.647, 0.0), GevParams(1.5, 2.0, 1e-9),
                                         GevParams(-2.0, 0.3, 0.4), GevParams(3.0, 1.7, -0.6)],
                              ids=["gumbel", "near-gumbel", "frechet", "weibull"])
-    def test_scalar_path_matches_array_path(self, params):
-        ys = np.geomspace(1e-6, 1e3, 41)
-        want = invert_tail(params, ys)
-        for y, x in zip(ys, want):
-            for scalar in (float(y), y, np.asarray(y)):
-                assert invert_tail(params, scalar) == x  # bit-identical
-                assert type(invert_tail(params, scalar)) is float
+    def test_scalar_forms_give_the_float_bits(self, params):
+        # a numpy float64, a 0-d array and an int are read as their float,
+        # whose path is the one TailModel.upper and lower take
+        model = TailModel(params=params, theta=0.3, cutoff=0.0, horizon=100)
+        pairs = [(-math.log1p(-a) / model.theta, model.upper(a)) for a in LEVELS]
+        pairs += [(-math.log(a) / model.theta, model.lower(a)) for a in LEVELS]
+        pairs += [(y, invert_tail(params, y)) for y in np.geomspace(1e-6, 1e3, 41).tolist()]
+        for y, x in pairs:
+            for form in (y, np.float64(y), np.asarray(y)):
+                got = invert_tail(params, form)
+                assert type(got) is float and got == x  # bit-identical
+        for k in (1, 7, 1000):
+            assert invert_tail(params, k) == invert_tail(params, np.int64(k)) == invert_tail(
+                params, float(k))
 
 
 class TestTailModel:

@@ -22,7 +22,10 @@ The panel takes about a second on one core.  Its sections:
   bootstrap replicates and a free and a pinned (0.0) shape: every field of
   the report; and ``fit`` of the same paths' exceedances above the 0.95
   cutoff with the shape pinned at -0.2 and 0.2, whose grid search the
-  closed-form Gumbel fit of 0.0 skips: the parameters and diagnostics;
+  closed-form Gumbel fit of 0.0 skips: the parameters and diagnostics; and
+  ``invert_tail`` at the 41 Python floats of ``np.geomspace(1e-6, 1e3, 41)``
+  for a Gumbel, a near-Gumbel (xi = 1e-9), a Frechet and a Weibull
+  parameter set;
 - ``bootstrap``: the bootstrap replicate sets behind those runs,
   ``bootstrap(extract(s, u), seed + r)`` for r = 0-9 at the 0.95 cutoff:
   their indices, heights and source length;
@@ -140,6 +143,10 @@ def pipeline(tm):
                     label = f"{name} seed={seed} reps={reps} fix_xi={fix_xi}"
                     yield f"run_dtm {label}", tm.run_dtm(series, cfg)
                     yield f"confidence_bounds {label}", tm.confidence_bounds(series, cfg)
+    for params in (tm.GevParams(5.717, 0.647, 0.0), tm.GevParams(1.5, 2.0, 1e-9),
+                   tm.GevParams(-2.0, 0.3, 0.4), tm.GevParams(3.0, 1.7, -0.6)):
+        yield (f"invert_tail {params}",
+               [tm.invert_tail(params, y) for y in np.geomspace(1e-6, 1e3, 41).tolist()])
 
 
 def bootstrap(tm):
