@@ -221,6 +221,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         raise ParseError(f"cannot write {path}: {e}") from e
 
 
+def _check_outdir(outdir: Path) -> None:
+    """Refuse an ``--outdir`` below a path that is not a directory before a
+    harness draws data; like the spec checks, it creates nothing."""
+    found = os.path.abspath(outdir)
+    while not os.path.exists(found):  # False, not an error, for a path it cannot stat
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ParseError(f"cannot write {outdir}: {found} is not a directory")
+
+
 def _cmd_app(args) -> int:
     spec_dict = _load_json_arg(args.spec)
     seed = spec_dict.setdefault("seed", args.seed)  # a spec seed wins over --seed
@@ -264,6 +274,7 @@ def _app_scan(spec_dict: dict, outdir: Path) -> dict:
         # its bound falls as alpha rises, so the smallest level raises every
         # code any does
         cfg = DtmConfig(alpha=min(alphas), seed=spec.seed + 1)
+    _check_outdir(outdir)
     series = scan_series(spec, n_subgraphs)
     report = run_dtm(series, cfg)
     _write_csv(outdir / "scan_series.csv", ["index", "statistic"],
@@ -282,6 +293,7 @@ def _app_changepoint(spec_dict: dict, outdir: Path) -> dict:
     with _spec_errors("changepoint"):
         spec = MmdStreamSpec(**spec_dict)
         check_real("arl", arl, 0, InvalidSpecError)
+    _check_outdir(outdir)
     result = change_point_run(spec, arl)
     times = range(result.stream_start, result.stream_start + len(result.stream))
     _write_csv(outdir / "changepoint_stream.csv", ["time", "statistic", "threshold"],
@@ -305,6 +317,7 @@ def _app_bandit(spec_dict: dict, outdir: Path) -> dict:
         spec = BanditSpec(**spec_dict)
         # bandit_run's own floor: every arm's burn-in, then at least one round
         check_count("total_pulls", total_pulls, spec.n_arms * spec.burn_in + 1, InvalidSpecError)
+    _check_outdir(outdir)
     result = bandit_run(spec, total_pulls)
     rows = []
     for rnd, (arm, bounds) in enumerate(zip(result.pulls, result.bounds_history)):

@@ -3,7 +3,8 @@ that check its input values.
 
 Every error carries a stable machine-readable ``code`` so front ends (the CLI
 in particular) can map failures to structured error objects and exit codes
-without parsing messages.
+without parsing messages.  One class owns each condition, whichever call
+meets it: a gap set with no gap, say, always has too few exceedances.
 
 Each kind of input value has one rule here, and the caller names the error
 it raises: :func:`check_count` for counts and seeds, :func:`check_level` for
@@ -12,10 +13,11 @@ open by default and closed at either end on request, such as probabilities in
 [0, 1] or an extremal index in (0, 1].  A rule refuses a value of the wrong
 type, such as a string, None or a bool, Python's (what JSON ``true`` becomes)
 or numpy's, though both compare as 0 and 1, the way it refuses one out of
-range or not finite.
+range, not finite, or an int beyond the float range.
 """
 
 import math
+import sys
 from numbers import Integral
 
 import numpy as np
@@ -23,13 +25,14 @@ import numpy as np
 __all__ = [
     "DtmError", "InvalidParamsError", "InvalidTargetError", "InvalidQuantileError",
     "InvalidSeriesError", "TooFewExceedancesError", "DegenerateHeightsError",
-    "InvalidThetaError", "NoClustersError", "InvalidSpecError", "InvalidConfigError",
+    "NoClustersError", "InvalidSpecError", "InvalidConfigError",
     "InvalidBandwidthError", "ParseError", "FitWarning",
 ]
 
 # check_real refuses these by type; numpy's bool is not a numbers.Integral,
 # so check_count refuses it without them
 _BOOLS = (bool, np.bool_)
+_FLOAT_MAX = int(sys.float_info.max)  # an int, so an int compares with it fast
 
 
 class DtmError(Exception):
@@ -72,12 +75,6 @@ class DegenerateHeightsError(DtmError):
     """All exceedance heights are equal; the tail fit is undefined."""
 
     code = "degenerate-heights"
-
-
-class InvalidThetaError(DtmError):
-    """Extremal index outside (0, 1], or no inter-exceedance gap to score it on."""
-
-    code = "invalid-theta"
 
 
 class NoClustersError(DtmError):
@@ -128,13 +125,16 @@ def check_real(name: str, value, low, error: type[DtmError], high=math.inf, ends
     to ``high`` whose ends ``ends`` writes in interval notation: by default
     the open one, a finite real above ``low``; ``"[)"`` also admits ``low``,
     ``"(]"`` admits ``high`` and ``"[]"`` both.  A bool, Python's or numpy's,
-    is not a real here."""
+    is not a real here, nor an int beyond the float range."""
     # a value that does not compare with numbers raises TypeError; catching
-    # it costs less than an isinstance test against numbers.Real
+    # it costs less than an isinstance test against numbers.Real.  An int
+    # compares exactly, so one beyond the float range is refused by its size
+    kind = type(value)
     try:
-        if type(value) not in _BOOLS and (
+        if kind not in _BOOLS and (
                 low < value or ends[0] == "[" and value == low) and (
-                value < high or ends[1] == "]" and value == high):
+                value < high or ends[1] == "]" and value == high) and (
+                kind is not int or abs(value) <= _FLOAT_MAX):
             return
     except TypeError:
         pass

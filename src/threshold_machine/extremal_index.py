@@ -25,6 +25,9 @@ lies below 1 and is computed in the cancellation-free form
 2b / (s + sqrt(s^2 - 4bc)) with s = a + b + c, whose discriminant equals
 (a + b - c)^2 + 4ac > 0; only rounding can lift it above 1, so it is capped
 there.
+
+A gap set with no gap raises ``TooFewExceedancesError``, as ``exceedance.gaps``
+does for one exceedance, and one whose gaps all equal 1 ``NoClustersError``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidThetaError, NoClustersError
+from .errors import NoClustersError, TooFewExceedancesError
 from .exceedance import GapSet
 
 __all__ = ["ThetaEstimate", "theta_closed_form"]
@@ -65,7 +68,7 @@ def theta_closed_form(g: GapSet) -> ThetaEstimate:
     likelihood degenerates toward theta = 0 and a no-clusters error is raised.
     """
     if len(g.gaps) < 1:
-        raise InvalidThetaError("need at least one gap")
+        raise TooFewExceedancesError("need at least one gap")
     n_u, n_c, a, c = _gap_stats(g)
     if n_c == 0:
         raise NoClustersError(

@@ -25,7 +25,7 @@ import numpy as np
 from threshold_machine.applications import _block_mmd, _gaussian
 from threshold_machine.errors import (
     InvalidBandwidthError,
-    InvalidThetaError,
+    InvalidParamsError,
     TooFewExceedancesError,
     check_real,
 )
@@ -73,9 +73,9 @@ def neg_log_likelihood(params: GevParams, exc: ExceedanceSet) -> float:
 def theta_log_likelihood(theta: float, g: GapSet) -> float:
     """Log likelihood ``a*log(1 - theta) + b*log(theta) - theta*c`` of the
     exponential/point-mass mixture at ``theta``, with 0*log 0 = 0."""
-    check_real("theta", theta, 0, InvalidThetaError, 1, "(]")
+    check_real("theta", theta, 0, InvalidParamsError, 1, "(]")
     if len(g.gaps) < 1:
-        raise InvalidThetaError("need at least one gap")
+        raise TooFewExceedancesError("need at least one gap")
     _, n_c, a, c = _gap_stats(g)
     b = 2 * n_c
     if theta == 1.0:

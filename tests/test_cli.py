@@ -409,17 +409,25 @@ class TestAppCommand:
                      "--outdir", str(tmp_path / "x"), "--seed", "5"])
         assert code == 2
 
-    def test_unwritable_outdir_is_input_error(self, tmp_path, capsys):
-        # --outdir lies below a file, so its first artifact cannot be written
+    def test_unwritable_outdir_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # --outdir lies below a file, so no artifact can be written; that is
+        # refused after the spec checks and before any harness draws data
+        ran = []
+        for name in ("scan_series", "change_point_run", "bandit_run"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
         blocker = tmp_path / "file"
         blocker.write_text("")
-        outdir = blocker / "x"
-        code = main(["app", "bandit", "--spec", '{"tail_exponents": [3.5, 4.0]}',
-                     "--outdir", str(outdir), "--seed", "0"])
-        assert code == 2
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["code"] == "parse-error"
-        assert err["message"].startswith(f"cannot write {outdir / 'bandit_rounds.csv'}: ")
+        outdir = blocker / "x" / "y"
+        for harness, spec in (("scan", {"N": 30, "p0": 0.1, "k": 5}), ("changepoint", {}),
+                              ("bandit", {"tail_exponents": [3.5, 4.0]})):
+            code = main(["app", harness, "--spec", json.dumps(spec),
+                         "--outdir", str(outdir), "--seed", "0"])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert err["code"] == "parse-error"
+            assert err["message"] == f"cannot write {outdir}: {blocker} is not a directory"
+        assert ran == []
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("harness, spec", [
         ("bandit", {}),

@@ -91,7 +91,7 @@ EXPORTED = {
     "change_point_run", "BanditSpec", "BanditResult", "bandit_run",
     "DtmError", "InvalidParamsError", "InvalidTargetError", "InvalidQuantileError",
     "InvalidSeriesError", "TooFewExceedancesError", "DegenerateHeightsError",
-    "InvalidThetaError", "NoClustersError", "InvalidSpecError", "InvalidConfigError",
+    "NoClustersError", "InvalidSpecError", "InvalidConfigError",
     "InvalidBandwidthError", "ParseError", "FitWarning",
 }
 

@@ -8,14 +8,17 @@ import pytest
 
 from threshold_machine import (
     BanditSpec,
+    DtmConfig,
     ErGraphSpec,
     GapSet,
     GeneratorSpec,
     GevParams,
+    InvalidConfigError,
     InvalidParamsError,
     InvalidSpecError,
-    InvalidThetaError,
+    InvalidTargetError,
     MmdStreamSpec,
+    invert_tail,
 )
 from threshold_machine.errors import DtmError, check_real
 
@@ -44,8 +47,8 @@ def test_check_real_ends(value, ends, admitted):
 
 GAPS = GapSet(gaps=np.array([2, 3]), rate=0.1)
 
-# each builds a spec, a model or a likelihood from a mistyped, infinite or
-# out-of-range value and names the field its message must name
+# each passes a mistyped, infinite or out-of-range value to a spec, a model,
+# a config, a likelihood or an inversion, and names the field its message must name
 REFUSED = {
     "chi-square-text-df": (lambda: GeneratorSpec("chi_square", {"df": "x"}, 10, 0),
                            InvalidSpecError, "chi_square df"),
@@ -58,7 +61,7 @@ REFUSED = {
     "bandit-text-exponent": (lambda: BanditSpec(tail_exponents=("x", 4.0)),
                              InvalidSpecError, "tail_exponents"),
     "gev-text-mu": (lambda: GevParams("x", 1, 0), InvalidParamsError, "mu"),
-    "likelihood-text-theta": (lambda: theta_log_likelihood("x", GAPS), InvalidThetaError, "theta"),
+    "likelihood-text-theta": (lambda: theta_log_likelihood("x", GAPS), InvalidParamsError, "theta"),
     "chi-square-infinite-df": (lambda: GeneratorSpec.chi_square(math.inf, 10, 0),
                                InvalidSpecError, "chi_square df"),
     "student-t-infinite-df": (lambda: GeneratorSpec.student_t(math.inf, 10, 0),
@@ -68,6 +71,12 @@ REFUSED = {
     "graph-p0-above-one": (lambda: ErGraphSpec(N=30, p0=1 + 1e-13, k=5),
                            InvalidSpecError, "p0"),
     "graph-bool-p0": (lambda: ErGraphSpec(N=30, p0=True, k=5), InvalidSpecError, "p0"),
+    # an exact int beyond the float range compares below inf but has no float value
+    "inversion-huge-int-target": (lambda: invert_tail(GevParams(0, 1, 0), 10**400),
+                                  InvalidTargetError, "inversion target"),
+    "config-huge-int-fix-xi": (lambda: DtmConfig(alpha=0.05, fix_xi=10**400),
+                               InvalidConfigError, "fix_xi"),
+    "gev-huge-negative-int-mu": (lambda: GevParams(-10**400, 1, 0), InvalidParamsError, "mu"),
 }
 
 

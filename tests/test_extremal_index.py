@@ -7,7 +7,9 @@ import pytest
 
 from threshold_machine import (
     GapSet,
+    InvalidParamsError,
     NoClustersError,
+    TooFewExceedancesError,
     extract,
     gaps,
     generate,
@@ -16,7 +18,6 @@ from threshold_machine import (
     quantile_cutoff,
     theta_closed_form,
 )
-from threshold_machine.extremal_index import InvalidThetaError
 
 from reference import theta_log_likelihood
 
@@ -50,15 +51,9 @@ class TestThetaLogLikelihood:
 
     @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5, np.nan])
     def test_invalid_theta(self, theta):
-        with pytest.raises(InvalidThetaError):
+        # refused as TailModel refuses the same theta
+        with pytest.raises(InvalidParamsError, match=r"theta must lie in \(0, 1\]"):
             theta_log_likelihood(theta, gapset([2, 3], rate=0.1))
-
-
-    def test_error_exported_from_package(self):
-        import threshold_machine
-
-        assert threshold_machine.InvalidThetaError is InvalidThetaError
-        assert issubclass(InvalidThetaError, threshold_machine.DtmError)
 
 
 class TestThetaClosedForm:
@@ -161,6 +156,20 @@ class TestThetaClosedForm:
         assert theta_closed_form(g1).theta == pytest.approx(
             theta_closed_form(g2).theta, abs=1e-12
         )
+
+    def test_no_gap_is_refused_as_gaps_refuses_one_exceedance(self):
+        # both routes to a gap set with no gap raise one class, so the CLI
+        # exits 3 on either; the reference likelihood refuses it the same way
+        one = np.zeros(20)
+        one[7] = 5.0
+        with pytest.raises(TooFewExceedancesError) as via_gaps:
+            gaps(extract(one, 1.0))
+        with pytest.raises(TooFewExceedancesError) as direct:
+            theta_closed_form(gapset([], rate=0.1))
+        assert type(direct.value) is type(via_gaps.value) is TooFewExceedancesError
+        assert str(direct.value) == "need at least one gap"
+        with pytest.raises(TooFewExceedancesError, match="need at least one gap"):
+            theta_log_likelihood(0.5, gapset([], rate=0.1))
 
     def test_no_clusters_error(self):
         with pytest.raises(NoClustersError):

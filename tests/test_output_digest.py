@@ -2,7 +2,6 @@
 digest per section in ``SECTIONS`` order, then the whole panel's digest and
 the value count, and it refuses a path that holds no package."""
 
-import dataclasses
 import importlib.util
 import re
 import subprocess
@@ -41,25 +40,3 @@ def test_path_without_package_refused(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "no threshold_machine package" in done.stderr
-
-
-def test_retired_fields_are_skipped():
-    # a retired field is skipped whatever it holds; the same field name on
-    # another class, and the class's other fields, are hashed
-    tool = load_tool()
-    assert ("FitDiagnostics", "init") in tool.RETIRED
-
-    @dataclasses.dataclass
-    class FitDiagnostics:
-        iterations: int
-        init: object = None
-
-    @dataclasses.dataclass
-    class Other:
-        iterations: int
-        init: object = None
-
-    bare = list(tool.tokens(FitDiagnostics(3)))
-    assert bare == ["iterations", "3"]
-    assert list(tool.tokens(FitDiagnostics(3, 4.0))) == bare
-    assert list(tool.tokens(Other(3))) == [*bare, "init", "None"]

@@ -55,10 +55,9 @@ The panel takes about a second on one core.  Its sections:
 - ``scan``: ``scan_series(ErGraphSpec(N=100, p0=0.1, k=10, seed=s), 5000)``
   for s = 0-2.
 
-A call that raises is hashed as its exception's class name.  The fields in
-``RETIRED`` are skipped, so a checkout that still declares one of them and
-a checkout without it hash the same tokens.  Prints one digest per section,
-then the digest of the whole panel, then the count of hashed values.
+A call that raises is hashed as its exception's class name.  Prints one
+digest per section, then the digest of the whole panel, then the count of
+hashed values.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-# (class, field) pairs that older checkouts declare and newer ones dropped
-RETIRED = frozenset({("FitDiagnostics", "init")})
 
 
 def tokens(value):
@@ -90,9 +86,8 @@ def tokens(value):
             yield from tokens(v)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            if (type(value).__name__, f.name) not in RETIRED:
-                yield f.name
-                yield from tokens(getattr(value, f.name))
+            yield f.name
+            yield from tokens(getattr(value, f.name))
     elif isinstance(value, (list, tuple)):
         yield f"seq{len(value)}"
         for v in value:
